@@ -12,6 +12,7 @@ range order, so the outcome is identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Optional
@@ -207,8 +208,11 @@ def orbit_partition(spec: SearchSpec, survivors: tuple) -> tuple:
 def enumerate_ujla(
     spec: SearchSpec, workers: int = 1, record_failures: bool = False
 ) -> ClassificationResult:
-    """Scan all p^(d^3) tensors, filter by the UJLA suite, reduce to orbits."""
+    """Scan all p^(d^3) tensors, filter by the UJLA suite, reduce to orbits.
+
+    At most os.cpu_count() worker processes are started."""
     total = spec.total
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         chunks = [_scan_range((spec.dim, spec.p, spec.semantics, 0, total, record_failures))]
     else:

@@ -48,6 +48,25 @@ def _require(obj: dict, key: str, what: str):
     return obj[key]
 
 
+def _field_and_dim(obj: dict, what: str) -> tuple:
+    label = _require(obj, "field", what)
+    if not isinstance(label, str):
+        raise ValueError(f"{what} field label must be a string, got {label!r}")
+    dim = _require(obj, "dim", what)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"{what} dimension must be a positive integer, got {dim!r}")
+    return parse_field(label), dim
+
+
+def _check_shape(value, shape: tuple, message: str) -> None:
+    """Raise ValueError(message) unless value is nested lists of this shape."""
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ValueError(message)
+    if len(shape) > 1:
+        for item in value:
+            _check_shape(item, shape[1:], message)
+
+
 def algebra_to_obj(alg: Algebra) -> dict:
     field = alg.field
     obj = {
@@ -66,18 +85,11 @@ def algebra_to_obj(alg: Algebra) -> dict:
 
 def obj_to_algebra(obj: dict) -> Algebra:
     name = _require(obj, "name", "algebra")
-    field = parse_field(_require(obj, "field", "algebra"))
-    dim = _require(obj, "dim", "algebra")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"algebra dimension must be a positive integer, got {dim!r}")
+    field, dim = _field_and_dim(obj, "algebra")
     basis = _require(obj, "basis", "algebra")
-    if len(basis) != dim:
-        raise ValueError(f"algebra file declares dim {dim} but {len(basis)} basis labels")
+    _check_shape(basis, (dim,), f"basis must be a list of {dim} basis labels")
     constants = _require(obj, "constants", "algebra")
-    if len(constants) != dim or any(
-        len(plane) != dim or any(len(row) != dim for row in plane) for plane in constants
-    ):
-        raise ValueError(f"constants must be a {dim}x{dim}x{dim} nested list")
+    _check_shape(constants, (dim, dim, dim), f"constants must be a {dim}x{dim}x{dim} nested list")
     tensor = tuple(
         tuple(tuple(field.parse(str(c)) for c in row) for row in plane)
         for plane in constants
@@ -85,8 +97,7 @@ def obj_to_algebra(obj: dict) -> Algebra:
     unit = None
     if obj.get("unit") is not None:
         raw = obj["unit"]
-        if len(raw) != dim:
-            raise ValueError(f"unit vector must have {dim} coordinates")
+        _check_shape(raw, (dim,), f"unit vector must be a list of {dim} coordinates")
         unit = tuple(field.parse(str(x)) for x in raw)
     return Algebra(str(name), field, dim, tuple(str(b) for b in basis), tensor, unit)
 
@@ -128,14 +139,10 @@ def obj_to_operator(obj: dict) -> TensorSquareOperator:
             f"unsupported operator convention {convention!r} "
             f"(this library writes and reads {OPERATOR_CONVENTION!r})"
         )
-    field = parse_field(_require(obj, "field", "operator"))
-    dim = _require(obj, "dim", "operator")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"operator dimension must be a positive integer, got {dim!r}")
+    field, dim = _field_and_dim(obj, "operator")
     raw = _require(obj, "matrix", "operator")
     side = dim * dim
-    if len(raw) != side or any(len(row) != side for row in raw):
-        raise ValueError(f"operator matrix must be {side}x{side}")
+    _check_shape(raw, (side, side), f"operator matrix must be {side}x{side}")
     rows = tuple(tuple(field.parse(str(x)) for x in row) for row in raw)
     return TensorSquareOperator(field, dim, Matrix(field, rows))
 

@@ -74,6 +74,35 @@ def ref_multiply(tensor, p, u, v):
     return tuple(x % p for x in out)
 
 
+def ref_leibniz_witness(tensor, p, m):
+    """First basis pair (i, j), row-major, with D(e_i e_j) != D(e_i)e_j + e_i D(e_j),
+    as (i, j, lhs, rhs); None when the d x d matrix m (rows) is a derivation.
+    p is None over Q, where scalars are Fractions."""
+    d = len(tensor)
+    norm = Fraction if p is None else (lambda x: x % p)
+
+    def mul(u, v):
+        out = [0] * d
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    out[k] += u[i] * v[j] * tensor[i][j][k]
+        return out
+
+    def apply(v):
+        return [sum(m[r][s] * v[s] for s in range(d)) for r in range(d)]
+
+    for i in range(d):
+        for j in range(d):
+            x = [1 if t == i else 0 for t in range(d)]
+            y = [1 if t == j else 0 for t in range(d)]
+            lhs = tuple(norm(v) for v in apply(mul(x, y)))
+            rhs = tuple(norm(u + v) for u, v in zip(mul(apply(x), y), mul(x, apply(y))))
+            if lhs != rhs:
+                return i, j, lhs, rhs
+    return None
+
+
 def _is_slot(tree):
     return isinstance(tree, tuple) and len(tree) == 2 and isinstance(tree[0], str) \
         and isinstance(tree[1], int)

@@ -93,6 +93,35 @@ def test_workers_do_not_change_the_result():
     assert serial.failure_counts == parallel.failure_counts
 
 
+def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+    """A huge worker request asks for no more processes than cores; the
+    pool is a serial stand-in, so no process starts."""
+    from ujla import classify
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(classify, "Pool", SerialPool)
+    monkeypatch.setattr(classify.os, "cpu_count", lambda: 2)
+    capped = enumerate_ujla(SearchSpec(1, 3), workers=10**6)
+    assert sizes == [2]
+    serial = enumerate_ujla(SearchSpec(1, 3))
+    assert (capped.survivors, capped.classes, capped.failure_counts) == \
+        (serial.survivors, serial.classes, serial.failure_counts)
+
+
 def test_count_is_scan_order_invariant():
     """Re-filter the whole space in a shuffled order and compare counts."""
     spec = SearchSpec(2, 2)

@@ -53,6 +53,15 @@ def test_check_missing_file(tmp_path, capsys):
     assert run(["check", str(tmp_path / "nope.alg"), "--axioms", "assoc"]) == 2
 
 
+def test_malformed_algebra_file_is_status_2(tmp_path, capsys):
+    obj = json.loads(dumps_algebra(corpus.dual_numbers()))
+    for key, bad in [("dim", True), ("field", 5), ("basis", 5), ("constants", [[1]])]:
+        path = tmp_path / f"bad-{key}.alg"
+        path.write_text(json.dumps({**obj, key: bad}))
+        assert run(["check", str(path), "--axioms", "assoc"]) == 2, key
+        assert capsys.readouterr().err.startswith("error: "), key
+
+
 def test_usage_errors_are_status_2(capsys):
     assert run(["no-such-command"]) == 2
     assert run([]) == 2

@@ -3,18 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from reference import ref_leibniz_witness
 from ujla import corpus
+from ujla.algebra import Algebra, vec_add, vec_sub
 from ujla.axioms import check_ujla
 from ujla.classify import SearchSpec, enumerate_ujla
 from ujla.derivations import (
-    apply_map,
     check_derivation,
     derivation_six_term,
     derivation_two_term,
     revalidate_leibniz,
 )
-from ujla.fields import QQ
-from ujla.linalg import Matrix
+from ujla.fields import PrimeField, QQ
+from ujla.linalg import Matrix, mat_vec
 
 RANDOM_SEED = 20240811
 
@@ -34,9 +35,9 @@ def test_six_term_on_sl2_is_bracketing_with_h():
     s = corpus.sl2()
     e, f, h = (s.basis_vector(i) for i in range(3))
     deriv = derivation_six_term(s, e, f)
-    assert apply_map(deriv, e) == (Fraction(2), 0, 0)
-    assert apply_map(deriv, f) == (0, Fraction(-2), 0)
-    assert apply_map(deriv, h) == (0, 0, 0)
+    assert mat_vec(deriv, e) == (Fraction(2), 0, 0)
+    assert mat_vec(deriv, f) == (0, Fraction(-2), 0)
+    assert mat_vec(deriv, h) == (0, 0, 0)
 
 
 def test_six_equals_two_on_lie_algebras(heis):
@@ -51,7 +52,7 @@ def test_two_term_on_upper_triangular(upper2):
     e11, e12, e22 = (upper2.basis_vector(i) for i in range(3))
     deriv = derivation_two_term(upper2, e11, e12)
     # D(E22) = E11(E12 E22) - (E22 E11)E12 = E12 - 0
-    assert apply_map(deriv, e22) == e12
+    assert mat_vec(deriv, e22) == e12
 
 
 def test_both_constructions_vanish_on_commutative_associative():
@@ -99,17 +100,92 @@ def test_constructions_yield_derivations_across_classes(standard_corpus):
                         assert check_derivation(alg, deriv).passed, (alg.name, builder.__name__)
 
 
-def test_polynomial_and_basis_leibniz_agree(standard_corpus):
-    candidates = []
-    for algebras in standard_corpus.values():
-        for alg in algebras[:2]:
-            a, b = alg.basis_vector(0), alg.basis_vector(alg.dim - 1)
-            candidates.append((alg, derivation_six_term(alg, a, b)))
-            candidates.append((alg, Matrix.identity(alg.field, alg.dim)))
-    for alg, deriv in candidates:
-        poly = check_derivation(alg, deriv, semantics="polynomial").passed
-        basis = check_derivation(alg, deriv, semantics="basis").passed
-        assert poly == basis
+def reduced_corpus(standard_corpus, p):
+    """Every corpus algebra whose constants are defined mod p, rebuilt over F_p."""
+    field = PrimeField(p)
+    out = []
+    for alg in (a for algebras in standard_corpus.values() for a in algebras):
+        try:
+            tensor = tuple(tuple(tuple(field.from_fraction(c) for c in row) for row in plane)
+                           for plane in alg.tensor)
+            unit = alg.unit and tuple(field.from_fraction(x) for x in alg.unit)
+        except ZeroDivisionError:
+            continue
+        out.append(Algebra(f"{alg.name}-f{p}", field, alg.dim, alg.basis, tensor, unit))
+    return out
+
+
+def oracle_algebras(standard_corpus):
+    q = [alg for algebras in standard_corpus.values() for alg in algebras]
+    return q + reduced_corpus(standard_corpus, 3) + reduced_corpus(standard_corpus, 5)
+
+
+def column_construction(alg, a, b, formula):
+    """The six- or two-term map built column by column, each column a
+    signed sum of products through Algebra.multiply."""
+    field = alg.field
+    cols = []
+    for k in range(alg.dim):
+        x = alg.basis_vector(k)
+        ax, xa = alg.multiply(a, x), alg.multiply(x, a)
+        bx, xb = alg.multiply(b, x), alg.multiply(x, b)
+        if formula == "six":
+            terms = [(+1, a, bx), (+1, b, ax), (+1, ax, b),
+                     (-1, a, xb), (-1, xb, a), (-1, xa, b)]
+        else:
+            terms = [(+1, a, bx), (-1, xa, b)]
+        acc = alg.zero_vector()
+        for sign, u, v in terms:
+            prod = alg.multiply(u, v)
+            acc = vec_add(field, acc, prod) if sign > 0 else vec_sub(field, acc, prod)
+        cols.append(acc)
+    return Matrix(field, tuple(zip(*cols)))
+
+
+def seeded_matrix(alg, rnd):
+    if alg.field.is_finite:
+        return Matrix(alg.field, tuple(tuple(rnd.randrange(alg.field.p) for _ in range(alg.dim))
+                                       for _ in range(alg.dim)))
+    return Matrix(alg.field, tuple(tuple(Fraction(rnd.randint(-2, 2), rnd.randint(1, 3))
+                                         for _ in range(alg.dim)) for _ in range(alg.dim)))
+
+
+def test_builders_match_column_construction_over_q_and_fp(standard_corpus):
+    for alg in oracle_algebras(standard_corpus):
+        vecs = alg.basis_vectors() + seeded_vectors(alg, 3)
+        for a in vecs:
+            for b in vecs:
+                six = column_construction(alg, a, b, "six")
+                two = column_construction(alg, a, b, "two")
+                assert derivation_six_term(alg, a, b) == six, alg.name
+                assert derivation_two_term(alg, a, b) == two, alg.name
+
+
+def test_leibniz_verdict_and_witness_match_basis_pair_oracle(standard_corpus):
+    """check_derivation against plain loops over the tensor: the same
+    verdict, the same first failing pair (row-major), the same sides."""
+    rnd = random.Random(RANDOM_SEED)
+    failures = 0
+    for alg in oracle_algebras(standard_corpus):
+        p = alg.field.p if alg.field.is_finite else None
+        vecs = seeded_vectors(alg, 2)
+        candidates = [derivation_six_term(alg, vecs[0], vecs[1]),
+                      derivation_two_term(alg, vecs[1], vecs[0]),
+                      Matrix.identity(alg.field, alg.dim)]
+        candidates += [seeded_matrix(alg, rnd) for _ in range(4)]
+        for deriv in candidates:
+            verdict = check_derivation(alg, deriv).verdicts[0]
+            expected = ref_leibniz_witness(alg.tensor, p, deriv.rows)
+            assert verdict.passed == (expected is None), alg.name
+            if expected is None:
+                continue
+            failures += 1
+            i, j, lhs, rhs = expected
+            w = verdict.concrete_witness
+            assert w.assignment == (("x", alg.basis_vector(i)), ("y", alg.basis_vector(j)))
+            assert (w.lhs, w.rhs) == (lhs, rhs), alg.name
+            assert revalidate_leibniz(alg, deriv, verdict)
+    assert failures > 0
 
 
 # --- the six-term vs two-term relation on Jordan algebras -------------------
@@ -144,8 +220,8 @@ def test_literal_six_equals_two_fails_on_matrix_jordan_algebra():
     two = derivation_two_term(alg, a, b)
     assert six != two
     x = alg.basis_vector(3)  # E22
-    assert apply_map(six, x) == (0, Fraction(-1, 4), 0, 0)
-    assert apply_map(two, x) == (0, Fraction(1, 4), 0, 0)
+    assert mat_vec(six, x) == (0, Fraction(-1, 4), 0, 0)
+    assert mat_vec(two, x) == (0, Fraction(1, 4), 0, 0)
 
 
 def test_derivation_status_on_classified_structures_is_recorded(capsys):

@@ -70,6 +70,23 @@ def test_malformed_files_are_rejected():
         loads_algebra(DUAL_FILE.replace('[[["1","0"],["0","1"]],[["0","1"],["0","0"]]]', "[]"))
     with pytest.raises(ValueError, match="dimension"):
         loads_algebra(DUAL_FILE.replace('"dim": 2', '"dim": 0'))
+    with pytest.raises(ValueError, match="dimension"):
+        loads_algebra(DUAL_FILE.replace('"dim": 2', '"dim": true'))
+    with pytest.raises(ValueError, match="field label"):
+        loads_algebra(DUAL_FILE.replace('"Q"', "5"))
+    with pytest.raises(ValueError, match="basis labels"):
+        loads_algebra(DUAL_FILE.replace('["1","x"]', "5"))
+    with pytest.raises(ValueError, match="2x2x2"):
+        loads_algebra(DUAL_FILE.replace('[[["1","0"],["0","1"]],[["0","1"],["0","0"]]]', "[[1]]"))
+    with pytest.raises(ValueError, match="2x2x2"):
+        loads_algebra(DUAL_FILE.replace('[[["1","0"],["0","1"]],[["0","1"],["0","0"]]]',
+                                        '[[1, 2], [3, 4]]'))
+    with pytest.raises(ValueError, match="unit vector"):
+        loads_algebra(DUAL_FILE.replace('["1","0"]', '"10"', 1))
+    one_dim = ('{"name": "s", "field": "Q", "dim": 1, "basis": ["1"], '
+               '"constants": [[1]]}')
+    with pytest.raises(ValueError, match="1x1x1"):
+        loads_algebra(one_dim)
 
 
 def test_scalar_strings_are_validated():
@@ -97,9 +114,20 @@ def test_operator_convention_is_enforced():
 
 def test_operator_shape_is_enforced():
     obj = json.loads(dumps_operator(twist(QQ, 2)))
+    good = dict(obj)
     obj["matrix"] = obj["matrix"][:3]
     with pytest.raises(ValueError, match="4x4"):
         loads_operator(json.dumps(obj))
+    for key, bad, match in [
+        ("matrix", 5, "4x4"),
+        ("matrix", [1, 2, 3, 4], "4x4"),
+        ("matrix", "0000", "4x4"),
+        ("field", 5, "field label"),
+        ("dim", True, "dimension"),
+        ("dim", 2.0, "dimension"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            loads_operator(json.dumps({**good, key: bad}))
 
 
 def test_classification_report_embeds_algebra_files():
