@@ -49,6 +49,7 @@ from .identities import (
     IdentitySpec,
     Verdict,
     check_identity,
+    holds,
     revalidate_verdict,
     verify_identity,
 )

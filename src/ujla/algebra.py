@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, coerce
 from .formal import Poly
 from . import linalg
 
@@ -166,22 +166,16 @@ def algebra_from_products(
 
     ``products[(i, j)]`` maps target basis index k to the coefficient of
     e_k in e_i * e_j; missing pairs multiply to zero.  Coefficients may
-    be ints, scalars, or scalar literals.
+    be ints, Fractions, or scalar literals.
     """
     d = len(basis)
-
-    def coerce(x: ScalarLike) -> Scalar:
-        if isinstance(x, str):
-            return field.parse(x)
-        return field.normalize(x)
-
     zero = field.zero
     tensor = [[[zero] * d for _ in range(d)] for _ in range(d)]
     for (i, j), row in products.items():
         for k, c in row.items():
-            tensor[i][j][k] = coerce(c)
+            tensor[i][j][k] = coerce(field, c)
     tensor_t = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
-    unit_t = tuple(coerce(x) for x in unit) if unit is not None else None
+    unit_t = tuple(coerce(field, x) for x in unit) if unit is not None else None
     return Algebra(name, field, d, tuple(basis), tensor_t, unit_t)
 
 
@@ -198,12 +192,7 @@ def algebra_from_matrix_basis(
     independent) matrix basis; a product outside the span is an error.
     """
     d = len(basis)
-
-    def coerce_mat(m):
-        return [[field.parse(x) if isinstance(x, str) else field.normalize(x) for x in row]
-                for row in m]
-
-    ms = [coerce_mat(m) for m in mats]
+    ms = [[[coerce(field, x) for x in row] for row in m] for m in mats]
     n = len(ms[0])
     flat_cols = linalg.Matrix.from_rows(
         field, [[ms[b][r][c] for b in range(d)] for r in range(n) for c in range(n)]
@@ -228,9 +217,7 @@ def algebra_from_matrix_basis(
                 raise ValueError(f"{name}: product {basis[i]}*{basis[j]} is outside the span")
             plane.append(tuple(coords))
         tensor.append(tuple(plane))
-    unit_t = None
-    if unit is not None:
-        unit_t = tuple(field.parse(x) if isinstance(x, str) else field.normalize(x) for x in unit)
+    unit_t = tuple(coerce(field, x) for x in unit) if unit is not None else None
     return Algebra(name, field, d, tuple(basis), tuple(tensor), unit_t)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import Algebra
-from .identities import AxiomReport, IdentitySpec, check_identity
+from .identities import AxiomReport, IdentitySpec, check_identity, holds
 
 ASSOC = IdentitySpec.parse("assoc", "(a*b)*c = a*(b*c)", ("a", "b", "c"))
 
@@ -73,7 +73,7 @@ def ujla_failure(alg: Algebra, semantics: str = "polynomial") -> Optional[str]:
     identity order matches check_ujla's report order.
     """
     for spec in UJLA_SPECS:
-        if not check_identity(alg, spec, semantics).passed:
+        if not holds(alg, spec, semantics):
             return spec.name
     return None
 

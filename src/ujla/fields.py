@@ -189,6 +189,16 @@ FieldSpec = Union[Rationals, PrimeField]
 QQ = Rationals()
 
 
+def coerce(field: FieldSpec, x) -> Scalar:
+    """The one entry gate for scalars: a string is parsed, an int or
+    Fraction is mapped into the field, anything else is rejected."""
+    if isinstance(x, str):
+        return field.parse(x)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return field.from_fraction(x)
+    raise ValueError(f"scalar must be a string, an int or a Fraction, got {x!r}")
+
+
 def parse_field(label: str) -> FieldSpec:
     """Parse a field label: "Q" or "F<p>" with p prime."""
     label = label.strip()

@@ -1,7 +1,8 @@
 """The canonical on-disk formats: algebra files and operator files.
 
 Both are JSON documents with scalar values as strings ("n" or "n/d" over
-Q, decimal residues over F_p).  An algebra file looks like::
+Q, decimal residues over F_p) or JSON integers; any other JSON value in a
+scalar position is rejected.  An algebra file looks like::
 
     { "name": "dual-numbers", "field": "Q", "dim": 2,
       "basis": ["1", "x"], "unit": ["1", "0"],
@@ -19,7 +20,7 @@ import json
 from typing import Union
 
 from .algebra import Algebra
-from .fields import parse_field
+from .fields import coerce, parse_field
 from .linalg import Matrix
 from .yang_baxter import TensorSquareOperator
 
@@ -91,14 +92,14 @@ def obj_to_algebra(obj: dict) -> Algebra:
     constants = _require(obj, "constants", "algebra")
     _check_shape(constants, (dim, dim, dim), f"constants must be a {dim}x{dim}x{dim} nested list")
     tensor = tuple(
-        tuple(tuple(field.parse(str(c)) for c in row) for row in plane)
+        tuple(tuple(coerce(field, c) for c in row) for row in plane)
         for plane in constants
     )
     unit = None
     if obj.get("unit") is not None:
         raw = obj["unit"]
         _check_shape(raw, (dim,), f"unit vector must be a list of {dim} coordinates")
-        unit = tuple(field.parse(str(x)) for x in raw)
+        unit = tuple(coerce(field, x) for x in raw)
     return Algebra(str(name), field, dim, tuple(str(b) for b in basis), tensor, unit)
 
 
@@ -143,7 +144,7 @@ def obj_to_operator(obj: dict) -> TensorSquareOperator:
     raw = _require(obj, "matrix", "operator")
     side = dim * dim
     _check_shape(raw, (side, side), f"operator matrix must be {side}x{side}")
-    rows = tuple(tuple(field.parse(str(x)) for x in row) for row in raw)
+    rows = tuple(tuple(coerce(field, x) for x in row) for row in raw)
     return TensorSquareOperator(field, dim, Matrix(field, rows))
 
 

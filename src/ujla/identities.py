@@ -13,8 +13,8 @@ Two semantics are implemented:
   of the difference to vanish identically.  Over an infinite field this
   is equivalent to truth on all elements; over F_p it is strictly
   stronger for non-multilinear identities.
-* pointwise (finite fields only): exhaustive evaluation over all
-  concrete vector assignments.
+* pointwise (finite fields only): truth on every concrete assignment,
+  decided by the same difference with exponents reduced by x^p = x.
 
 Failures always carry a witness that can be re-validated independently.
 """
@@ -320,69 +320,71 @@ def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
     return lhs, rhs
 
 
-def _formal_environment(alg: Algebra, spec: IdentitySpec) -> tuple:
-    nvars = len(spec.variables) * alg.dim
-    env = {
-        v: formal_basis_combination(alg.field, alg.dim, nvars, idx * alg.dim)
-        for idx, v in enumerate(spec.variables)
-    }
-    return env, nvars
-
-
-def _check_polynomial(alg: Algebra, spec: IdentitySpec) -> Verdict:
-    env, nvars = _formal_environment(alg, spec)
+def _formal_sides(alg: Algebra, spec: IdentitySpec) -> tuple:
+    """(lhs, rhs) with variable number idx substituted by sum_i x_{idx*d+i} e_i."""
+    d = alg.dim
+    nvars = len(spec.variables) * d
+    env = {v: formal_basis_combination(alg.field, d, nvars, idx * d)
+           for idx, v in enumerate(spec.variables)}
     cache: dict = {}
-    lhs = _eval_comb_formal(alg, spec.lhs, env, nvars, cache)
-    rhs = _eval_comb_formal(alg, spec.rhs, env, nvars, cache)
-    best = None  # (monomial, coordinate)
-    for k in range(alg.dim):
-        diff = lhs[k] - rhs[k]
-        mono = diff.lex_min_monomial()
-        if mono is not None and (best is None or (mono, k) < best):
-            best = (mono, k)
-    if best is None:
-        return Verdict(spec.name, True, "polynomial", identity=spec)
-    mono, k = best
-    names = spec.indeterminate_names(alg.dim)
-    cw = CoefficientWitness(
-        monomial=mono,
-        monomial_text=monomial_str(mono, names),
-        coordinate=k,
-        lhs_coefficient=lhs[k].coefficient(mono),
-        rhs_coefficient=rhs[k].coefficient(mono),
-    )
-    concrete = _search_concrete_witness(alg, spec)
-    notes = ()
-    if concrete is None:
-        notes = ("no concrete counterexample among basis and {0,1,-1} assignments; "
-                 "the discrepancy is visible only at the coefficient level",)
-    return Verdict(spec.name, False, "polynomial", identity=spec,
-                   coefficient_witness=cw, concrete_witness=concrete, notes=notes)
+    return (_eval_comb_formal(alg, spec.lhs, env, nvars, cache),
+            _eval_comb_formal(alg, spec.rhs, env, nvars, cache))
+
+
+def _reduce_exponents(poly: Poly) -> Poly:
+    """Canonical form of poly as a function on F_p: since x^p = x, each
+    positive exponent e becomes 1 + (e - 1) mod (p - 1)."""
+    field = poly.field
+    period = field.p - 1
+    acc: dict = {}
+    for mono, c in poly.terms.items():
+        key = tuple(1 + (e - 1) % period if e else 0 for e in mono)
+        acc[key] = acc.get(key, 0) + c
+    norm = field.normalize
+    return Poly(field, poly.nvars, {m: n for m, c in acc.items() if (n := norm(c))})
+
+
+def _difference(alg: Algebra, spec: IdentitySpec, semantics: str) -> tuple:
+    """Formal (lhs, rhs) and lhs - rhs per coordinate, exponent-reduced under
+    pointwise semantics: a polynomial over F_p vanishes as a function exactly
+    when its reduced form is zero (Lidl & Niederreiter, Finite Fields, ch. 7)."""
+    if semantics not in ("polynomial", "pointwise"):
+        raise ValueError(f"unknown semantics {semantics!r} (expected 'polynomial' or 'pointwise')")
+    if semantics == "pointwise" and not alg.field.is_finite:
+        raise ValueError("pointwise semantics requires a finite field")
+    lhs, rhs = _formal_sides(alg, spec)
+    diff = [x - y for x, y in zip(lhs, rhs)]
+    if semantics == "pointwise":
+        diff = [_reduce_exponents(x) for x in diff]
+    return lhs, rhs, diff
+
+
+def holds(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> bool:
+    """Whether the identity holds, with no witness search."""
+    return all(x.is_zero() for x in _difference(alg, spec, semantics)[2])
+
+
+def _first_witness(alg: Algebra, spec: IdentitySpec, combos) -> Optional[ConcreteWitness]:
+    """First assignment (one vector per variable) in combos whose sides differ."""
+    for combo in combos:
+        lhs, rhs = evaluate_sides(alg, spec, dict(zip(spec.variables, combo)))
+        if lhs != rhs:
+            return ConcreteWitness(tuple(zip(spec.variables, combo)), lhs, rhs)
+    return None
 
 
 def _search_concrete_witness(alg: Algebra, spec: IdentitySpec) -> Optional[ConcreteWitness]:
     nv = len(spec.variables)
     d = alg.dim
     field = alg.field
-    # Basis tuples first: they witness most failures and read well.
-    for combo in itertools.product(alg.basis_vectors(), repeat=nv):
-        env = dict(zip(spec.variables, combo))
-        lhs, rhs = evaluate_sides(alg, spec, env)
-        if lhs != rhs:
-            return ConcreteWitness(tuple(zip(spec.variables, combo)), lhs, rhs)
     # dict.fromkeys dedupes while keeping order (0 = 1 = -1 collapses mod 2)
     pool = list(dict.fromkeys([field.zero, field.one, field.neg(field.one)]))
-    seen = 0
-    for coords in itertools.product(pool, repeat=nv * d):
-        seen += 1
-        if seen > WITNESS_SEARCH_CAP:
-            break
-        combo = tuple(coords[i * d:(i + 1) * d] for i in range(nv))
-        env = dict(zip(spec.variables, combo))
-        lhs, rhs = evaluate_sides(alg, spec, env)
-        if lhs != rhs:
-            return ConcreteWitness(tuple(zip(spec.variables, combo)), lhs, rhs)
-    return None
+    grid = itertools.islice(itertools.product(pool, repeat=nv * d), WITNESS_SEARCH_CAP)
+    # Basis tuples first: they witness most failures and read well.
+    return _first_witness(alg, spec, itertools.chain(
+        itertools.product(alg.basis_vectors(), repeat=nv),
+        (tuple(coords[i * d:(i + 1) * d] for i in range(nv)) for coords in grid),
+    ))
 
 
 def all_vectors(alg: Algebra) -> list:
@@ -391,27 +393,28 @@ def all_vectors(alg: Algebra) -> list:
     return [tuple(c) for c in itertools.product(elems, repeat=alg.dim)]
 
 
-def _check_pointwise(alg: Algebra, spec: IdentitySpec) -> Verdict:
-    if not alg.field.is_finite:
-        raise ValueError("pointwise semantics requires a finite field")
-    vectors = all_vectors(alg)
-    for combo in itertools.product(vectors, repeat=len(spec.variables)):
-        env = dict(zip(spec.variables, combo))
-        lhs, rhs = evaluate_sides(alg, spec, env)
-        if lhs != rhs:
-            witness = ConcreteWitness(tuple(zip(spec.variables, combo)), lhs, rhs)
-            return Verdict(spec.name, False, "pointwise", identity=spec,
-                           concrete_witness=witness)
-    return Verdict(spec.name, True, "pointwise", identity=spec)
-
-
 def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> Verdict:
-    """Single-identity verdict under the chosen semantics."""
-    if semantics == "polynomial":
-        return _check_polynomial(alg, spec)
+    """Single-identity verdict under the chosen semantics, decided by the
+    formal difference.  A pointwise failure names the first failing
+    assignment in all_vectors order; the nonzero difference proves one exists."""
+    lhs, rhs, diff = _difference(alg, spec, semantics)
+    failing = [(x.lex_min_monomial(), k) for k, x in enumerate(diff) if not x.is_zero()]
+    if not failing:
+        return Verdict(spec.name, True, semantics, identity=spec)
     if semantics == "pointwise":
-        return _check_pointwise(alg, spec)
-    raise ValueError(f"unknown semantics {semantics!r} (expected 'polynomial' or 'pointwise')")
+        combos = itertools.product(all_vectors(alg), repeat=len(spec.variables))
+        return Verdict(spec.name, False, semantics, identity=spec,
+                       concrete_witness=_first_witness(alg, spec, combos))
+    mono, k = min(failing)
+    cw = CoefficientWitness(mono, monomial_str(mono, spec.indeterminate_names(alg.dim)), k,
+                            lhs[k].coefficient(mono), rhs[k].coefficient(mono))
+    concrete = _search_concrete_witness(alg, spec)
+    notes = ()
+    if concrete is None:
+        notes = ("no concrete counterexample among basis and {0,1,-1} assignments; "
+                 "the discrepancy is visible only at the coefficient level",)
+    return Verdict(spec.name, False, semantics, identity=spec,
+                   coefficient_witness=cw, concrete_witness=concrete, notes=notes)
 
 
 def verify_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> AxiomReport:
@@ -437,10 +440,7 @@ def revalidate_verdict(alg: Algebra, verdict: Verdict) -> bool:
     ok = False
     cw = verdict.coefficient_witness
     if cw is not None:
-        env, nvars = _formal_environment(alg, spec)
-        cache: dict = {}
-        lhs = _eval_comb_formal(alg, spec.lhs, env, nvars, cache)
-        rhs = _eval_comb_formal(alg, spec.rhs, env, nvars, cache)
+        lhs, rhs = _formal_sides(alg, spec)
         lc = lhs[cw.coordinate].coefficient(cw.monomial)
         rc = rhs[cw.coordinate].coefficient(cw.monomial)
         if lc != cw.lhs_coefficient or rc != cw.rhs_coefficient or lc == rc:

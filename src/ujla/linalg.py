@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, coerce
 
 
 class NotInvertibleError(ValueError):
@@ -49,7 +49,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable]) -> "Matrix":
-        return cls(field, tuple(tuple(field.normalize(x) for x in row) for row in rows))
+        return cls(field, tuple(tuple(coerce(field, x) for x in row) for row in rows))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":

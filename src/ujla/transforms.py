@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Algebra
-from .fields import Scalar
+from .fields import Scalar, coerce
 from .identities import AxiomReport, IdentitySpec, verify_identity
 
 
@@ -57,8 +57,7 @@ def deform(alg: Algebra, alpha: Scalar, beta: Scalar) -> Algebra:
     1*v = (alpha+beta)*v and the unit invariant would fail at load.
     """
     field = alg.field
-    alpha = field.normalize(alpha)
-    beta = field.normalize(beta)
+    alpha, beta = coerce(field, alpha), coerce(field, beta)
     tensor = _recombined_tensor(alg, alpha, beta)
     unit = alg.unit if field.add(alpha, beta) == field.one else None
     name = f"{alg.name}/deform({field.format(alpha)},{field.format(beta)})"

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, format_vector, vec_is_zero
 from .axioms import check_associative, check_lie
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, coerce
 from .linalg import Matrix, kron, mat_kernel, mat_mul, mat_rank, mat_vec
 
 
@@ -34,7 +34,7 @@ class TensorSquareOperator:
     @classmethod
     def from_columns(cls, field: FieldSpec, dim: int, columns: Sequence[Sequence[Scalar]]):
         rows = tuple(
-            tuple(field.normalize(columns[c][r]) for c in range(dim * dim))
+            tuple(coerce(field, columns[c][r]) for c in range(dim * dim))
             for r in range(dim * dim)
         )
         return cls(field, dim, Matrix(field, rows))
@@ -71,8 +71,7 @@ def lift(r: TensorSquareOperator, position: int) -> Matrix:
     """Lift to V (x) V (x) V: position 12, 23, or 13.
 
     12 and 23 are Kronecker paddings; 13 is built by direct index
-    shuffle (its equality with the twist-conjugation formula is a
-    library invariant, see lift13_via_composition).
+    shuffle, which equals the twist conjugation (I (x) tau)(R (x) I)(I (x) tau).
     """
     d = r.dim
     field = r.field
@@ -97,15 +96,6 @@ def lift(r: TensorSquareOperator, position: int) -> Matrix:
                         if coeff != zero:
                             rows[a * d * d + j * d + b][col] = coeff
     return Matrix(field, tuple(tuple(row) for row in rows))
-
-
-def lift13_via_composition(r: TensorSquareOperator) -> Matrix:
-    """The 13-lift as (I (x) tau)(R (x) I)(I (x) tau)."""
-    d = r.dim
-    field = r.field
-    i_tau = kron(Matrix.identity(field, d), twist(field, d).matrix)
-    r_i = kron(r.matrix, Matrix.identity(field, d))
-    return mat_mul(i_tau, mat_mul(r_i, i_tau))
 
 
 def _first_mismatch(a: Matrix, b: Matrix) -> Optional[tuple]:
@@ -192,7 +182,7 @@ def build_assoc_yb(
             "guaranteed to yield a Yang-Baxter operator for associative products",
             stacklevel=2,
         )
-    alpha, beta, gamma = (field.normalize(x) for x in (alpha, beta, gamma))
+    alpha, beta, gamma = (coerce(field, x) for x in (alpha, beta, gamma))
     d = alg.dim
     unit = alg.unit
     columns = []
@@ -221,7 +211,7 @@ def classify_params(
     alpha != 0; (iii) alpha = beta = 0, gamma != 0.  The overlap
     alpha = beta = gamma != 0 reports "i" by fixed precedence.
     """
-    alpha, beta, gamma = (field.normalize(x) for x in (alpha, beta, gamma))
+    alpha, beta, gamma = (coerce(field, x) for x in (alpha, beta, gamma))
     zero = field.zero
     if alpha == gamma != zero and beta != zero:
         return "i"
@@ -259,7 +249,7 @@ def build_lie_yb(alg: Algebra, alpha: Scalar, z: Vector) -> TensorSquareOperator
     d = alg.dim
     if len(z) != d:
         raise ValueError(f"z has length {len(z)}, expected {d}")
-    z = tuple(field.normalize(x) for x in z)
+    z = tuple(coerce(field, x) for x in z)
     for i in range(d):
         bracket = alg.multiply(z, alg.basis_vector(i))
         if not vec_is_zero(field, bracket):
@@ -267,7 +257,7 @@ def build_lie_yb(alg: Algebra, alpha: Scalar, z: Vector) -> TensorSquareOperator
                 f"z is not central in {alg.name}: [z, {alg.basis[i]}] = "
                 f"{format_vector(field, bracket)} != 0"
             )
-    alpha = field.normalize(alpha)
+    alpha = coerce(field, alpha)
     columns = []
     for i in range(d):
         ei = alg.basis_vector(i)

@@ -87,6 +87,14 @@ def test_malformed_files_are_rejected():
                '"constants": [[1]]}')
     with pytest.raises(ValueError, match="1x1x1"):
         loads_algebra(one_dim)
+    # Scalars are strings or integers; a float would lose digits on the way in.
+    for bad in ("12345678901234567891.0", "0.5", "true", "null", '{"n": 1}'):
+        with pytest.raises(ValueError, match="scalar must be"):
+            loads_algebra(one_dim.replace("[[1]]", f"[[[{bad}]]]"))
+        with pytest.raises(ValueError, match="scalar must be"):
+            loads_algebra(DUAL_FILE.replace('"unit": ["1","0"]', f'"unit": [{bad}, "0"]'))
+    assert loads_algebra(one_dim.replace("[[1]]", "[[[12345678901234567891]]]")).tensor == (
+        ((Fraction(12345678901234567891),),),)
 
 
 def test_scalar_strings_are_validated():
@@ -115,6 +123,8 @@ def test_operator_convention_is_enforced():
 def test_operator_shape_is_enforced():
     obj = json.loads(dumps_operator(twist(QQ, 2)))
     good = dict(obj)
+    ints = [[int(x) for x in row] for row in good["matrix"]]
+    assert loads_operator(json.dumps({**good, "matrix": ints})) == twist(QQ, 2)
     obj["matrix"] = obj["matrix"][:3]
     with pytest.raises(ValueError, match="4x4"):
         loads_operator(json.dumps(obj))
@@ -125,6 +135,9 @@ def test_operator_shape_is_enforced():
         ("field", 5, "field label"),
         ("dim", True, "dimension"),
         ("dim", 2.0, "dimension"),
+        ("matrix", [[1.0, 0, 0, 0]] + good["matrix"][1:], "scalar must be"),
+        ("matrix", [[True, 0, 0, 0]] + good["matrix"][1:], "scalar must be"),
+        ("matrix", [[None, 0, 0, 0]] + good["matrix"][1:], "scalar must be"),
     ]:
         with pytest.raises(ValueError, match=match):
             loads_operator(json.dumps({**good, key: bad}))

@@ -1,17 +1,24 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from reference import ref_pointwise_holds
 from strategies import algebras
 from ujla import corpus
 from ujla.axioms import ALL_NAMED_IDENTITIES, JORDAN_COMM, UJLA_2A
-from ujla.classify import tensor_algebra
+from ujla.classify import flat_to_tensor, tensor_algebra
 from ujla.identities import (
     IdentitySpec,
     check_identity,
+    evaluate_sides,
+    holds,
     revalidate_verdict,
     verify_identity,
 )
+from ujla.transforms import COMPAT
 
 
 # --- parsing ---------------------------------------------------------------
@@ -119,10 +126,13 @@ def test_pointwise_witness_is_concrete(F2):
     assert revalidate_verdict(alg, v)
 
 
+# This tensor satisfies every UJLA identity pointwise over F_2 but has a
+# nonvanishing coefficient polynomial (a0*a1^2*b1) in the degree-4 ones.
+F2_POINTWISE_ONLY = (1, 0, 1, 1, 1, 1, 0, 1)
+
+
 def test_polynomial_strictly_stronger_over_f2():
-    # This tensor satisfies every UJLA identity pointwise over F_2 but has a
-    # nonvanishing coefficient polynomial (a0*a1^2*b1) in the degree-4 ones.
-    alg = tensor_algebra(2, 2, (1, 0, 1, 1, 1, 1, 0, 1))
+    alg = tensor_algebra(2, 2, F2_POINTWISE_ONLY)
     poly = check_identity(alg, UJLA_2A, "polynomial")
     point = check_identity(alg, UJLA_2A, "pointwise")
     assert point.passed and not poly.passed
@@ -155,3 +165,47 @@ def test_multilinear_agreement_on_random_algebras(alg, spec):
 def test_polynomial_implies_pointwise(alg, spec):
     if check_identity(alg, spec, "polynomial").passed:
         assert check_identity(alg, spec, "pointwise").passed
+
+
+# --- pointwise verdicts against exhaustive enumeration ---------------------
+
+def pointwise_oracle(alg, spec):
+    """First failing (assignment, lhs, rhs) over all vectors in lex order, or None."""
+    vectors = list(itertools.product(range(alg.field.p), repeat=alg.dim))
+    for combo in itertools.product(vectors, repeat=len(spec.variables)):
+        lhs, rhs = evaluate_sides(alg, spec, dict(zip(spec.variables, combo)))
+        if lhs != rhs:
+            return tuple(zip(spec.variables, combo)), lhs, rhs
+    return None
+
+
+def _seeded_tensors(d, p, count):
+    """Random flat tensors from sparse to dense, so that both verdicts occur."""
+    rng = random.Random(1000 * d + p)
+    return [tuple(rng.randrange(1, p) if rng.random() < (0.1, 0.25, 1.0)[n % 3] else 0
+                  for _ in range(d ** 3)) for n in range(count)]
+
+
+@pytest.mark.parametrize("d, p, count", [(2, 2, 12), (2, 3, 12), (2, 5, 6), (3, 2, 6), (3, 3, 4)])
+def test_pointwise_verdict_and_witness_match_exhaustive_oracle(d, p, count):
+    specs = list(ALL_NAMED_IDENTITIES.values()) + ([COMPAT] if p != 2 else [])
+    tensors = _seeded_tensors(d, p, count) + ([F2_POINTWISE_ONLY] if (d, p) == (2, 2) else [])
+    outcomes = set()
+    for flat in tensors:
+        alg = tensor_algebra(d, p, flat)
+        for spec in specs:
+            verdict = check_identity(alg, spec, "pointwise")
+            assert holds(alg, spec, "pointwise") == verdict.passed, (flat, spec.name)
+            ref = None
+            if spec.name.startswith("ujla."):
+                ref = ref_pointwise_holds(spec.name, flat_to_tensor(flat, d), p, d)
+                assert verdict.passed == ref, (flat, spec.name)
+            # A passing reference already enumerated every assignment.
+            expected = None if ref else pointwise_oracle(alg, spec)
+            assert verdict.passed == (expected is None), (flat, spec.name)
+            if expected is not None:
+                w = verdict.concrete_witness
+                assert (w.assignment, w.lhs, w.rhs) == expected, (flat, spec.name)
+                assert verdict.coefficient_witness is None
+            outcomes.add(verdict.passed)
+    assert outcomes == {True, False}

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from strategies import matrices, prime_fields
 from ujla import corpus
 from ujla.fields import PrimeField, QQ
-from ujla.linalg import Matrix
+from ujla.linalg import Matrix, kron, mat_mul
 from ujla.yang_baxter import (
     TensorSquareOperator,
     build_assoc_yb,
@@ -21,7 +21,6 @@ from ujla.yang_baxter import (
     compose,
     identity_operator,
     lift,
-    lift13_via_composition,
     twist,
 )
 
@@ -81,6 +80,15 @@ def test_lift12_is_kronecker_padding():
         col = m.column(i * d * d + j * d + k)
         hot = j * d * d + i * d + k
         assert col[hot] == 1 and sum(1 for x in col if x != 0) == 1
+
+
+def lift13_via_composition(r):
+    """The 13-lift as (I (x) tau)(R (x) I)(I (x) tau)."""
+    d = r.dim
+    field = r.field
+    i_tau = kron(Matrix.identity(field, d), twist(field, d).matrix)
+    r_i = kron(r.matrix, Matrix.identity(field, d))
+    return mat_mul(i_tau, mat_mul(r_i, i_tau))
 
 
 @given(prime_fields, st.data())
