@@ -57,9 +57,15 @@ class Algebra:
             len(plane) != d or any(len(row) != d for row in plane) for plane in self.tensor
         ):
             raise ValueError(f"{self.name}: structure tensor must be {d}x{d}x{d}")
+        # The one scalar gate for stored scalars: floats and bools are rejected.
+        field = self.field
+        object.__setattr__(self, "tensor", tuple(
+            tuple(tuple(coerce(field, c) for c in row) for row in plane) for plane in self.tensor
+        ))
         if self.unit is not None:
             if len(self.unit) != d:
                 raise ValueError(f"{self.name}: unit vector has wrong length")
+            object.__setattr__(self, "unit", tuple(coerce(field, x) for x in self.unit))
             self._check_unit()
 
     def _check_unit(self):
@@ -173,10 +179,8 @@ def algebra_from_products(
     tensor = [[[zero] * d for _ in range(d)] for _ in range(d)]
     for (i, j), row in products.items():
         for k, c in row.items():
-            tensor[i][j][k] = coerce(field, c)
-    tensor_t = tuple(tuple(tuple(row) for row in plane) for plane in tensor)
-    unit_t = tuple(coerce(field, x) for x in unit) if unit is not None else None
-    return Algebra(name, field, d, tuple(basis), tensor_t, unit_t)
+            tensor[i][j][k] = c
+    return Algebra(name, field, d, tuple(basis), tensor, unit)
 
 
 def algebra_from_matrix_basis(
@@ -192,33 +196,24 @@ def algebra_from_matrix_basis(
     independent) matrix basis; a product outside the span is an error.
     """
     d = len(basis)
-    ms = [[[coerce(field, x) for x in row] for row in m] for m in mats]
-    n = len(ms[0])
-    flat_cols = linalg.Matrix.from_rows(
-        field, [[ms[b][r][c] for b in range(d)] for r in range(n) for c in range(n)]
+    ms = [linalg.Matrix.from_rows(field, m) for m in mats]
+    n = ms[0].nrows
+    flat_cols = linalg.Matrix(
+        field, tuple(tuple(ms[b][r, c] for b in range(d)) for r in range(n) for c in range(n))
     )
     if linalg.mat_rank(flat_cols) != d:
         raise ValueError(f"{name}: matrix basis is linearly dependent")
-
-    def matmul(a, b):
-        return [
-            [field.normalize(sum(a[r][t] * b[t][c] for t in range(n))) for c in range(n)]
-            for r in range(n)
-        ]
-
     tensor = []
     for i in range(d):
         plane = []
         for j in range(d):
-            prod = matmul(ms[i], ms[j])
-            flat = [prod[r][c] for r in range(n) for c in range(n)]
+            flat = [x for row in linalg.mat_mul(ms[i], ms[j]).rows for x in row]
             coords = linalg.solve(flat_cols, flat)
             if coords is None:
                 raise ValueError(f"{name}: product {basis[i]}*{basis[j]} is outside the span")
-            plane.append(tuple(coords))
-        tensor.append(tuple(plane))
-    unit_t = tuple(coerce(field, x) for x in unit) if unit is not None else None
-    return Algebra(name, field, d, tuple(basis), tuple(tensor), unit_t)
+            plane.append(coords)
+        tensor.append(plane)
+    return Algebra(name, field, d, tuple(basis), tensor, unit)
 
 
 def formal_basis_combination(field: FieldSpec, dim: int, nvars: int, offset: int) -> tuple:

@@ -192,6 +192,8 @@ QQ = Rationals()
 def coerce(field: FieldSpec, x) -> Scalar:
     """The one entry gate for scalars: a string is parsed, an int or
     Fraction is mapped into the field, anything else is rejected."""
+    if type(x) is int:  # the constructors' common case, ahead of the checks; excludes bool
+        return field.from_int(x)
     if isinstance(x, str):
         return field.parse(x)
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):

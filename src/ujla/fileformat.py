@@ -20,7 +20,7 @@ import json
 from typing import Union
 
 from .algebra import Algebra
-from .fields import coerce, parse_field
+from .fields import parse_field
 from .linalg import Matrix
 from .yang_baxter import TensorSquareOperator
 
@@ -91,16 +91,10 @@ def obj_to_algebra(obj: dict) -> Algebra:
     _check_shape(basis, (dim,), f"basis must be a list of {dim} basis labels")
     constants = _require(obj, "constants", "algebra")
     _check_shape(constants, (dim, dim, dim), f"constants must be a {dim}x{dim}x{dim} nested list")
-    tensor = tuple(
-        tuple(tuple(coerce(field, c) for c in row) for row in plane)
-        for plane in constants
-    )
-    unit = None
-    if obj.get("unit") is not None:
-        raw = obj["unit"]
-        _check_shape(raw, (dim,), f"unit vector must be a list of {dim} coordinates")
-        unit = tuple(coerce(field, x) for x in raw)
-    return Algebra(str(name), field, dim, tuple(str(b) for b in basis), tensor, unit)
+    unit = obj.get("unit")
+    if unit is not None:
+        _check_shape(unit, (dim,), f"unit vector must be a list of {dim} coordinates")
+    return Algebra(str(name), field, dim, tuple(str(b) for b in basis), constants, unit)
 
 
 def loads_algebra(data: Union[str, bytes]) -> Algebra:
@@ -144,8 +138,7 @@ def obj_to_operator(obj: dict) -> TensorSquareOperator:
     raw = _require(obj, "matrix", "operator")
     side = dim * dim
     _check_shape(raw, (side, side), f"operator matrix must be {side}x{side}")
-    rows = tuple(tuple(coerce(field, x) for x in row) for row in raw)
-    return TensorSquareOperator(field, dim, Matrix(field, rows))
+    return TensorSquareOperator(field, dim, Matrix(field, raw))
 
 
 def loads_operator(data: Union[str, bytes]) -> TensorSquareOperator:

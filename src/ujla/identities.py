@@ -320,12 +320,17 @@ def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
     return lhs, rhs
 
 
-def _formal_sides(alg: Algebra, spec: IdentitySpec) -> tuple:
-    """(lhs, rhs) with variable number idx substituted by sum_i x_{idx*d+i} e_i."""
+def _formal_sides(alg: Algebra, spec: IdentitySpec, keep: Optional[set] = None) -> tuple:
+    """(lhs, rhs) with variable number idx substituted by sum_i x_{idx*d+i} e_i.
+    When keep is given, every indeterminate outside it is set to zero."""
     d = alg.dim
     nvars = len(spec.variables) * d
     env = {v: formal_basis_combination(alg.field, d, nvars, idx * d)
            for idx, v in enumerate(spec.variables)}
+    if keep is not None:
+        zero = Poly.zero(alg.field, nvars)
+        env = {v: tuple(x if idx * d + i in keep else zero for i, x in enumerate(vec))
+               for idx, (v, vec) in enumerate(env.items())}
     cache: dict = {}
     return (_eval_comb_formal(alg, spec.lhs, env, nvars, cache),
             _eval_comb_formal(alg, spec.rhs, env, nvars, cache))
@@ -440,7 +445,9 @@ def revalidate_verdict(alg: Algebra, verdict: Verdict) -> bool:
     ok = False
     cw = verdict.coefficient_witness
     if cw is not None:
-        lhs, rhs = _formal_sides(alg, spec)
+        # Zeroing the indeterminates outside the monomial leaves its coefficient
+        # unchanged and skips most of the expansion.
+        lhs, rhs = _formal_sides(alg, spec, {n for n, e in enumerate(cw.monomial) if e})
         lc = lhs[cw.coordinate].coefficient(cw.monomial)
         rc = rhs[cw.coordinate].coefficient(cw.monomial)
         if lc != cw.lhs_coefficient or rc != cw.rhs_coefficient or lc == rc:

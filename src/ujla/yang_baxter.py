@@ -10,6 +10,7 @@ index i*d^2 + j*d + k for e_i (x) e_j (x) e_k.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 from .algebra import Algebra, Vector, format_vector, vec_is_zero
 from .axioms import check_associative, check_lie
 from .fields import FieldSpec, Scalar, coerce
-from .linalg import Matrix, kron, mat_kernel, mat_mul, mat_rank, mat_vec
+from .linalg import Matrix, mat_kernel, mat_mul, mat_rank, mat_vec
 
 
 @dataclass(frozen=True)
@@ -30,14 +31,12 @@ class TensorSquareOperator:
         side = self.dim * self.dim
         if self.matrix.nrows != side or self.matrix.ncols != side:
             raise ValueError(f"operator matrix must be {side}x{side}")
+        # The one scalar gate for operator entries: floats and bools are rejected.
+        object.__setattr__(self, "matrix", Matrix.from_rows(self.field, self.matrix.rows))
 
     @classmethod
     def from_columns(cls, field: FieldSpec, dim: int, columns: Sequence[Sequence[Scalar]]):
-        rows = tuple(
-            tuple(coerce(field, columns[c][r]) for c in range(dim * dim))
-            for r in range(dim * dim)
-        )
-        return cls(field, dim, Matrix(field, rows))
+        return cls(field, dim, Matrix(field, tuple(zip(*columns, strict=True))))
 
     def apply(self, coeffs: Sequence[Scalar]) -> tuple:
         return mat_vec(self.matrix, coeffs)
@@ -67,43 +66,36 @@ def compose(f: TensorSquareOperator, g: TensorSquareOperator) -> TensorSquareOpe
     return TensorSquareOperator(f.field, f.dim, mat_mul(f.matrix, g.matrix))
 
 
+# Slots (0-based) of V (x) V (x) V per lift position: the two R acts on, then the other.
+_SLOTS = {12: (0, 1, 2), 23: (1, 2, 0), 13: (0, 2, 1)}
+
+
 def lift(r: TensorSquareOperator, position: int) -> Matrix:
-    """Lift to V (x) V (x) V: position 12, 23, or 13.
+    """Lift to V (x) V (x) V acting on the slots named by position: 12, 23, or 13.
 
-    12 and 23 are Kronecker paddings; 13 is built by direct index
-    shuffle, which equals the twist conjugation (I (x) tau)(R (x) I)(I (x) tau).
+    With (s, t) those slots and o the other, entry (u, v) for basis triples
+    u, v is R[u_s*d + u_t, v_s*d + v_t] when u_o = v_o, and zero otherwise.
+    For 13 this equals (I (x) tau)(R (x) I)(I (x) tau).
     """
-    d = r.dim
-    field = r.field
-    if position == 12:
-        return kron(r.matrix, Matrix.identity(field, d))
-    if position == 23:
-        return kron(Matrix.identity(field, d), r.matrix)
-    if position != 13:
+    if position not in _SLOTS:
         raise ValueError(f"lift position must be 12, 23, or 13, got {position}")
-    side = d ** 3
-    zero = field.zero
-    rows = [[zero] * side for _ in range(side)]
-    rm = r.matrix
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                col = i * d * d + j * d + k
-                rcol = i * d + k
-                for a in range(d):
-                    for b in range(d):
-                        coeff = rm[a * d + b, rcol]
-                        if coeff != zero:
-                            rows[a * d * d + j * d + b][col] = coeff
-    return Matrix(field, tuple(tuple(row) for row in rows))
+    s, t, o = _SLOTS[position]
+    d, rm, zero = r.dim, r.matrix.rows, r.field.zero
+    triples = list(itertools.product(range(d), repeat=3))
+    return Matrix(r.field, tuple(
+        tuple(rm[u[s] * d + u[t]][v[s] * d + v[t]] if u[o] == v[o] else zero for v in triples)
+        for u in triples
+    ))
 
 
-def _first_mismatch(a: Matrix, b: Matrix) -> Optional[tuple]:
-    for r, (ra, rb) in enumerate(zip(a.rows, b.rows)):
+def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -> Optional[tuple]:
+    """Row-major first (row, col, lhs, rhs) where the two lift products differ, else None."""
+    lifts = {p: lift(r, p) for p in lhs_word}
+    lhs, rhs = (mat_mul(lifts[a], mat_mul(lifts[b], lifts[c])) for a, b, c in (lhs_word, rhs_word))
+    for row, (ra, rb) in enumerate(zip(lhs.rows, rhs.rows)):
         if ra != rb:
-            for c, (x, y) in enumerate(zip(ra, rb)):
-                if x != y:
-                    return (r, c, x, y)
+            col = next(c for c, (x, y) in enumerate(zip(ra, rb)) if x != y)
+            return (row, col, ra[col], rb[col])
     return None
 
 
@@ -130,11 +122,7 @@ class QybeReport:
 
 def check_braid(r: TensorSquareOperator) -> BraidReport:
     """R12 R23 R12 = R23 R12 R23 on V^(x)3, plus invertibility of R."""
-    r12 = lift(r, 12)
-    r23 = lift(r, 23)
-    lhs = mat_mul(r12, mat_mul(r23, r12))
-    rhs = mat_mul(r23, mat_mul(r12, r23))
-    mismatch = _first_mismatch(lhs, rhs)
+    mismatch = _first_mismatch(r, (12, 23, 12), (23, 12, 23))
     rank = mat_rank(r.matrix)
     return BraidReport(
         dim=r.dim,
@@ -147,17 +135,8 @@ def check_braid(r: TensorSquareOperator) -> BraidReport:
 
 def check_qybe(r: TensorSquareOperator) -> QybeReport:
     """R12 R13 R23 = R23 R13 R12 on V^(x)3."""
-    r12 = lift(r, 12)
-    r13 = lift(r, 13)
-    r23 = lift(r, 23)
-    lhs = mat_mul(r12, mat_mul(r13, r23))
-    rhs = mat_mul(r23, mat_mul(r13, r12))
-    mismatch = _first_mismatch(lhs, rhs)
+    mismatch = _first_mismatch(r, (12, 13, 23), (23, 13, 12))
     return QybeReport(dim=r.dim, qybe_ok=mismatch is None, first_mismatch=mismatch)
-
-
-def _outer(u: Vector, v: Vector, field: FieldSpec) -> list:
-    return [field.normalize(x * y) for x in u for y in v]
 
 
 def build_assoc_yb(
@@ -183,20 +162,13 @@ def build_assoc_yb(
             stacklevel=2,
         )
     alpha, beta, gamma = (coerce(field, x) for x in (alpha, beta, gamma))
-    d = alg.dim
-    unit = alg.unit
+    d, u = alg.dim, alg.unit
     columns = []
     for i in range(d):
-        ei = alg.basis_vector(i)
         for j in range(d):
-            ej = alg.basis_vector(j)
-            prod = alg.multiply(ei, ej)
-            col = [field.zero] * (d * d)
-            for pos, x in enumerate(_outer(prod, unit, field)):
-                col[pos] = field.add(col[pos], field.mul(alpha, x))
-            for pos, x in enumerate(_outer(unit, prod, field)):
-                col[pos] = field.add(col[pos], field.mul(beta, x))
-            col[i * d + j] = field.sub(col[i * d + j], gamma)
+            c = alg.tensor[i][j]  # e_i e_j = sum_k c[k] e_k
+            col = [alpha * c[k] * u[l] + beta * u[k] * c[l] for k in range(d) for l in range(d)]
+            col[i * d + j] -= gamma
             columns.append(col)
     return TensorSquareOperator.from_columns(field, d, columns)
 
@@ -260,13 +232,9 @@ def build_lie_yb(alg: Algebra, alpha: Scalar, z: Vector) -> TensorSquareOperator
     alpha = coerce(field, alpha)
     columns = []
     for i in range(d):
-        ei = alg.basis_vector(i)
         for j in range(d):
-            ej = alg.basis_vector(j)
-            bracket = alg.multiply(ei, ej)
-            col = [field.zero] * (d * d)
-            for pos, x in enumerate(_outer(bracket, z, field)):
-                col[pos] = field.add(col[pos], field.mul(alpha, x))
-            col[j * d + i] = field.add(col[j * d + i], field.one)
+            c = alg.tensor[i][j]  # [e_i, e_j] = sum_k c[k] e_k
+            col = [alpha * c[k] * z[l] for k in range(d) for l in range(d)]
+            col[j * d + i] += 1
             columns.append(col)
     return TensorSquareOperator.from_columns(field, d, columns)

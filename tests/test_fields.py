@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from strategies import prime_fields, rationals
 from ujla import corpus
-from ujla.algebra import algebra_from_matrix_basis, algebra_from_products
+from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products
 from ujla.fields import QQ, PrimeField, coerce, parse_field
 from ujla.linalg import Matrix
 from ujla.transforms import deform
@@ -115,7 +115,12 @@ SCALAR_ENTRIES = {
         "t", F5, ["e"], {(0, 0): {0: 2}}, unit=[x]).unit[0],
     "algebra_from_matrix_basis": lambda x: algebra_from_matrix_basis(
         "t", F5, ["e"], [[[x]]]).tensor[0][0][0],
+    "Algebra": lambda x: Algebra("t", F5, 1, ("e",), (((x,),),)).tensor[0][0][0],
+    "Algebra.unit": lambda x: Algebra(  # e*e = e/3
+        "t", F5, 1, ("e",), (((2,),),), unit=(x,)).unit[0],
     "Matrix.from_rows": lambda x: Matrix.from_rows(F5, [[x]])[0, 0],
+    "TensorSquareOperator": lambda x: TensorSquareOperator(
+        F5, 1, Matrix(F5, ((x,),))).matrix[0, 0],
     "TensorSquareOperator.from_columns": lambda x: TensorSquareOperator.from_columns(
         F5, 1, [[x]]).matrix[0, 0],
     "deform": lambda x: deform(corpus.dual_numbers(F5), x, 0).tensor[0][0][0],

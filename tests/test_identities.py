@@ -1,5 +1,7 @@
 import itertools
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -8,10 +10,13 @@ import hypothesis.strategies as st
 from reference import ref_pointwise_holds
 from strategies import algebras
 from ujla import corpus
+from ujla.algebra import Algebra
 from ujla.axioms import ALL_NAMED_IDENTITIES, JORDAN_COMM, UJLA_2A
 from ujla.classify import flat_to_tensor, tensor_algebra
+from ujla.fields import QQ
 from ujla.identities import (
     IdentitySpec,
+    _formal_sides,
     check_identity,
     evaluate_sides,
     holds,
@@ -209,3 +214,64 @@ def test_pointwise_verdict_and_witness_match_exhaustive_oracle(d, p, count):
                 assert verdict.coefficient_witness is None
             outcomes.add(verdict.passed)
     assert outcomes == {True, False}
+
+
+# --- coefficient witnesses against the full expansion ----------------------
+
+def _seeded_algebras(p, d, count):
+    """Seeded random algebras over F_p, or over Q when p is 0."""
+    if p:
+        return [tensor_algebra(d, p, flat) for flat in _seeded_tensors(d, p, count)]
+    rng = random.Random(7 * d)
+    values = (0, 0, 0, 1, -1, 2, Fraction(1, 2))
+    return [Algebra(f"q{n}", QQ, d, tuple(f"e{i}" for i in range(d)),
+                    [[[rng.choice(values) for _ in range(d)] for _ in range(d)] for _ in range(d)])
+            for n in range(count)]
+
+
+def _failing_verdicts(algs):
+    """(algebra, verdict, lhs, rhs) for every failing polynomial verdict of the
+    named identities, with both sides from the full formal expansion."""
+    for alg in algs:
+        for spec in ALL_NAMED_IDENTITIES.values():
+            verdict = check_identity(alg, spec)
+            if not verdict.passed:
+                yield (alg, verdict) + _formal_sides(alg, spec)
+
+
+@pytest.mark.parametrize("p, d, count", [(0, 3, 6), (3, 2, 8), (5, 2, 8), (3, 3, 6), (5, 3, 6)])
+def test_support_restricted_coefficient_matches_full_expansion(p, d, count):
+    checked = 0
+    for alg, verdict, lhs, rhs in _failing_verdicts(_seeded_algebras(p, d, count)):
+        cw = verdict.coefficient_witness
+        k, mono = cw.coordinate, cw.monomial
+        kept = _formal_sides(alg, verdict.identity, {n for n, e in enumerate(mono) if e})
+        full = (lhs[k].coefficient(mono), rhs[k].coefficient(mono))
+        assert (kept[0][k].coefficient(mono), kept[1][k].coefficient(mono)) == full
+        assert full == (cw.lhs_coefficient, cw.rhs_coefficient)
+        assert revalidate_verdict(alg, verdict)
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("p, d, count", [(0, 3, 2), (3, 2, 6)])
+def test_coefficient_witness_tampering_is_detected(p, d, count):
+    """A changed coefficient always fails; a changed monomial or coordinate
+    passes exactly when the full expansion makes it a witness too."""
+    rejected = {"monomial": 0, "coordinate": 0}
+    for alg, verdict, lhs, rhs in _failing_verdicts(_seeded_algebras(p, d, count)):
+        field, cw = alg.field, verdict.coefficient_witness
+        bare = replace(verdict, concrete_witness=None)
+        assert revalidate_verdict(alg, bare)
+        wrong = replace(cw, lhs_coefficient=field.add(cw.lhs_coefficient, field.one))
+        assert not revalidate_verdict(alg, replace(bare, coefficient_witness=wrong))
+        tampers = {
+            "monomial": replace(cw, monomial=cw.monomial[1:] + cw.monomial[:1]),
+            "coordinate": replace(cw, coordinate=(cw.coordinate + 1) % alg.dim),
+        }
+        for what, t in tampers.items():
+            lc, rc = lhs[t.coordinate].coefficient(t.monomial), rhs[t.coordinate].coefficient(t.monomial)
+            valid = (lc, rc) == (t.lhs_coefficient, t.rhs_coefficient) and lc != rc
+            assert revalidate_verdict(alg, replace(bare, coefficient_witness=t)) == valid, what
+            rejected[what] += not valid
+    assert all(rejected.values()), rejected

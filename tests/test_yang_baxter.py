@@ -1,4 +1,5 @@
 import itertools
+import random
 import warnings
 from fractions import Fraction
 
@@ -121,6 +122,58 @@ def test_braid_failure_reports_first_mismatch():
     assert not report.braid_ok
     r, c, lhs, rhs = report.first_mismatch
     assert lhs != rhs
+
+
+# --- lifts, braid and QYBE against the dense Kronecker oracle ---------------
+
+def dense_oracle(r):
+    """Lifts as Kronecker paddings and twist conjugation, and the first
+    row-major mismatch of the braid and QYBE products formed from them."""
+    ident = Matrix.identity(r.field, r.dim)
+    lifts = {12: kron(r.matrix, ident), 23: kron(ident, r.matrix), 13: lift13_via_composition(r)}
+
+    def first_mismatch(lhs_word, rhs_word):
+        lhs, rhs = (mat_mul(lifts[a], mat_mul(lifts[b], lifts[c])) for a, b, c in (lhs_word, rhs_word))
+        for row, col in itertools.product(range(lhs.nrows), range(lhs.ncols)):
+            if lhs[row, col] != rhs[row, col]:
+                return (row, col, lhs[row, col], rhs[row, col])
+        return None
+
+    return (lifts, first_mismatch((12, 23, 12), (23, 12, 23)),
+            first_mismatch((12, 13, 23), (23, 13, 12)))
+
+
+def seeded_operators(field, dim, count):
+    """The identity, the twist and seeded random operators: dense ones and
+    twists or identities with a few entries changed."""
+    rng = random.Random(f"{field.label}:{dim}")
+    values = [0, 1, -1, 2, Fraction(1, 2)] if field == QQ else list(range(field.p))
+    ops = [identity_operator(field, dim), twist(field, dim)]
+    side = dim * dim
+    for n in range(count):
+        rows = [list(row) for row in ops[n % 2].matrix.rows]
+        if n % 3 == 0:
+            rows = [[rng.choice(values) for _ in range(side)] for _ in range(side)]
+        for _ in range(n % 3):
+            rows[rng.randrange(side)][rng.randrange(side)] = rng.choice(values)
+        ops.append(TensorSquareOperator(field, dim, Matrix.from_rows(field, rows)))
+    return ops
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), F5], ids=str)
+def test_lifts_and_mismatches_match_dense_oracle(field):
+    failing = total = 0
+    for dim, count in ((1, 3), (2, 9), (3, 2)):
+        for op in seeded_operators(field, dim, count):
+            lifts, braid, qybe = dense_oracle(op)
+            for pos, expected in lifts.items():
+                assert lift(op, pos) == expected, (dim, pos)
+            b, q = check_braid(op), check_qybe(op)
+            assert (b.braid_ok, b.first_mismatch) == (braid is None, braid), op
+            assert (q.qybe_ok, q.first_mismatch) == (qybe is None, qybe), op
+            failing += not b.braid_ok
+            total += 1
+    assert total > failing >= total / 3
 
 
 # --- the associative family ---------------------------------------------------
@@ -301,6 +354,13 @@ def test_equivalence_on_random_operators(field, data):
     whether or not R satisfies either equation."""
     op = random_operator(field, 2, data)
     assert _braid_qybe_equivalent(op)
+
+
+def test_from_columns_rejects_wrong_shapes():
+    for columns in ([[1, 2, 3, 4]] * 3, [[1, 2, 3, 4]] * 3 + [[1, 2, 3, 4, 5]], [[1, 2, 3]] * 4):
+        with pytest.raises(ValueError):
+            TensorSquareOperator.from_columns(QQ, 2, columns)
+    assert TensorSquareOperator.from_columns(QQ, 2, [[1, 0, 0, 0]] * 4).matrix.column(3) == (1, 0, 0, 0)
 
 
 def test_operator_equality_is_structural():
