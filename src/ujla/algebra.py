@@ -214,8 +214,3 @@ def algebra_from_matrix_basis(
             plane.append(coords)
         tensor.append(plane)
     return Algebra(name, field, d, tuple(basis), tensor, unit)
-
-
-def formal_basis_combination(field: FieldSpec, dim: int, nvars: int, offset: int) -> tuple:
-    """Formal vector sum_i x_{offset+i} e_i as a tuple of polynomials."""
-    return tuple(Poly.variable(field, nvars, offset + i) for i in range(dim))

@@ -52,7 +52,11 @@ class Rationals:
         return Fraction(1)
 
     def normalize(self, x) -> Fraction:
-        return x if isinstance(x, Fraction) else Fraction(x)
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, (float, bool)):
+            raise ValueError(f"not a Q scalar (floats and bools are rejected): {x!r}")
+        return Fraction(x)
 
     def add(self, x, y):
         return self.normalize(x + y)

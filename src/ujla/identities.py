@@ -14,21 +14,26 @@ Two semantics are implemented:
   is equivalent to truth on all elements; over F_p it is strictly
   stronger for non-multilinear identities.
 * pointwise (finite fields only): truth on every concrete assignment,
-  decided by the same difference with exponents reduced by x^p = x.
+  decided by the same coefficients with exponents reduced by x^p = x.
+
+Both are decided by a plan compiled once per identity, dimension, field
+and semantics: the coefficients are sums of integer slot tables built
+from the structure constants, with no formal polynomials.
 
 Failures always carry a witness that can be re-validated independently.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algebra import Algebra, Vector, formal_basis_combination
+from .algebra import Algebra, Vector
 from .fields import Scalar
-from .formal import Poly, monomial_str
 
 Word = Union[str, tuple]
 LinComb = tuple  # of (Fraction, Word) pairs
@@ -203,7 +208,7 @@ class IdentitySpec:
             raise ValueError(f"{name}: trailing tokens on right side")
         return cls(name, variables, lhs, rhs, text)
 
-    @property
+    @functools.cached_property
     def is_multilinear(self) -> bool:
         """True when every word uses every declared variable exactly once."""
         for _, word in self.lhs + self.rhs:
@@ -212,6 +217,11 @@ class IdentitySpec:
             if any(degrees.get(v, 0) != 1 for v in self.variables):
                 return False
         return True
+
+    def __hash__(self) -> int:
+        # Equal specs share these fields, and strings cache their hashes: the
+        # plan cache hashes the spec on every check.
+        return hash((self.name, self.variables, self.text))
 
     def indeterminate_names(self, dim: int) -> list:
         return [f"{v}{i}" for v in self.variables for i in range(dim)]
@@ -274,38 +284,26 @@ class AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# concrete evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_word(alg: Algebra, word: Word, env: dict, cache: dict, formal: bool):
+def _eval_word(alg: Algebra, word: Word, env: dict, cache: dict):
     if isinstance(word, str):
         return env[word]
     hit = cache.get(word)
     if hit is not None:
         return hit
-    u = _eval_word(alg, word[0], env, cache, formal)
-    v = _eval_word(alg, word[1], env, cache, formal)
-    result = alg.multiply_formal(u, v) if formal else alg.multiply(u, v)
+    u = _eval_word(alg, word[0], env, cache)
+    result = alg.multiply(u, _eval_word(alg, word[1], env, cache))
     cache[word] = result
     return result
-
-
-def _eval_comb_formal(alg: Algebra, comb: LinComb, env: dict, nvars: int, cache: dict) -> tuple:
-    field = alg.field
-    acc = [Poly.zero(field, nvars) for _ in range(alg.dim)]
-    for coef, word in comb:
-        vec = _eval_word(alg, word, env, cache, formal=True)
-        c = field.from_fraction(coef)
-        for k in range(alg.dim):
-            acc[k] = acc[k] + vec[k].scale(c)
-    return tuple(acc)
 
 
 def _eval_comb_concrete(alg: Algebra, comb: LinComb, env: dict, cache: dict) -> Vector:
     field = alg.field
     acc = [field.zero] * alg.dim
     for coef, word in comb:
-        vec = _eval_word(alg, word, env, cache, formal=False)
+        vec = _eval_word(alg, word, env, cache)
         c = field.from_fraction(coef)
         for k in range(alg.dim):
             acc[k] = field.add(acc[k], field.mul(c, vec[k]))
@@ -320,53 +318,182 @@ def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
     return lhs, rhs
 
 
-def _formal_sides(alg: Algebra, spec: IdentitySpec, keep: Optional[set] = None) -> tuple:
-    """(lhs, rhs) with variable number idx substituted by sum_i x_{idx*d+i} e_i.
-    When keep is given, every indeterminate outside it is set to zero."""
-    d = alg.dim
-    nvars = len(spec.variables) * d
-    env = {v: formal_basis_combination(alg.field, d, nvars, idx * d)
-           for idx, v in enumerate(spec.variables)}
-    if keep is not None:
-        zero = Poly.zero(alg.field, nvars)
-        env = {v: tuple(x if idx * d + i in keep else zero for i, x in enumerate(vec))
-               for idx, (v, vec) in enumerate(env.items())}
-    cache: dict = {}
-    return (_eval_comb_formal(alg, spec.lhs, env, nvars, cache),
-            _eval_comb_formal(alg, spec.rhs, env, nvars, cache))
+# ---------------------------------------------------------------------------
+# compiled slot plans
+# ---------------------------------------------------------------------------
+#
+# Substitute variable number v by sum_i x_{v*d+i} e_i.  A word with m leaves
+# (its slots) is then the sum over slot assignments sigma in [d]^m of the
+# monomial prod_s x_{var(s)*d+sigma_s} times the word evaluated on the basis
+# vectors e_{sigma_s}.  That value depends only on the word's shape, so one
+# table per shape, indexed by sigma, serves every word of that shape.  A
+# plan groups the (word, sigma) pairs of both sides by monomial; the
+# identity holds when every group's lhs and rhs sums agree in every
+# coordinate.  Under pointwise semantics each positive exponent e becomes
+# 1 + (e - 1) mod (p - 1), since x^p = x: a polynomial over F_p vanishes as
+# a function exactly when that reduced form is zero (Lidl & Niederreiter,
+# Finite Fields, ch. 7).
+#
+# Arithmetic is on ints.  Over F_p the tensor and the coefficients are
+# residues, reduced once per sum.  Over Q the tensor is scaled by the lcm L
+# of its denominators and the coefficients by the lcm D of theirs, so a sum
+# over a group of degree m is its coefficient times D * L^(m-1).
+
+def _leaves(word: Word) -> list:
+    if isinstance(word, str):
+        return [word]
+    return _leaves(word[0]) + _leaves(word[1])
 
 
-def _reduce_exponents(poly: Poly) -> Poly:
-    """Canonical form of poly as a function on F_p: since x^p = x, each
-    positive exponent e becomes 1 + (e - 1) mod (p - 1)."""
-    field = poly.field
-    period = field.p - 1
-    acc: dict = {}
-    for mono, c in poly.terms.items():
-        key = tuple(1 + (e - 1) % period if e else 0 for e in mono)
-        acc[key] = acc.get(key, 0) + c
-    norm = field.normalize
-    return Poly(field, poly.nvars, {m: n for m, c in acc.items() if (n := norm(c))})
+def _shape(word: Word):
+    """The word's tree with every leaf replaced by None."""
+    return None if isinstance(word, str) else (_shape(word[0]), _shape(word[1]))
 
 
-def _difference(alg: Algebra, spec: IdentitySpec, semantics: str) -> tuple:
-    """Formal (lhs, rhs) and lhs - rhs per coordinate, exponent-reduced under
-    pointwise semantics: a polynomial over F_p vanishes as a function exactly
-    when its reduced form is zero (Lidl & Niederreiter, Finite Fields, ch. 7)."""
+def _monomial(leaves: Sequence[int], sigma: Sequence[int], size: int, d: int) -> tuple:
+    exps = [0] * size
+    for v, i in zip(leaves, sigma):
+        exps[v * d + i] += 1
+    return tuple(exps)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    scale: int  # D over Q, 1 over F_p
+    words: tuple  # (side, field coefficient, shape, leaf variable numbers)
+    shapes: tuple  # word shapes whose tables are laid end to end
+    # (monomial, lhs terms, rhs terms), ascending by monomial; each side's
+    # terms are ((int coefficient, table rows), ...)
+    groups: tuple
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(spec: IdentitySpec, d: int, field, reduce: bool) -> _Plan:
+    var = {v: n for n, v in enumerate(spec.variables)}
+    size = len(spec.variables) * d
+    comb = spec.lhs + spec.rhs
+    scale = 1 if field.is_finite else math.lcm(*(c.denominator for c, _ in comb))
+    words = []
+    offsets: dict = {}  # shape -> first table row
+    rows = 0
+    groups: dict = {}  # monomial -> ({coefficient: rows} for lhs, same for rhs)
+    for side, terms in enumerate((spec.lhs, spec.rhs)):
+        for coef, word in terms:
+            fc = field.from_fraction(coef)
+            if fc == field.zero:
+                continue
+            leaves = [var[v] for v in _leaves(word)]
+            shape = _shape(word)
+            words.append((side, fc, shape, tuple(leaves)))
+            if shape not in offsets:
+                offsets[shape] = rows
+                rows += d ** len(leaves)
+            c = fc if field.is_finite else int(coef * scale)
+            sigmas = itertools.product(range(d), repeat=len(leaves))
+            for n, sigma in enumerate(sigmas, offsets[shape]):
+                mono = _monomial(leaves, sigma, size, d)
+                if reduce:
+                    mono = tuple(1 + (e - 1) % (field.p - 1) if e else 0 for e in mono)
+                groups.setdefault(mono, ({}, {}))[side].setdefault(c, []).append(n)
+    return _Plan(scale, tuple(words), tuple(offsets), tuple(
+        (mono, *(tuple((c, tuple(ns)) for c, ns in by_coef.items()) for by_coef in sides))
+        for mono, sides in sorted(groups.items())
+    ))
+
+
+def _plan(alg: Algebra, spec: IdentitySpec, semantics: str) -> _Plan:
     if semantics not in ("polynomial", "pointwise"):
         raise ValueError(f"unknown semantics {semantics!r} (expected 'polynomial' or 'pointwise')")
     if semantics == "pointwise" and not alg.field.is_finite:
         raise ValueError("pointwise semantics requires a finite field")
-    lhs, rhs = _formal_sides(alg, spec)
-    diff = [x - y for x, y in zip(lhs, rhs)]
-    if semantics == "pointwise":
-        diff = [_reduce_exponents(x) for x in diff]
-    return lhs, rhs, diff
+    # Every exponent of a multilinear identity is at most 1, which x^p = x
+    # leaves alone: one plan serves both semantics.
+    return _compile(spec, alg.dim, alg.field, semantics == "pointwise" and not spec.is_multilinear)
+
+
+def _table(shape, memo: dict, nonzero: list, d: int) -> list:
+    """Vectors of the shape on every slot assignment, sigma read big-endian."""
+    table = memo.get(shape)
+    if table is None:
+        left = _table(shape[0], memo, nonzero, d)
+        right = [[(j, y) for j, y in enumerate(v) if y] for v in _table(shape[1], memo, nonzero, d)]
+        table = []
+        for u in left:
+            uterms = [(x, nonzero[i]) for i, x in enumerate(u) if x]
+            for vterms in right:
+                acc = [0] * d
+                for x, plane in uterms:
+                    for j, y in vterms:
+                        s = x * y
+                        for k, c in plane[j]:
+                            acc[k] += s * c
+                table.append(acc)
+        memo[shape] = table
+    return table
+
+
+def _columns(plan: _Plan, alg: Algebra) -> tuple:
+    """Per coordinate, a getter over the plan's tables laid end to end, and L."""
+    d, tensor = alg.dim, alg.tensor
+    denom = 1
+    if not alg.field.is_finite:
+        denom = math.lcm(*(c.denominator for c in alg.tensor_flat()))
+        tensor = [[[c.numerator * (denom // c.denominator) for c in row] for row in plane]
+                  for plane in tensor]
+    nonzero = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in tensor]
+    memo = {None: [[int(i == j) for j in range(d)] for i in range(d)],
+            (None, None): [row for plane in tensor for row in plane]}
+    vectors = []
+    for shape in plan.shapes:
+        vectors.extend(_table(shape, memo, nonzero, d))
+    return [col.__getitem__ for col in zip(*vectors)], denom
+
+
+def _total(terms: tuple, get) -> int:
+    return sum(c * sum(map(get, rows)) for c, rows in terms)
+
+
+def _first_failure(plan: _Plan, alg: Algebra) -> Optional[tuple]:
+    """(monomial, coordinate, lhs, rhs) of the least group and coordinate
+    whose sides differ, or None; lhs and rhs are field scalars."""
+    getters, denom = _columns(plan, alg)
+    p = alg.field.characteristic
+    for mono, lhs, rhs in plan.groups:
+        for k, get in enumerate(getters):
+            ls, rs = _total(lhs, get), _total(rhs, get)
+            if (ls - rs) % p if p else ls != rs:
+                if p:
+                    return mono, k, ls % p, rs % p
+                scale = plan.scale * denom ** (sum(mono) - 1)
+                return mono, k, Fraction(ls, scale), Fraction(rs, scale)
+    return None
+
+
+def _slot_value(alg: Algebra, shape, slots) -> Vector:
+    """The shape evaluated with the next basis vector from slots at each leaf."""
+    if shape is None:
+        return alg.basis_vector(next(slots))
+    left = _slot_value(alg, shape[0], slots)
+    return alg.multiply(left, _slot_value(alg, shape[1], slots))
+
+
+def _slot_coefficients(alg: Algebra, spec: IdentitySpec, mono: tuple, k: int) -> tuple:
+    """(lhs, rhs) coefficients of one monomial at coordinate k, from the slot
+    assignments that land on it, evaluated through Algebra.multiply."""
+    field, d = alg.field, alg.dim
+    acc = [field.zero, field.zero]
+    for side, coef, shape, leaves in _plan(alg, spec, "polynomial").words:
+        choices = [[i for i in range(d) if mono[v * d + i]] for v in leaves]
+        for sigma in itertools.product(*choices):
+            if _monomial(leaves, sigma, len(mono), d) == mono:
+                x = _slot_value(alg, shape, iter(sigma))[k]
+                acc[side] = field.add(acc[side], field.mul(coef, x))
+    return tuple(acc)
 
 
 def holds(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> bool:
     """Whether the identity holds, with no witness search."""
-    return all(x.is_zero() for x in _difference(alg, spec, semantics)[2])
+    return _first_failure(_plan(alg, spec, semantics), alg) is None
 
 
 def _first_witness(alg: Algebra, spec: IdentitySpec, combos) -> Optional[ConcreteWitness]:
@@ -398,21 +525,26 @@ def all_vectors(alg: Algebra) -> list:
     return [tuple(c) for c in itertools.product(elems, repeat=alg.dim)]
 
 
+def _monomial_text(mono: tuple, names: Sequence[str]) -> str:
+    """Readable form of an exponent tuple, e.g. a0^2*b1."""
+    parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e]
+    return "*".join(parts) if parts else "1"
+
+
 def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> Verdict:
     """Single-identity verdict under the chosen semantics, decided by the
-    formal difference.  A pointwise failure names the first failing
-    assignment in all_vectors order; the nonzero difference proves one exists."""
-    lhs, rhs, diff = _difference(alg, spec, semantics)
-    failing = [(x.lex_min_monomial(), k) for k, x in enumerate(diff) if not x.is_zero()]
-    if not failing:
+    compiled plan.  A pointwise failure names the first failing assignment
+    in all_vectors order; the failing group proves one exists."""
+    failure = _first_failure(_plan(alg, spec, semantics), alg)
+    if failure is None:
         return Verdict(spec.name, True, semantics, identity=spec)
     if semantics == "pointwise":
         combos = itertools.product(all_vectors(alg), repeat=len(spec.variables))
         return Verdict(spec.name, False, semantics, identity=spec,
                        concrete_witness=_first_witness(alg, spec, combos))
-    mono, k = min(failing)
-    cw = CoefficientWitness(mono, monomial_str(mono, spec.indeterminate_names(alg.dim)), k,
-                            lhs[k].coefficient(mono), rhs[k].coefficient(mono))
+    mono, k, lc, rc = failure
+    text = _monomial_text(mono, spec.indeterminate_names(alg.dim))
+    cw = CoefficientWitness(mono, text, k, lc, rc)
     concrete = _search_concrete_witness(alg, spec)
     notes = ()
     if concrete is None:
@@ -445,11 +577,10 @@ def revalidate_verdict(alg: Algebra, verdict: Verdict) -> bool:
     ok = False
     cw = verdict.coefficient_witness
     if cw is not None:
-        # Zeroing the indeterminates outside the monomial leaves its coefficient
-        # unchanged and skips most of the expansion.
-        lhs, rhs = _formal_sides(alg, spec, {n for n, e in enumerate(cw.monomial) if e})
-        lc = lhs[cw.coordinate].coefficient(cw.monomial)
-        rc = rhs[cw.coordinate].coefficient(cw.monomial)
+        mono = tuple(cw.monomial)
+        if not 0 <= cw.coordinate < alg.dim or len(mono) != len(spec.variables) * alg.dim:
+            return False
+        lc, rc = _slot_coefficients(alg, spec, mono, cw.coordinate)
         if lc != cw.lhs_coefficient or rc != cw.rhs_coefficient or lc == rc:
             return False
         ok = True

@@ -111,7 +111,7 @@ def test_multiply_bilinear_over_q(data):
 
 
 def test_formal_multiply_matches_concrete(dual):
-    from ujla.algebra import formal_basis_combination
+    from formal_oracle import formal_basis_combination
 
     u = formal_basis_combination(QQ, 2, 4, 0)
     v = formal_basis_combination(QQ, 2, 4, 2)

@@ -5,6 +5,7 @@ from reference import ref_is_ujla
 from ujla import corpus
 from ujla.algebra import algebra_from_products
 from ujla.axioms import (
+    UJLA_SPECS,
     check_associative,
     check_jordan,
     check_lie,
@@ -13,7 +14,7 @@ from ujla.axioms import (
 )
 from ujla.classify import flat_to_tensor, tensor_algebra
 from ujla.fields import QQ, PrimeField
-from ujla.identities import revalidate_verdict
+from ujla.identities import _plan, revalidate_verdict
 
 # Lexicographically first F_2 tensor flagged by the exhaustive scan; by hand:
 # e1*e0 = e1 and all other products vanish, so with (a, b, c) = (e1, e0, e0)
@@ -142,3 +143,31 @@ def test_pointwise_suites_run_on_finite_fields():
     alg = corpus.dual_numbers(PrimeField(3))
     assert check_ujla(alg, semantics="pointwise").passed
     assert check_associative(alg, semantics="pointwise").passed
+
+
+def test_scan_filter_keeps_normalize_out_of_its_inner_loop(monkeypatch):
+    """The classification filter reduces once per group and coordinate at
+    most, never per table entry or per product."""
+    rng = random.Random(23)
+    tensors = [(0,) * 8, GOLDEN_NON_UJLA] + [tuple(rng.randrange(3) for _ in range(8))
+                                              for _ in range(20)]
+    algs = [tensor_algebra(2, 3, flat) for flat in tensors]
+    calls = [0]
+    original = PrimeField.normalize
+
+    def counting(self, x):
+        calls[0] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(PrimeField, "normalize", counting)
+    names = [spec.name for spec in UJLA_SPECS]
+    outcomes = set()
+    for alg in algs:
+        for semantics in ("polynomial", "pointwise"):
+            calls[0] = 0
+            failed = ujla_failure(alg, semantics)
+            run = UJLA_SPECS[:names.index(failed) + 1] if failed else UJLA_SPECS
+            groups = sum(len(_plan(alg, spec, semantics).groups) for spec in run)
+            assert calls[0] <= groups * alg.dim, (alg.tensor, semantics)
+            outcomes.add(failed)
+    assert None in outcomes and "ujla.1" in outcomes

@@ -8,7 +8,7 @@ from strategies import prime_fields, rationals
 from ujla import corpus
 from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products
 from ujla.fields import QQ, PrimeField, coerce, parse_field
-from ujla.linalg import Matrix
+from ujla.linalg import Matrix, solve
 from ujla.transforms import deform
 from ujla.yang_baxter import (
     TensorSquareOperator,
@@ -152,3 +152,15 @@ def test_coerce_serves_both_fields():
     for bad in (0.1, False, 2 + 0j):
         with pytest.raises(ValueError):
             coerce(QQ, bad)
+
+
+def test_rational_normalize_rejects_floats_and_bools():
+    assert QQ.normalize(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(QQ.normalize(3)) is Fraction
+    for bad in (0.5, 0.1, True, False):
+        with pytest.raises(ValueError):
+            QQ.normalize(bad)
+    eye = Matrix.from_rows(QQ, [[1, 0], [0, 1]])
+    assert solve(eye, [Fraction(1, 2), 3]) == (Fraction(1, 2), Fraction(3))
+    with pytest.raises(ValueError):
+        solve(eye, [0.5, 0.1])

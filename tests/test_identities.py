@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from formal_oracle import formal_sides, formal_verdict
 from reference import ref_pointwise_holds
 from strategies import algebras
 from ujla import corpus
 from ujla.algebra import Algebra
 from ujla.axioms import ALL_NAMED_IDENTITIES, JORDAN_COMM, UJLA_2A
 from ujla.classify import flat_to_tensor, tensor_algebra
-from ujla.fields import QQ
+from ujla.fields import QQ, PrimeField
 from ujla.identities import (
+    CoefficientWitness,
     IdentitySpec,
-    _formal_sides,
+    _slot_coefficients,
     check_identity,
     evaluate_sides,
     holds,
@@ -236,18 +238,19 @@ def _failing_verdicts(algs):
         for spec in ALL_NAMED_IDENTITIES.values():
             verdict = check_identity(alg, spec)
             if not verdict.passed:
-                yield (alg, verdict) + _formal_sides(alg, spec)
+                yield (alg, verdict) + formal_sides(alg, spec)
 
 
 @pytest.mark.parametrize("p, d, count", [(0, 3, 6), (3, 2, 8), (5, 2, 8), (3, 3, 6), (5, 3, 6)])
 def test_support_restricted_coefficient_matches_full_expansion(p, d, count):
+    """Revalidation evaluates only the slot assignments that land on the
+    witness monomial; that must give its coefficients in the full expansion."""
     checked = 0
     for alg, verdict, lhs, rhs in _failing_verdicts(_seeded_algebras(p, d, count)):
         cw = verdict.coefficient_witness
         k, mono = cw.coordinate, cw.monomial
-        kept = _formal_sides(alg, verdict.identity, {n for n, e in enumerate(mono) if e})
         full = (lhs[k].coefficient(mono), rhs[k].coefficient(mono))
-        assert (kept[0][k].coefficient(mono), kept[1][k].coefficient(mono)) == full
+        assert _slot_coefficients(alg, verdict.identity, mono, k) == full
         assert full == (cw.lhs_coefficient, cw.rhs_coefficient)
         assert revalidate_verdict(alg, verdict)
         checked += 1
@@ -275,3 +278,53 @@ def test_coefficient_witness_tampering_is_detected(p, d, count):
             assert revalidate_verdict(alg, replace(bare, coefficient_witness=t)) == valid, what
             rejected[what] += not valid
     assert all(rejected.values()), rejected
+
+
+# --- slot plans against the formal oracle ----------------------------------
+
+NON_HOMOGENEOUS = IdentitySpec.parse("non-homogeneous", "a*b = a + 2*(a*a)", ("a", "b"))
+
+
+def _oracle_algebras(p, d, count):
+    """Corpus algebras of dimension d and seeded random ones; over Q their
+    entries need the denominators cleared."""
+    if p:
+        field = PrimeField(p)
+        members = [alg for make in (corpus.dual_numbers, corpus.diagonal_matrices_2,
+                                    corpus.affine_line_lie, corpus.heisenberg, corpus.sl2,
+                                    corpus.cross_product, corpus.upper_triangular_2x2)
+                   if (alg := make(field)).dim == d]
+        extra = [tensor_algebra(2, 2, F2_POINTWISE_ONLY)] if (p, d) == (2, 2) else []
+        seeded = [tensor_algebra(d, p, flat) for flat in _seeded_tensors(d, p, count)]
+        return members + extra + seeded
+    rng = random.Random(11 * d)
+    values = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    members = [a for algs in corpus.standard_corpus().values() for a in algs if a.dim == d]
+    return members + [
+        Algebra(f"q{n}", QQ, d, tuple(f"e{i}" for i in range(d)),
+                [[[rng.choice(values) for _ in range(d)] for _ in range(d)] for _ in range(d)])
+        for n in range(count)]
+
+
+@pytest.mark.parametrize("p, d, count", [
+    (0, 2, 8), (0, 3, 4), (0, 4, 2),
+    (2, 2, 10), (3, 2, 10), (5, 2, 6), (2, 3, 3), (3, 3, 3), (5, 3, 2),
+])
+def test_plan_verdict_and_witness_match_formal_oracle(p, d, count):
+    """Polynomial verdicts and their exact coefficient witnesses, and pointwise
+    verdicts, agree with the formal expansion (the pointwise witness is the
+    exhaustive oracle's business above)."""
+    specs = list(ALL_NAMED_IDENTITIES.values()) + [NON_HOMOGENEOUS] + ([COMPAT] if p != 2 else [])
+    outcomes = set()
+    for alg in _oracle_algebras(p, d, count):
+        for spec in specs:
+            for semantics in ("polynomial", "pointwise") if p else ("polynomial",):
+                passed, witness = formal_verdict(alg, spec, semantics)
+                assert holds(alg, spec, semantics) == passed, (alg.name, spec.name, semantics)
+                if semantics == "polynomial":
+                    verdict = check_identity(alg, spec)
+                    assert verdict.passed == passed, (alg.name, spec.name)
+                    expected = None if passed else CoefficientWitness(*witness)
+                    assert verdict.coefficient_witness == expected, (alg.name, spec.name)
+                outcomes.add((semantics, passed))
+    assert {passed for _, passed in outcomes} == {True, False}
