@@ -12,6 +12,7 @@ range order, so the outcome is identical for any worker count.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -58,7 +59,6 @@ class ClassificationResult:
     survivors: tuple
     failure_counts: tuple  # ((identity name, count), ...) in suite order
     classes: tuple
-    failures: Optional[tuple] = None  # ((flat index, identity name), ...) if recorded
 
     @property
     def ujla_count(self) -> int:
@@ -83,14 +83,6 @@ def flat_to_tensor(flat: tuple, dim: int) -> tuple:
     )
 
 
-def index_to_flat(n: int, p: int, length: int) -> tuple:
-    digits = []
-    for _ in range(length):
-        digits.append(n % p)
-        n //= p
-    return tuple(reversed(digits))
-
-
 def tensor_algebra(dim: int, p: int, flat: tuple, name: str = "") -> Algebra:
     field = PrimeField(p)
     return Algebra(
@@ -102,22 +94,16 @@ def tensor_algebra(dim: int, p: int, flat: tuple, name: str = "") -> Algebra:
 
 
 def _scan_range(args) -> tuple:
-    dim, p, semantics, start, stop, record = args
-    length = dim ** 3
+    dim, p, semantics, start, stop = args
     survivors = []
     counts = {spec.name: 0 for spec in UJLA_SPECS}
-    failures = []
-    for n in range(start, stop):
-        flat = index_to_flat(n, p, length)
-        alg = tensor_algebra(dim, p, flat)
-        failed = ujla_failure(alg, semantics)
+    for flat in itertools.islice(itertools.product(range(p), repeat=dim ** 3), start, stop):
+        failed = ujla_failure(tensor_algebra(dim, p, flat), semantics)
         if failed is None:
             survivors.append(flat)
         else:
             counts[failed] += 1
-            if record:
-                failures.append((n, failed))
-    return survivors, counts, failures
+    return survivors, counts
 
 
 def gl_matrices(p: int, dim: int) -> list:
@@ -125,28 +111,13 @@ def gl_matrices(p: int, dim: int) -> list:
     in lexicographic order of the flattened matrix."""
     field = PrimeField(p)
     out = []
-
-    def rec(rows, remaining):
-        if remaining == 0:
-            m = Matrix(field, tuple(tuple(r) for r in rows))
-            try:
-                inv = mat_inverse(m)
-            except NotInvertibleError:
-                return
-            out.append((m.rows, inv.rows))
-            return
-        for row in _all_rows(p, dim):
-            rec(rows + [row], remaining - 1)
-
-    rec([], dim)
+    for entries in itertools.product(range(p), repeat=dim * dim):
+        m = Matrix(field, tuple(entries[r * dim:(r + 1) * dim] for r in range(dim)))
+        try:
+            out.append((m.rows, mat_inverse(m).rows))
+        except NotInvertibleError:
+            pass
     return out
-
-
-def _all_rows(p: int, dim: int) -> list:
-    rows = [()]
-    for _ in range(dim):
-        rows = [r + (x,) for r in rows for x in range(p)]
-    return rows
 
 
 def transform_tensor(p: int, dim: int, flat: tuple, g_rows: tuple, ginv_rows: tuple) -> tuple:
@@ -205,32 +176,29 @@ def orbit_partition(spec: SearchSpec, survivors: tuple) -> tuple:
     return tuple(classes)
 
 
-def enumerate_ujla(
-    spec: SearchSpec, workers: int = 1, record_failures: bool = False
-) -> ClassificationResult:
+def enumerate_ujla(spec: SearchSpec, workers: int = 1) -> ClassificationResult:
     """Scan all p^(d^3) tensors, filter by the UJLA suite, reduce to orbits.
 
     At most os.cpu_count() worker processes are started."""
     total = spec.total
     workers = min(workers, os.cpu_count() or 1)
+    pieces = 1 if workers <= 1 else workers * 4
+    bounds = [total * i // pieces for i in range(pieces + 1)]
+    jobs = [
+        (spec.dim, spec.p, spec.semantics, lo, hi)
+        for lo, hi in zip(bounds, bounds[1:]) if lo < hi
+    ]
     if workers <= 1:
-        chunks = [_scan_range((spec.dim, spec.p, spec.semantics, 0, total, record_failures))]
+        chunks = map(_scan_range, jobs)
     else:
-        bounds = [total * i // (workers * 4) for i in range(workers * 4 + 1)]
-        jobs = [
-            (spec.dim, spec.p, spec.semantics, lo, hi, record_failures)
-            for lo, hi in zip(bounds, bounds[1:]) if lo < hi
-        ]
         with Pool(workers) as pool:
             chunks = pool.map(_scan_range, jobs)
     survivors = []
     counts = {s.name: 0 for s in UJLA_SPECS}
-    failures = []
-    for chunk_survivors, chunk_counts, chunk_failures in chunks:
+    for chunk_survivors, chunk_counts in chunks:
         survivors.extend(chunk_survivors)
         for name, count in chunk_counts.items():
             counts[name] += count
-        failures.extend(chunk_failures)
     classes = orbit_partition(spec, tuple(survivors))
     return ClassificationResult(
         spec=spec,
@@ -238,7 +206,6 @@ def enumerate_ujla(
         survivors=tuple(survivors),
         failure_counts=tuple((s.name, counts[s.name]) for s in UJLA_SPECS),
         classes=classes,
-        failures=tuple(failures) if record_failures else None,
     )
 
 
@@ -257,8 +224,8 @@ def are_isomorphic(a: Algebra, b: Algebra) -> Optional[Matrix]:
     if a.dim > 2:
         raise ValueError("isomorphism test supports dimension at most 2")
     p = a.field.p
-    flat_a = tuple(int(x) for x in a.tensor_flat())
-    flat_b = tuple(int(x) for x in b.tensor_flat())
+    flat_a = a.tensor_flat()
+    flat_b = b.tensor_flat()
     for g_rows, ginv_rows in gl_matrices(p, a.dim):
         if transform_tensor(p, a.dim, flat_b, g_rows, ginv_rows) == flat_a:
             return Matrix(a.field, g_rows)

@@ -86,15 +86,19 @@ def algebra_to_obj(alg: Algebra) -> dict:
 
 def obj_to_algebra(obj: dict) -> Algebra:
     name = _require(obj, "name", "algebra")
+    if not isinstance(name, str):
+        raise ValueError(f"algebra name must be a string, got {name!r}")
     field, dim = _field_and_dim(obj, "algebra")
     basis = _require(obj, "basis", "algebra")
     _check_shape(basis, (dim,), f"basis must be a list of {dim} basis labels")
+    if not all(isinstance(label, str) for label in basis):
+        raise ValueError(f"basis labels must be strings, got {basis!r}")
     constants = _require(obj, "constants", "algebra")
     _check_shape(constants, (dim, dim, dim), f"constants must be a {dim}x{dim}x{dim} nested list")
     unit = obj.get("unit")
     if unit is not None:
         _check_shape(unit, (dim,), f"unit vector must be a list of {dim} coordinates")
-    return Algebra(str(name), field, dim, tuple(str(b) for b in basis), constants, unit)
+    return Algebra(name, field, dim, tuple(basis), constants, unit)
 
 
 def loads_algebra(data: Union[str, bytes]) -> Algebra:

@@ -163,23 +163,6 @@ def _parse_side(ts: _Tokens, variables: Sequence[str]) -> LinComb:
             return tuple(terms)
 
 
-def _word_text(word: Word) -> str:
-    if isinstance(word, str):
-        return word
-    left, right = word
-    lt = _word_text(left) if isinstance(left, str) else f"({_word_text(left)})"
-    rt = _word_text(right) if isinstance(right, str) else f"({_word_text(right)})"
-    return f"{lt}*{rt}"
-
-
-def _word_degrees(word: Word, degrees: dict) -> None:
-    if isinstance(word, str):
-        degrees[word] = degrees.get(word, 0) + 1
-    else:
-        _word_degrees(word[0], degrees)
-        _word_degrees(word[1], degrees)
-
-
 @dataclass(frozen=True)
 class IdentitySpec:
     """A named equation between linear combinations of product words."""
@@ -211,12 +194,8 @@ class IdentitySpec:
     @functools.cached_property
     def is_multilinear(self) -> bool:
         """True when every word uses every declared variable exactly once."""
-        for _, word in self.lhs + self.rhs:
-            degrees: dict = {}
-            _word_degrees(word, degrees)
-            if any(degrees.get(v, 0) != 1 for v in self.variables):
-                return False
-        return True
+        variables = sorted(self.variables)
+        return all(sorted(_leaves(word)) == variables for _, word in self.lhs + self.rhs)
 
     def __hash__(self) -> int:
         # Equal specs share these fields, and strings cache their hashes: the

@@ -7,17 +7,25 @@ import hypothesis.strategies as st
 
 from reference import all_tensors, ref_is_ujla
 from strategies import algebras
-from ujla.axioms import check_associative, check_jordan, check_lie, check_ujla, ujla_failure
+from ujla.axioms import (
+    ALL_NAMED_IDENTITIES,
+    check_associative,
+    check_jordan,
+    check_lie,
+    check_ujla,
+    ujla_failure,
+)
 from ujla.classify import (
     SearchSpec,
+    _scan_range,
     are_isomorphic,
     enumerate_ujla,
     gl_matrices,
-    index_to_flat,
     tensor_algebra,
     transform_tensor,
 )
 from ujla.fields import PrimeField
+from ujla.identities import check_identity
 from ujla.linalg import Matrix
 
 
@@ -35,10 +43,18 @@ def test_searchspec_validation():
     assert SearchSpec(2, 5).total == 5 ** 8
 
 
-def test_index_to_flat_is_lexicographic():
-    flats = [index_to_flat(n, 3, 2) for n in range(9)]
-    assert flats == sorted(flats)
-    assert flats[0] == (0, 0) and flats[-1] == (2, 2)
+@pytest.mark.parametrize("semantics", ["polynomial", "pointwise"])
+def test_split_scan_ranges_concatenate_to_the_serial_scan(semantics):
+    """Chunks over any split points merge to the one-range scan; no process starts."""
+    serial_survivors, serial_counts = _scan_range((2, 2, semantics, 0, 256))
+    splits = [0, 1, 97, 255, 256]
+    chunks = [_scan_range((2, 2, semantics, lo, hi)) for lo, hi in zip(splits, splits[1:])]
+    survivors = [flat for chunk_survivors, _ in chunks for flat in chunk_survivors]
+    assert survivors == serial_survivors
+    assert all(a < b for a, b in zip(survivors, survivors[1:]))
+    assert {name: sum(counts[name] for _, counts in chunks) for name in serial_counts} == \
+        serial_counts
+    assert len(survivors) + sum(serial_counts.values()) == 256
 
 
 @pytest.mark.parametrize("dim,p,expect_count,expect_classes", [
@@ -126,12 +142,11 @@ def test_count_is_scan_order_invariant():
     """Re-filter the whole space in a shuffled order and compare counts."""
     spec = SearchSpec(2, 2)
     result = enumerate_ujla(spec)
-    order = list(range(spec.total))
-    random.Random(99).shuffle(order)
+    flats = [flat for flat, _ in all_tensors(2, 2)]
+    random.Random(99).shuffle(flats)
     count = 0
-    for n in order:
-        alg = tensor_algebra(2, 2, index_to_flat(n, 2, 8))
-        if ujla_failure(alg) is None:
+    for flat in flats:
+        if ujla_failure(tensor_algebra(2, 2, flat)) is None:
             count += 1
     assert count == result.ujla_count
 
@@ -146,17 +161,19 @@ def test_representatives_pass_and_are_pairwise_non_isomorphic():
 
 
 def test_soundness_every_exclusion_names_a_failing_identity():
-    result = enumerate_ujla(SearchSpec(2, 2), record_failures=True)
-    assert len(result.failures) + result.ujla_count == result.total
+    result = enumerate_ujla(SearchSpec(2, 2))
+    failures = []
+    for flat, _ in all_tensors(2, 2):
+        name = ujla_failure(tensor_algebra(2, 2, flat))
+        if name is not None:
+            failures.append((flat, name))
+    assert len(failures) + result.ujla_count == result.total
     assert dict(result.failure_counts) == {
-        name: sum(1 for _, n in result.failures if n == name)
+        name: sum(1 for _, n in failures if n == name)
         for name, _ in result.failure_counts
     }
-    rnd = random.Random(7)
-    for n, name in rnd.sample(list(result.failures), 20):
-        alg = tensor_algebra(2, 2, index_to_flat(n, 2, 8))
-        from ujla.axioms import ALL_NAMED_IDENTITIES
-        from ujla.identities import check_identity
+    for flat, name in random.Random(7).sample(failures, 20):
+        alg = tensor_algebra(2, 2, flat)
         assert not check_identity(alg, ALL_NAMED_IDENTITIES[name]).passed
 
 
@@ -233,6 +250,27 @@ def test_are_isomorphic_guards():
     other = corpus.dual_numbers(PrimeField(5))
     with pytest.raises(ValueError, match="common field"):
         are_isomorphic(big, other)
+
+
+@pytest.mark.parametrize("dim,p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3)])
+@pytest.mark.parametrize("semantics", ["polynomial", "pointwise"])
+def test_burnside_and_orbit_stabiliser_counts(dim, p, semantics, golden):
+    """Class counts and orbit sizes recounted from the group action alone:
+    Burnside's lemma over the survivors, orbit-stabiliser per class."""
+    result = enumerate_ujla(SearchSpec(dim, p, semantics))
+    entry = _case(golden, dim, p, semantics)
+    gl = gl_matrices(p, dim)
+
+    def fixes(g, flat):
+        return transform_tensor(p, dim, flat, *g) == flat
+
+    fixed_points = sum(1 for g in gl for flat in result.survivors if fixes(g, flat))
+    assert fixed_points == entry["class_count"] * len(gl)
+    assert result.class_count == entry["class_count"]
+    for cls in result.classes:
+        stabiliser = sum(1 for g in gl if fixes(g, cls.representative))
+        assert cls.orbit_size * stabiliser == len(gl)
+    assert [c.orbit_size for c in result.classes] == entry["orbit_sizes"]
 
 
 def test_failure_counts_sum_to_exclusions():

@@ -56,7 +56,8 @@ def test_check_missing_file(tmp_path, capsys):
 def test_malformed_algebra_file_is_status_2(tmp_path, capsys):
     obj = json.loads(dumps_algebra(corpus.dual_numbers()))
     for key, bad in [("dim", True), ("field", 5), ("basis", 5), ("constants", [[1]]),
-                     ("unit", [1.0, 0]), ("unit", [True, 0]), ("unit", [None, 0])]:
+                     ("unit", [1.0, 0]), ("unit", [True, 0]), ("unit", [None, 0]),
+                     ("name", {"x": 1}), ("basis", [None, "x"])]:
         path = tmp_path / f"bad-{key}.alg"
         path.write_text(json.dumps({**obj, key: bad}))
         assert run(["check", str(path), "--axioms", "assoc"]) == 2, key

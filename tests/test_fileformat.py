@@ -83,6 +83,12 @@ def test_malformed_files_are_rejected():
                                         '[[1, 2], [3, 4]]'))
     with pytest.raises(ValueError, match="unit vector"):
         loads_algebra(DUAL_FILE.replace('["1","0"]', '"10"', 1))
+    # Names and basis labels are JSON strings, never stringified values.
+    for bad in ('{"x": 1}', "7", "null", "true"):
+        with pytest.raises(ValueError, match="name must be a string"):
+            loads_algebra(DUAL_FILE.replace('"dual-numbers"', bad))
+        with pytest.raises(ValueError, match="labels must be strings"):
+            loads_algebra(DUAL_FILE.replace('["1","x"]', f'["1", {bad}]'))
     one_dim = ('{"name": "s", "field": "Q", "dim": 1, "basis": ["1"], '
                '"constants": [[1]]}')
     with pytest.raises(ValueError, match="1x1x1"):
