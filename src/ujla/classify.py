@@ -180,6 +180,8 @@ def enumerate_ujla(spec: SearchSpec, workers: int = 1) -> ClassificationResult:
     """Scan all p^(d^3) tensors, filter by the UJLA suite, reduce to orbits.
 
     At most os.cpu_count() worker processes are started."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     total = spec.total
     workers = min(workers, os.cpu_count() or 1)
     pieces = 1 if workers <= 1 else workers * 4

@@ -15,6 +15,8 @@ Two semantics are implemented:
   stronger for non-multilinear identities.
 * pointwise (finite fields only): truth on every concrete assignment,
   decided by the same coefficients with exponents reduced by x^p = x.
+  A failure names the lexicographically least failing assignment,
+  found by fixing one coordinate at a time in the reduced difference.
 
 Both are decided by a plan compiled once per identity, dimension, field
 and semantics: the coefficients are sums of integer slot tables built
@@ -475,16 +477,52 @@ def holds(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> bo
     return _first_failure(_plan(alg, spec, semantics), alg) is None
 
 
-def _first_witness(alg: Algebra, spec: IdentitySpec, combos) -> Optional[ConcreteWitness]:
-    """First assignment (one vector per variable) in combos whose sides differ."""
-    for combo in combos:
-        lhs, rhs = evaluate_sides(alg, spec, dict(zip(spec.variables, combo)))
-        if lhs != rhs:
-            return ConcreteWitness(tuple(zip(spec.variables, combo)), lhs, rhs)
-    return None
+def _residual(plan: _Plan, alg: Algebra) -> dict:
+    """Monomial -> lhs - rhs per coordinate mod p, for every group whose
+    sides differ (finite fields)."""
+    getters, _ = _columns(plan, alg)
+    p = alg.field.p
+    residual = {}
+    for mono, lhs, rhs in plan.groups:
+        diff = tuple((_total(lhs, get) - _total(rhs, get)) % p for get in getters)
+        if any(diff):
+            residual[mono] = diff
+    return residual
+
+
+def _first_nonzero_point(residual: dict, p: int) -> list:
+    """Lexicographically least point of F_p^n where a nonzero residual with
+    every exponent at most p - 1 does not vanish.
+
+    Setting the next coordinate to c multiplies each term by c^e, where e
+    is its exponent there, and merges the terms that then share their
+    remaining exponents.  Reduced monomials are a basis
+    of the functions F_p^n -> F_p, so the residual left after a choice is
+    nonzero exactly when some point below that choice fails: the least c
+    that leaves it nonzero is the next coordinate, with no backtracking.
+    """
+    powers = [[pow(c, e, p) for e in range(p)] for c in range(p)]
+    point = []
+    for _ in range(len(next(iter(residual)))):
+        for c in range(p):
+            merged: dict = {}
+            for mono, diff in residual.items():
+                f = powers[c][mono[0]]
+                if f:
+                    acc = merged.setdefault(mono[1:], [0] * len(diff))
+                    for k, x in enumerate(diff):
+                        acc[k] += f * x
+            merged = {mono: acc for mono, acc in merged.items() if any(x % p for x in acc)}
+            if merged:
+                break
+        point.append(c)
+        residual = merged
+    return point
 
 
 def _search_concrete_witness(alg: Algebra, spec: IdentitySpec) -> Optional[ConcreteWitness]:
+    """First assignment among basis tuples, then the {0, 1, -1} grid, whose
+    sides differ."""
     nv = len(spec.variables)
     d = alg.dim
     field = alg.field
@@ -492,16 +530,14 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec) -> Optional[Concr
     pool = list(dict.fromkeys([field.zero, field.one, field.neg(field.one)]))
     grid = itertools.islice(itertools.product(pool, repeat=nv * d), WITNESS_SEARCH_CAP)
     # Basis tuples first: they witness most failures and read well.
-    return _first_witness(alg, spec, itertools.chain(
+    for combo in itertools.chain(
         itertools.product(alg.basis_vectors(), repeat=nv),
         (tuple(coords[i * d:(i + 1) * d] for i in range(nv)) for coords in grid),
-    ))
-
-
-def all_vectors(alg: Algebra) -> list:
-    """Every vector of the algebra, lexicographic by coordinates (finite fields)."""
-    elems = list(alg.field.elements())
-    return [tuple(c) for c in itertools.product(elems, repeat=alg.dim)]
+    ):
+        lhs, rhs = evaluate_sides(alg, spec, dict(zip(spec.variables, combo)))
+        if lhs != rhs:
+            return ConcreteWitness(tuple(zip(spec.variables, combo)), lhs, rhs)
+    return None
 
 
 def _monomial_text(mono: tuple, names: Sequence[str]) -> str:
@@ -512,15 +548,24 @@ def _monomial_text(mono: tuple, names: Sequence[str]) -> str:
 
 def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> Verdict:
     """Single-identity verdict under the chosen semantics, decided by the
-    compiled plan.  A pointwise failure names the first failing assignment
-    in all_vectors order; the failing group proves one exists."""
-    failure = _first_failure(_plan(alg, spec, semantics), alg)
+    compiled plan.  A pointwise failure names the lexicographically least
+    failing assignment (variables in declared order, each vector by its
+    coordinates), read off the plan's residual."""
+    plan = _plan(alg, spec, semantics)
+    if semantics == "pointwise":
+        residual = _residual(plan, alg)
+        if not residual:
+            return Verdict(spec.name, True, semantics, identity=spec)
+        point = _first_nonzero_point(residual, alg.field.p)
+        d = alg.dim
+        combo = [tuple(point[v * d:(v + 1) * d]) for v in range(len(spec.variables))]
+        assignment = tuple(zip(spec.variables, combo))
+        lhs, rhs = evaluate_sides(alg, spec, dict(assignment))
+        return Verdict(spec.name, False, semantics, identity=spec,
+                       concrete_witness=ConcreteWitness(assignment, lhs, rhs))
+    failure = _first_failure(plan, alg)
     if failure is None:
         return Verdict(spec.name, True, semantics, identity=spec)
-    if semantics == "pointwise":
-        combos = itertools.product(all_vectors(alg), repeat=len(spec.variables))
-        return Verdict(spec.name, False, semantics, identity=spec,
-                       concrete_witness=_first_witness(alg, spec, combos))
     mono, k, lc, rc = failure
     text = _monomial_text(mono, spec.indeterminate_names(alg.dim))
     cw = CoefficientWitness(mono, text, k, lc, rc)

@@ -202,6 +202,21 @@ def test_classify_validates_parameters(capsys):
     assert run(["classify", "--dim", "3", "--prime", "2"]) == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_classify_rejects_fewer_than_one_worker(workers, monkeypatch, capsys):
+    from ujla import classify
+
+    def never(*args):
+        raise AssertionError("no scan may start")
+
+    monkeypatch.setattr(classify, "Pool", never)
+    monkeypatch.setattr(classify, "_scan_range", never)
+    assert run(["classify", "--dim", "1", "--prime", "3", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "workers" in captured.err
+
+
 def test_reports_are_byte_identical(files, capsys):
     run(["check", files["heisenberg"], "--axioms", "lie,jordan,ujla"])
     first = capsys.readouterr().out

@@ -12,7 +12,7 @@ from reference import ref_pointwise_holds
 from strategies import algebras
 from ujla import corpus
 from ujla.algebra import Algebra
-from ujla.axioms import ALL_NAMED_IDENTITIES, JORDAN_COMM, UJLA_2A
+from ujla.axioms import ALL_NAMED_IDENTITIES, ASSOC, JORDAN_COMM, UJLA_2A
 from ujla.classify import flat_to_tensor, tensor_algebra
 from ujla.fields import QQ, PrimeField
 from ujla.identities import (
@@ -186,17 +186,29 @@ def pointwise_oracle(alg, spec):
     return None
 
 
-def _seeded_tensors(d, p, count):
-    """Random flat tensors from sparse to dense, so that both verdicts occur."""
+def _seeded_tensors(d, p, count, dense=False):
+    """Random flat tensors, from sparse to dense unless dense, so that both
+    verdicts occur."""
     rng = random.Random(1000 * d + p)
-    return [tuple(rng.randrange(1, p) if rng.random() < (0.1, 0.25, 1.0)[n % 3] else 0
+    densities = (1.0,) if dense else (0.1, 0.25, 1.0)
+    return [tuple(rng.randrange(1, p) if rng.random() < densities[n % len(densities)] else 0
                   for _ in range(d ** 3)) for n in range(count)]
 
 
-@pytest.mark.parametrize("d, p, count", [(2, 2, 12), (2, 3, 12), (2, 5, 6), (3, 2, 6), (3, 3, 4)])
+# Mixed degrees, with a degree-1 word: the plan groups by monomial, not by degree.
+NON_HOMOGENEOUS = IdentitySpec.parse("non.homogeneous", "a*b = a + 2*(a*a)", ("a", "b"))
+
+
+@pytest.mark.parametrize("d, p, count", [(2, 2, 12), (2, 3, 12), (2, 5, 6), (3, 2, 6), (3, 3, 4),
+                                         (3, 5, 2)])
 def test_pointwise_verdict_and_witness_match_exhaustive_oracle(d, p, count):
-    specs = list(ALL_NAMED_IDENTITIES.values()) + ([COMPAT] if p != 2 else [])
-    tensors = _seeded_tensors(d, p, count) + ([F2_POINTWISE_ONLY] if (d, p) == (2, 2) else [])
+    # At d = 3 over F_5 a passing verdict would send the oracle through up to
+    # 5^9 assignments: dense tensors only there, which fail every identity.
+    dense = (d, p) == (3, 5)
+    specs = list(ALL_NAMED_IDENTITIES.values()) + [NON_HOMOGENEOUS] + ([COMPAT] if p != 2 else [])
+    tensors = _seeded_tensors(d, p, count, dense)
+    if (d, p) == (2, 2):
+        tensors.append(F2_POINTWISE_ONLY)
     outcomes = set()
     for flat in tensors:
         alg = tensor_algebra(d, p, flat)
@@ -215,7 +227,47 @@ def test_pointwise_verdict_and_witness_match_exhaustive_oracle(d, p, count):
                 assert (w.assignment, w.lhs, w.rhs) == expected, (flat, spec.name)
                 assert verdict.coefficient_witness is None
             outcomes.add(verdict.passed)
-    assert outcomes == {True, False}
+    assert outcomes == ({False} if dense else {True, False})
+
+
+def _seeded_pointwise_cases():
+    for d, p in [(2, 2), (2, 3), (2, 5), (3, 3)]:
+        for flat in _seeded_tensors(d, p, 6):
+            alg = tensor_algebra(d, p, flat)
+            for spec in list(ALL_NAMED_IDENTITIES.values()) + [NON_HOMOGENEOUS]:
+                yield alg, spec
+
+
+# Over F_5 at d = 4, e0*e0 = 4*e3 and e0*e3 = 2*e1 are the only nonzero
+# products.  Then (a*b)*c = 0 and a*(b*c) = 3*a0*b0*c0*e1, so the least
+# failing assignment is a = b = c = e0, after 5^11 + 5^7 + 5^3 (about
+# 4.9e7) lex-smaller assignments.
+ASSOC_F5_D4 = tuple(4 if n == 3 else 2 if n == 13 else 0 for n in range(64))
+
+
+def test_pointwise_witness_evaluates_the_sides_once(monkeypatch):
+    """A failing pointwise check reads its witness off the plan and
+    evaluates the identity only on that witness."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return evaluate_sides(*args)
+
+    monkeypatch.setattr("ujla.identities.evaluate_sides", counting)
+    cases = list(_seeded_pointwise_cases()) + [(tensor_algebra(4, 5, ASSOC_F5_D4), ASSOC)]
+    failures = 0
+    for alg, spec in cases:
+        calls[0] = 0
+        verdict = check_identity(alg, spec, "pointwise")
+        assert calls[0] == (0 if verdict.passed else 1), (alg.tensor, spec.name)
+        failures += not verdict.passed
+        assert revalidate_verdict(alg, verdict)
+    assert failures > 100
+    w = verdict.concrete_witness
+    e0 = (1, 0, 0, 0)
+    assert w.assignment == (("a", e0), ("b", e0), ("c", e0))
+    assert (w.lhs, w.rhs) == ((0, 0, 0, 0), (0, 3, 0, 0))
 
 
 # --- coefficient witnesses against the full expansion ----------------------
