@@ -2,10 +2,11 @@
 """Survey the UJLA classification over every supported (dim, prime) pair.
 
 Prints a table of survivor and isomorphism-class counts per semantics.
-The dim-2, p=5 scan walks 390,625 tensors; expect about 26 s with one
-worker on a 2-core machine (observed: 889 survivors in 12 classes under
-polynomial semantics; one fixed point, two orbits of 120, seven of 24,
-two of 240).
+The dim-2, p=5 scan covers 390,625 tensors, but rejects 374,400 of them
+on ujla.1 in whole subtrees of the structure constants and builds only
+the other 16,225 as algebras; expect about 2.4 s with one worker on a
+2-core machine (observed: 889 survivors in 12 classes under polynomial
+semantics; one fixed point, two orbits of 120, seven of 24, two of 240).
 """
 
 import argparse

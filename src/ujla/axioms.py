@@ -10,7 +10,7 @@ a caveat, since Jordan theory degenerates there.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .algebra import Algebra
 from .identities import AxiomReport, IdentitySpec, check_identity, holds
@@ -66,13 +66,16 @@ def check_ujla(alg: Algebra, semantics: str = "polynomial") -> AxiomReport:
     return _suite(alg, UJLA_SPECS, semantics)
 
 
-def ujla_failure(alg: Algebra, semantics: str = "polynomial") -> Optional[str]:
+def ujla_failure(alg: Algebra, semantics: str = "polynomial",
+                 specs: Sequence[IdentitySpec] = UJLA_SPECS) -> Optional[str]:
     """Name of the first failing UJLA identity, or None when all pass.
 
     Early-exit filter used by the exhaustive classification scan; the
-    identity order matches check_ujla's report order.
+    identity order matches check_ujla's report order.  The scan passes
+    the suite without ujla.1, which it has already decided on the
+    structure constants.
     """
-    for spec in UJLA_SPECS:
+    for spec in specs:
         if not holds(alg, spec, semantics):
             return spec.name
     return None

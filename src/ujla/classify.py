@@ -1,10 +1,20 @@
 """Exhaustive search for UJLA structures over small prime fields.
 
-The scan walks every structure tensor of a given dimension over F_p in
+The scan covers every structure tensor of a given dimension over F_p in
 lexicographic order, keeps the ones passing the UJLA suite under the
 chosen semantics, and groups survivors into isomorphism classes by
 brute-force enumeration of GL_d(F_p) basis changes.  Canonical class
 representatives are the lexicographically least tensors of their orbits.
+
+It does not visit every tensor.  ujla.1 is multilinear, so on the basis
+it is a set of quadratic equations in the d^3 structure constants.  The
+scan is a depth-first walk that fixes the constants in flat index order
+and decides each equation as soon as its last constant is fixed; a
+failing equation rejects the whole subtree at once, and the subtree's
+size (p^(unfixed constants), clipped to the scanned range) is added to
+the ujla.1 count.  Only tensors that pass ujla.1 are built as algebras
+and run through ujla.2a-2d, so the failure counts are exactly the
+first-failure counts of a tensor-by-tensor scan.
 
 The scan partitions cleanly over index ranges; results are merged in
 range order, so the outcome is identical for any worker count.
@@ -13,14 +23,16 @@ range order, so the outcome is identical for any worker count.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Optional
 
 from .algebra import Algebra
-from .axioms import UJLA_SPECS, ujla_failure
+from .axioms import UJLA_1, UJLA_SPECS, ujla_failure
 from .fields import PrimeField
+from .identities import constant_equations
 from .linalg import Matrix, NotInvertibleError, mat_inverse
 
 SUPPORTED_DIMS = (1, 2)
@@ -34,6 +46,10 @@ class SearchSpec:
     semantics: str = "polynomial"
 
     def __post_init__(self):
+        for label, value in (("dimension", self.dim), ("prime", self.p)):
+            # 2.0 == 2 and True == 1 would pass the membership tests below.
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"search {label} must be an int, got {value!r}")
         if self.dim not in SUPPORTED_DIMS:
             raise ValueError(f"search dimension must be one of {SUPPORTED_DIMS}, got {self.dim}")
         if self.p not in SUPPORTED_PRIMES:
@@ -93,16 +109,62 @@ def tensor_algebra(dim: int, p: int, flat: tuple, name: str = "") -> Algebra:
     )
 
 
+def _ujla1_buckets(dim: int, p: int) -> list:
+    """ujla.1's constant equations, bucketed by their largest flat index:
+    bucket t is decided once the walk has fixed constants 0..t.  ujla.1 is
+    multilinear, so the same equations serve both semantics."""
+    buckets = [[] for _ in range(dim ** 3)]
+    for eq in constant_equations(UJLA_1, dim, p):
+        buckets[max(idx[-1] for idx, _ in eq)].append(eq)
+    return buckets
+
+
+def _vanishes(eq: tuple, flat: list, p: int) -> bool:
+    return sum(c * math.prod(map(flat.__getitem__, idx)) for idx, c in eq) % p == 0
+
+
 def _scan_range(args) -> tuple:
+    """Survivors and first-failure counts of the tensors with lex index in
+    [start, stop).
+
+    The walk fixes the flat constants in index order, which is the lex
+    order of the tensors.  Once constant t is fixed, the ujla.1 equations
+    whose largest index is t are decided; if one fails, the whole subtree
+    below (p^(unfixed) tensors, clipped to the range) counts as a ujla.1
+    failure unvisited.  Only the leaves left build an Algebra and run the
+    rest of the suite, so survivors come out in lex order and the counts
+    stay "first failure in suite order".
+    """
     dim, p, semantics, start, stop = args
+    n = dim ** 3
+    buckets = _ujla1_buckets(dim, p)
+    widths = [p ** (n - 1 - t) for t in range(n)]
     survivors = []
     counts = {spec.name: 0 for spec in UJLA_SPECS}
-    for flat in itertools.islice(itertools.product(range(p), repeat=dim ** 3), start, stop):
-        failed = ujla_failure(tensor_algebra(dim, p, flat), semantics)
-        if failed is None:
-            survivors.append(flat)
-        else:
-            counts[failed] += 1
+    flat = [0] * n
+
+    def walk(t: int, lo: int) -> None:
+        width = widths[t]
+        for c in range(p):
+            a = lo + c * width
+            b = a + width
+            if b <= start or a >= stop:
+                continue
+            flat[t] = c
+            if not all(_vanishes(eq, flat, p) for eq in buckets[t]):
+                counts[UJLA_1.name] += min(b, stop) - max(a, start)
+            elif t + 1 < n:
+                walk(t + 1, a)
+            else:
+                leaf = tuple(flat)
+                failed = ujla_failure(tensor_algebra(dim, p, leaf), semantics, UJLA_SPECS[1:])
+                if failed is None:
+                    survivors.append(leaf)
+                else:
+                    counts[failed] += 1
+
+    if start < stop:
+        walk(0, 0)
     return survivors, counts
 
 

@@ -20,7 +20,9 @@ Two semantics are implemented:
 
 Both are decided by a plan compiled once per identity, dimension, field
 and semantics: the coefficients are sums of integer slot tables built
-from the structure constants, with no formal polynomials.
+from the structure constants, with no formal polynomials.  For the
+classification scan, constant_equations expands the same plan with the
+structure constants left symbolic, into polynomial equations in them.
 
 Failures always carry a witness that can be re-validated independently.
 """
@@ -35,7 +37,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import Algebra, Vector
-from .fields import Scalar
+from .fields import PrimeField, Scalar
 
 Word = Union[str, tuple]
 LinComb = tuple  # of (Fraction, Word) pairs
@@ -428,6 +430,63 @@ def _columns(plan: _Plan, alg: Algebra) -> tuple:
     for shape in plan.shapes:
         vectors.extend(_table(shape, memo, nonzero, d))
     return [col.__getitem__ for col in zip(*vectors)], denom
+
+
+def _symbolic_table(shape, memo: dict, d: int) -> list:
+    """_table with the structure constants left symbolic: each coordinate is
+    a polynomial {sorted flat constant indices: int coefficient}."""
+    table = memo.get(shape)
+    if table is None:
+        left = _symbolic_table(shape[0], memo, d)
+        right = _symbolic_table(shape[1], memo, d)
+        table = []
+        for u in left:
+            for v in right:
+                acc = [{} for _ in range(d)]
+                for i, ui in enumerate(u):
+                    for j, vj in enumerate(v):
+                        for mu, x in ui.items():
+                            for mv, y in vj.items():
+                                for k in range(d):
+                                    mono = tuple(sorted(mu + mv + ((i * d + j) * d + k,)))
+                                    acc[k][mono] = acc[k].get(mono, 0) + x * y
+                table.append(acc)
+        memo[shape] = table
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def constant_equations(spec: IdentitySpec, dim: int, p: int) -> tuple:
+    """The identity over F_p as polynomial equations in the structure constants.
+
+    Constant number (i*dim + j)*dim + k is the coefficient of e_k in e_i e_j.
+    Each (monomial, coordinate) group of the polynomial plan is expanded
+    into a polynomial over those numbers, a tuple of (indices, coefficient)
+    terms with indices ascending and coefficients in [1, p).  The identity
+    holds polynomially on a tensor exactly when every returned polynomial
+    vanishes mod p on its constants; for a multilinear identity that is
+    pointwise truth as well.  Zero polynomials are dropped, and so are
+    repeats up to a nonzero scalar, which vanish together.
+    """
+    plan = _compile(spec, dim, PrimeField(p), False)
+    memo = {None: [[{(): 1} if i == j else {} for j in range(dim)] for i in range(dim)]}
+    vectors = []
+    for shape in plan.shapes:
+        vectors.extend(_symbolic_table(shape, memo, dim))
+    equations = {}
+    for _, lhs, rhs in plan.groups:
+        for k in range(dim):
+            poly: dict = {}
+            for sign, terms in ((1, lhs), (-1, rhs)):
+                for c, rows in terms:
+                    for n in rows:
+                        for mono, x in vectors[n][k].items():
+                            poly[mono] = poly.get(mono, 0) + sign * c * x
+            eq = sorted((mono, x % p) for mono, x in poly.items() if x % p)
+            if eq:
+                lead = pow(eq[0][1], -1, p)
+                equations.setdefault(tuple((mono, x * lead % p) for mono, x in eq))
+    return tuple(equations)
 
 
 def _total(terms: tuple, get) -> int:

@@ -1,4 +1,7 @@
+import ast
 import itertools
+import math
+import pathlib
 import random
 
 import pytest
@@ -7,8 +10,11 @@ import hypothesis.strategies as st
 
 from reference import all_tensors, ref_is_ujla
 from strategies import algebras
+from ujla import corpus
 from ujla.axioms import (
     ALL_NAMED_IDENTITIES,
+    UJLA_1,
+    UJLA_SPECS,
     check_associative,
     check_jordan,
     check_lie,
@@ -25,7 +31,7 @@ from ujla.classify import (
     transform_tensor,
 )
 from ujla.fields import PrimeField
-from ujla.identities import check_identity
+from ujla.identities import check_identity, constant_equations, holds
 from ujla.linalg import Matrix
 
 
@@ -40,7 +46,112 @@ def test_searchspec_validation():
         SearchSpec(2, 7)
     with pytest.raises(ValueError):
         SearchSpec(2, 3, "fast")
+    # Equal to a supported value, but not an int: 2.0 would scan 256.0
+    # tensors and True would scan d = 1.
+    for dim, p in [(2.0, 2), (2, 3.0), (True, 2), (2, True), ("2", 2), (None, 3)]:
+        with pytest.raises(ValueError, match="must be an int"):
+            SearchSpec(dim, p)
     assert SearchSpec(2, 5).total == 5 ** 8
+
+
+def _per_tensor_outcomes(dim, p, semantics):
+    """The scan before pruning: (tensor, first failing identity or None) for
+    every tensor in lex order, each built and run through the whole suite."""
+    return [(flat, ujla_failure(tensor_algebra(dim, p, flat), semantics))
+            for flat in itertools.product(range(p), repeat=dim ** 3)]
+
+
+def _tally(outcomes):
+    survivors = [flat for flat, failed in outcomes if failed is None]
+    counts = {spec.name: 0 for spec in UJLA_SPECS}
+    for _, failed in outcomes:
+        if failed is not None:
+            counts[failed] += 1
+    return survivors, counts
+
+
+@pytest.mark.parametrize("dim,p", [(1, 2), (1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("semantics", ["polynomial", "pointwise"])
+def test_pruned_scan_matches_per_tensor_oracle(dim, p, semantics):
+    total = p ** dim ** 3
+    assert _scan_range((dim, p, semantics, 0, total)) == \
+        _tally(_per_tensor_outcomes(dim, p, semantics))
+
+
+def test_pruned_scan_windows_cut_through_pruned_subtrees():
+    """Seeded windows at d2 p3 whose bounds land inside subtrees that ujla.1
+    rejects whole: only the part inside the window may be counted."""
+    outcomes = _per_tensor_outcomes(2, 3, "polynomial")
+    rng = random.Random(2024)
+    windows = [(0, 0), (6561, 6561), (0, 1), (6560, 6561), (1, 6560)]
+    windows += [tuple(sorted(rng.sample(range(6562), 2))) for _ in range(20)]
+    windows += [(lo, lo + rng.randrange(1, 30)) for lo in rng.sample(range(6531), 20)]
+    for lo, hi in windows:
+        assert _scan_range((2, 3, "polynomial", lo, hi)) == _tally(outcomes[lo:hi]), (lo, hi)
+
+
+def _vanish(equations, flat, p):
+    return all(sum(c * math.prod(flat[i] for i in idx) for idx, c in eq) % p == 0
+               for eq in equations)
+
+
+def _equation_tensors(dim, p, count):
+    """Seeded tensors from sparse to dense, plus corpus algebras over F_p that
+    satisfy ujla.1 and one-constant perturbations of them."""
+    rng = random.Random(100 * dim + p)
+    flats = [tuple(rng.randrange(p) if rng.random() < density else 0 for _ in range(dim ** 3))
+             for density in (0.1, 0.3, 1.0) for _ in range(count)]
+    if dim == 3:
+        field = PrimeField(p)
+        builders = [corpus.upper_triangular_2x2, corpus.heisenberg, corpus.sl2,
+                    corpus.cross_product, corpus.truncated_polynomials]
+        for build in builders:
+            flat = tuple(int(c) for c in build(field).tensor_flat())
+            flats.append(flat)
+            i = rng.randrange(27)
+            flats.append(flat[:i] + ((flat[i] + 1) % p,) + flat[i + 1:])
+    return flats
+
+
+@pytest.mark.parametrize("dim,p,count", [(2, 2, 40), (2, 3, 60), (2, 5, 60), (3, 2, 15),
+                                         (3, 3, 15)])
+def test_ujla1_constant_equations_vanish_exactly_when_it_holds(dim, p, count):
+    equations = constant_equations(UJLA_1, dim, p)
+    assert all(1 <= c < p for eq in equations for _, c in eq)
+    outcomes = set()
+    for flat in _equation_tensors(dim, p, count):
+        expected = holds(tensor_algebra(dim, p, flat), UJLA_1)
+        assert _vanish(equations, flat, p) == expected, flat
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("spec", UJLA_SPECS[1:], ids=lambda spec: spec.name)
+def test_constant_equations_of_degree_three(spec):
+    """The helper is generic: the non-multilinear identities give cubic
+    equations, and they decide polynomial truth over all of d2 p2."""
+    equations = constant_equations(spec, 2, 2)
+    assert {len(idx) for eq in equations for idx, _ in eq} == {3}
+    for flat in itertools.product(range(2), repeat=8):
+        assert _vanish(equations, flat, 2) == holds(tensor_algebra(2, 2, flat), spec)
+
+
+def test_only_ujla1_survivors_are_built_as_algebras(monkeypatch):
+    """Pruning is real: a d2 p3 scan builds one Algebra per tensor that
+    passes ujla.1 (6561 - 5184), not one per tensor."""
+    from ujla import classify
+
+    built = []
+
+    def counting(dim, p, flat, name=""):
+        built.append(flat)
+        return tensor_algebra(dim, p, flat, name)
+
+    monkeypatch.setattr(classify, "tensor_algebra", counting)
+    survivors, counts = classify._scan_range((2, 3, "polynomial", 0, 6561))
+    assert counts[UJLA_1.name] == 5184
+    assert len(built) == 6561 - 5184 == 1377
+    assert set(survivors) <= set(built)
 
 
 @pytest.mark.parametrize("semantics", ["polynomial", "pointwise"])
@@ -92,6 +203,28 @@ def test_d2_p3_matches_golden(golden):
     assert result.class_count == entry["class_count"]
     assert [c.orbit_size for c in result.classes] == entry["orbit_sizes"]
     assert sum(c.orbit_size for c in result.classes) == result.ujla_count
+
+
+@pytest.mark.parametrize("semantics", ["polynomial", "pointwise"])
+def test_d2_p5_matches_golden(semantics, golden):
+    result = enumerate_ujla(SearchSpec(2, 5, semantics))
+    entry = _case(golden, 2, 5, semantics)
+    assert result.ujla_count == entry["ujla_count"]
+    assert result.class_count == entry["class_count"]
+    assert [c.orbit_size for c in result.classes] == entry["orbit_sizes"]
+    assert dict(result.failure_counts) == entry["failure_counts"]
+    assert result.total == entry["total"]
+
+
+def test_freeze_script_cases_are_the_golden_keys(golden):
+    """A case frozen by hand, or dropped from the script, would be lost on
+    the next regeneration."""
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "freeze_golden.py"
+    tree = ast.parse(script.read_text())
+    cases = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "CASES" for t in node.targets))
+    assert {f"d{dim}_p{p}_{semantics}" for dim, p, semantics in cases} == set(golden)
 
 
 def test_d2_p3_pointwise_matches_golden_with_workers(golden):
