@@ -10,7 +10,7 @@ a caveat, since Jordan theory degenerates there.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import Algebra
 from .identities import AxiomReport, IdentitySpec, check_identity, holds
@@ -66,16 +66,14 @@ def check_ujla(alg: Algebra, semantics: str = "polynomial") -> AxiomReport:
     return _suite(alg, UJLA_SPECS, semantics)
 
 
-def ujla_failure(alg: Algebra, semantics: str = "polynomial",
-                 specs: Sequence[IdentitySpec] = UJLA_SPECS) -> Optional[str]:
+def ujla_failure(alg: Algebra, semantics: str = "polynomial") -> Optional[str]:
     """Name of the first failing UJLA identity, or None when all pass.
 
-    Early-exit filter used by the exhaustive classification scan; the
-    identity order matches check_ujla's report order.  The scan passes
-    the suite without ujla.1, which it has already decided on the
-    structure constants.
+    Early-exit filter in check_ujla's report order.  The classification
+    scan decides the same first failure on the structure constants
+    instead (classify._scan_range); this is the per-algebra route.
     """
-    for spec in specs:
+    for spec in UJLA_SPECS:
         if not holds(alg, spec, semantics):
             return spec.name
     return None

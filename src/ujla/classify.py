@@ -6,15 +6,19 @@ chosen semantics, and groups survivors into isomorphism classes by
 brute-force enumeration of GL_d(F_p) basis changes.  Canonical class
 representatives are the lexicographically least tensors of their orbits.
 
-It does not visit every tensor.  ujla.1 is multilinear, so on the basis
-it is a set of quadratic equations in the d^3 structure constants.  The
-scan is a depth-first walk that fixes the constants in flat index order
-and decides each equation as soon as its last constant is fixed; a
-failing equation rejects the whole subtree at once, and the subtree's
-size (p^(unfixed constants), clipped to the scanned range) is added to
-the ujla.1 count.  Only tensors that pass ujla.1 are built as algebras
-and run through ujla.2a-2d, so the failure counts are exactly the
-first-failure counts of a tensor-by-tensor scan.
+It does not visit every tensor, and it builds none as an algebra.  On
+the basis, each UJLA identity is a set of polynomial equations in the
+d^3 structure constants: quadratic for the multilinear ujla.1, cubic for
+ujla.2a-2d (whose pointwise semantics groups monomials after x^p = x).
+The scan is a depth-first walk that fixes the constants in flat index
+order and decides each equation as soon as its last constant is fixed.
+A failing ujla.1 equation rejects the whole subtree at once, and the
+subtree's size (p^(unfixed constants), clipped to the scanned range) is
+added to the ujla.1 count.  A failing equation of a later identity only
+marks it as the first failure known so far, since a deeper ujla.1
+equation may still fail; each leaf then counts against the first
+identity in suite order that failed, so the failure counts are exactly
+the first-failure counts of a tensor-by-tensor scan.
 
 The scan partitions cleanly over index ranges; results are merged in
 range order, so the outcome is identical for any worker count.
@@ -26,11 +30,10 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Optional
 
 from .algebra import Algebra
-from .axioms import UJLA_1, UJLA_SPECS, ujla_failure
+from .axioms import UJLA_SPECS
 from .fields import PrimeField
 from .identities import constant_equations
 from .linalg import Matrix, NotInvertibleError, mat_inverse
@@ -109,13 +112,15 @@ def tensor_algebra(dim: int, p: int, flat: tuple, name: str = "") -> Algebra:
     )
 
 
-def _ujla1_buckets(dim: int, p: int) -> list:
-    """ujla.1's constant equations, bucketed by their largest flat index:
-    bucket t is decided once the walk has fixed constants 0..t.  ujla.1 is
-    multilinear, so the same equations serve both semantics."""
+def _suite_buckets(dim: int, p: int, semantics: str) -> list:
+    """Every UJLA identity's constant equations under the semantics, as
+    (suite position, equation) pairs bucketed by their largest flat index:
+    bucket t is decided once the walk has fixed constants 0..t.  Within a
+    bucket the pairs run in suite order."""
     buckets = [[] for _ in range(dim ** 3)]
-    for eq in constant_equations(UJLA_1, dim, p):
-        buckets[max(idx[-1] for idx, _ in eq)].append(eq)
+    for pos, spec in enumerate(UJLA_SPECS):
+        for eq in constant_equations(spec, dim, p, semantics):
+            buckets[max(idx[-1] for idx, _ in eq)].append((pos, eq))
     return buckets
 
 
@@ -128,22 +133,28 @@ def _scan_range(args) -> tuple:
     [start, stop).
 
     The walk fixes the flat constants in index order, which is the lex
-    order of the tensors.  Once constant t is fixed, the ujla.1 equations
-    whose largest index is t are decided; if one fails, the whole subtree
-    below (p^(unfixed) tensors, clipped to the range) counts as a ujla.1
-    failure unvisited.  Only the leaves left build an Algebra and run the
-    rest of the suite, so survivors come out in lex order and the counts
-    stay "first failure in suite order".
+    order of the tensors, and carries `first`, the suite position of the
+    least identity known to fail on the constants fixed so far.  Once
+    constant t is fixed, the equations whose largest index is t are
+    decided in suite order, those of identities before `first` only.  A
+    failing ujla.1 equation counts the whole subtree below (p^(unfixed)
+    tensors, clipped to the range) as a ujla.1 failure unvisited; any
+    other failing equation only lowers `first`, and the walk goes on,
+    since a deeper ujla.1 failure still comes first.  A leaf is a
+    survivor when no identity failed, and otherwise counts against
+    identity `first`.  No tensor is built as an algebra: survivors come
+    out in lex order and the counts stay "first failure in suite order".
     """
     dim, p, semantics, start, stop = args
     n = dim ** 3
-    buckets = _ujla1_buckets(dim, p)
+    names = [spec.name for spec in UJLA_SPECS]
+    buckets = _suite_buckets(dim, p, semantics)
     widths = [p ** (n - 1 - t) for t in range(n)]
     survivors = []
-    counts = {spec.name: 0 for spec in UJLA_SPECS}
+    counts = dict.fromkeys(names, 0)
     flat = [0] * n
 
-    def walk(t: int, lo: int) -> None:
+    def walk(t: int, lo: int, first: int) -> None:
         width = widths[t]
         for c in range(p):
             a = lo + c * width
@@ -151,20 +162,24 @@ def _scan_range(args) -> tuple:
             if b <= start or a >= stop:
                 continue
             flat[t] = c
-            if not all(_vanishes(eq, flat, p) for eq in buckets[t]):
-                counts[UJLA_1.name] += min(b, stop) - max(a, start)
+            failed = first
+            for pos, eq in buckets[t]:
+                if pos >= failed:
+                    break
+                if not _vanishes(eq, flat, p):
+                    failed = pos
+                    break
+            if failed == 0:
+                counts[names[0]] += min(b, stop) - max(a, start)
             elif t + 1 < n:
-                walk(t + 1, a)
+                walk(t + 1, a, failed)
+            elif failed < len(names):
+                counts[names[failed]] += 1
             else:
-                leaf = tuple(flat)
-                failed = ujla_failure(tensor_algebra(dim, p, leaf), semantics, UJLA_SPECS[1:])
-                if failed is None:
-                    survivors.append(leaf)
-                else:
-                    counts[failed] += 1
+                survivors.append(tuple(flat))
 
     if start < stop:
-        walk(0, 0)
+        walk(0, 0, len(names))
     return survivors, counts
 
 
@@ -236,6 +251,14 @@ def orbit_partition(spec: SearchSpec, survivors: tuple) -> tuple:
         assert rep == t, "survivors are scanned in lex order, so the first hit is the least"
         classes.append(OrbitClass(representative=rep, orbit_size=len(orbit)))
     return tuple(classes)
+
+
+def Pool(processes: int):
+    """A multiprocessing pool.  multiprocessing (and socket with it) is
+    imported here, only when a scan asks for workers, not by every command."""
+    from multiprocessing import Pool as _Pool
+
+    return _Pool(processes)
 
 
 def enumerate_ujla(spec: SearchSpec, workers: int = 1) -> ClassificationResult:

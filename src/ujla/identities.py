@@ -384,14 +384,20 @@ def _compile(spec: IdentitySpec, d: int, field, reduce: bool) -> _Plan:
     ))
 
 
-def _plan(alg: Algebra, spec: IdentitySpec, semantics: str) -> _Plan:
+def _reduces(spec: IdentitySpec, semantics: str) -> bool:
+    """Whether the semantics decides the identity on the plan reduced by x^p = x."""
     if semantics not in ("polynomial", "pointwise"):
         raise ValueError(f"unknown semantics {semantics!r} (expected 'polynomial' or 'pointwise')")
-    if semantics == "pointwise" and not alg.field.is_finite:
-        raise ValueError("pointwise semantics requires a finite field")
     # Every exponent of a multilinear identity is at most 1, which x^p = x
     # leaves alone: one plan serves both semantics.
-    return _compile(spec, alg.dim, alg.field, semantics == "pointwise" and not spec.is_multilinear)
+    return semantics == "pointwise" and not spec.is_multilinear
+
+
+def _plan(alg: Algebra, spec: IdentitySpec, semantics: str) -> _Plan:
+    reduce = _reduces(spec, semantics)
+    if semantics == "pointwise" and not alg.field.is_finite:
+        raise ValueError("pointwise semantics requires a finite field")
+    return _compile(spec, alg.dim, alg.field, reduce)
 
 
 def _table(shape, memo: dict, nonzero: list, d: int) -> list:
@@ -455,20 +461,26 @@ def _symbolic_table(shape, memo: dict, d: int) -> list:
     return table
 
 
+# Large enough for every key of the classification scan at d <= 2: 5 identities,
+# 3 primes, 2 dimensions and 2 semantics.
 @functools.lru_cache(maxsize=64)
-def constant_equations(spec: IdentitySpec, dim: int, p: int) -> tuple:
+def constant_equations(spec: IdentitySpec, dim: int, p: int,
+                       semantics: str = "polynomial") -> tuple:
     """The identity over F_p as polynomial equations in the structure constants.
 
     Constant number (i*dim + j)*dim + k is the coefficient of e_k in e_i e_j.
-    Each (monomial, coordinate) group of the polynomial plan is expanded
-    into a polynomial over those numbers, a tuple of (indices, coefficient)
-    terms with indices ascending and coefficients in [1, p).  The identity
-    holds polynomially on a tensor exactly when every returned polynomial
-    vanishes mod p on its constants; for a multilinear identity that is
-    pointwise truth as well.  Zero polynomials are dropped, and so are
-    repeats up to a nonzero scalar, which vanish together.
+    Each (monomial, coordinate) group of the plan for the semantics is
+    expanded into a polynomial over those numbers, a tuple of (indices,
+    coefficient) terms with indices ascending and coefficients in [1, p).
+    The identity holds under the semantics on a tensor exactly when every
+    returned polynomial vanishes mod p on its constants.  Under pointwise
+    semantics a non-multilinear identity's plan groups its monomials after
+    x^p = x; a reduced group's coefficient is still a sum of products of
+    constants, so its equations decide pointwise truth.  Zero polynomials
+    are dropped, and so are repeats up to a nonzero scalar, which vanish
+    together.
     """
-    plan = _compile(spec, dim, PrimeField(p), False)
+    plan = _compile(spec, dim, PrimeField(p), _reduces(spec, semantics))
     memo = {None: [[{(): 1} if i == j else {} for j in range(dim)] for i in range(dim)]}
     vectors = []
     for shape in plan.shapes:

@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 
 from reference import all_tensors, ref_is_ujla
 from strategies import algebras
+from test_identities import F2_POINTWISE_ONLY
 from ujla import corpus
 from ujla.axioms import (
     ALL_NAMED_IDENTITIES,
@@ -80,14 +81,17 @@ def test_pruned_scan_matches_per_tensor_oracle(dim, p, semantics):
 
 def test_pruned_scan_windows_cut_through_pruned_subtrees():
     """Seeded windows at d2 p3 whose bounds land inside subtrees that ujla.1
-    rejects whole: only the part inside the window may be counted."""
-    outcomes = _per_tensor_outcomes(2, 3, "polynomial")
+    rejects whole: only the part inside the window may be counted.  Both
+    semantics."""
     rng = random.Random(2024)
     windows = [(0, 0), (6561, 6561), (0, 1), (6560, 6561), (1, 6560)]
     windows += [tuple(sorted(rng.sample(range(6562), 2))) for _ in range(20)]
     windows += [(lo, lo + rng.randrange(1, 30)) for lo in rng.sample(range(6531), 20)]
-    for lo, hi in windows:
-        assert _scan_range((2, 3, "polynomial", lo, hi)) == _tally(outcomes[lo:hi]), (lo, hi)
+    for semantics in ("polynomial", "pointwise"):
+        outcomes = _per_tensor_outcomes(2, 3, semantics)
+        for lo, hi in windows:
+            assert _scan_range((2, 3, semantics, lo, hi)) == _tally(outcomes[lo:hi]), \
+                (semantics, lo, hi)
 
 
 def _vanish(equations, flat, p):
@@ -129,29 +133,41 @@ def test_ujla1_constant_equations_vanish_exactly_when_it_holds(dim, p, count):
 @pytest.mark.parametrize("spec", UJLA_SPECS[1:], ids=lambda spec: spec.name)
 def test_constant_equations_of_degree_three(spec):
     """The helper is generic: the non-multilinear identities give cubic
-    equations, and they decide polynomial truth over all of d2 p2."""
-    equations = constant_equations(spec, 2, 2)
-    assert {len(idx) for eq in equations for idx, _ in eq} == {3}
-    for flat in itertools.product(range(2), repeat=8):
-        assert _vanish(equations, flat, 2) == holds(tensor_algebra(2, 2, flat), spec)
+    equations, from the plan reduced by x^p = x under pointwise semantics,
+    and they decide truth under either semantics over all of d2 p2 and on
+    seeded tensors at d2 p3 and d2 p5."""
+    d2_p2 = list(itertools.product(range(2), repeat=8))
+    assert F2_POINTWISE_ONLY in d2_p2
+    for semantics in ("polynomial", "pointwise"):
+        for p, flats in [(2, d2_p2), (3, _equation_tensors(2, 3, 60)),
+                         (5, _equation_tensors(2, 5, 60))]:
+            equations = constant_equations(spec, 2, p, semantics)
+            assert {len(idx) for eq in equations for idx, _ in eq} == {3}
+            outcomes = set()
+            for flat in flats:
+                expected = holds(tensor_algebra(2, p, flat), spec, semantics)
+                assert _vanish(equations, flat, p) == expected, (semantics, p, flat)
+                outcomes.add(expected)
+            assert outcomes == {True, False}
 
 
-def test_only_ujla1_survivors_are_built_as_algebras(monkeypatch):
-    """Pruning is real: a d2 p3 scan builds one Algebra per tensor that
-    passes ujla.1 (6561 - 5184), not one per tensor."""
-    from ujla import classify
+@pytest.mark.parametrize("semantics", ["polynomial", "pointwise"])
+def test_scan_builds_no_algebra_and_runs_no_identity_check(semantics, monkeypatch, golden):
+    """The walk decides the whole suite on the structure constants: a d2 p3
+    scan builds no Algebra and runs no identity check, yet gives the golden
+    counts."""
+    from ujla import axioms, classify, identities
 
-    built = []
+    def never(*args, **kwargs):
+        raise AssertionError("the scan must decide the suite on the constants")
 
-    def counting(dim, p, flat, name=""):
-        built.append(flat)
-        return tensor_algebra(dim, p, flat, name)
-
-    monkeypatch.setattr(classify, "tensor_algebra", counting)
-    survivors, counts = classify._scan_range((2, 3, "polynomial", 0, 6561))
-    assert counts[UJLA_1.name] == 5184
-    assert len(built) == 6561 - 5184 == 1377
-    assert set(survivors) <= set(built)
+    for module, name in [(classify, "tensor_algebra"), (axioms, "ujla_failure"),
+                         (identities, "holds"), (axioms, "holds")]:
+        monkeypatch.setattr(module, name, never)
+    survivors, counts = classify._scan_range((2, 3, semantics, 0, 6561))
+    entry = _case(golden, 2, 3, semantics)
+    assert len(survivors) == entry["ujla_count"]
+    assert counts == entry["failure_counts"]
 
 
 @pytest.mark.parametrize("semantics", ["polynomial", "pointwise"])

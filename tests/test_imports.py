@@ -2,6 +2,8 @@
 oracles (`reference`, sympy) and test tooling stay out of it."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,13 @@ def test_library_imports_only_stdlib_and_itself(path):
         top = name.split(".")[0]
         assert top not in NEVER, name
         assert level > 0 or top == "ujla" or top in sys.stdlib_module_names, name
+
+
+def test_commands_do_not_import_multiprocessing():
+    """multiprocessing, and socket with it, is imported only when a scan
+    asks for workers, not by every command."""
+    code = ("import sys, ujla, ujla.cli; "
+            "print(sorted({'multiprocessing', 'socket'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
+    assert out.strip() == "[]"
