@@ -20,15 +20,15 @@ ScalarLike = Union[Scalar, int, str]
 
 
 def vec_add(field: FieldSpec, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.add(x, y) for x, y in zip(u, v))
+    return tuple(field.normalize(x + y) for x, y in zip(u, v))
 
 
 def vec_sub(field: FieldSpec, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.sub(x, y) for x, y in zip(u, v))
+    return tuple(field.normalize(x - y) for x, y in zip(u, v))
 
 
 def vec_scale(field: FieldSpec, c: Scalar, u: Sequence) -> Vector:
-    return tuple(field.mul(c, x) for x in u)
+    return tuple(field.normalize(c * x) for x in u)
 
 
 def vec_is_zero(field: FieldSpec, u: Sequence) -> bool:

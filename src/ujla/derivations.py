@@ -14,6 +14,7 @@ from __future__ import annotations
 from math import lcm
 
 from .algebra import Algebra, Vector, vec_add
+from .fields import coerce
 from .identities import AxiomReport, ConcreteWitness, Verdict
 from .linalg import Matrix, mat_vec
 
@@ -48,9 +49,10 @@ def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
     d = alg.dim
     if len(a) != d or len(b) != d:
         raise ValueError(f"{alg.name}: argument vectors must have length {d}")
+    field = alg.field
     nonzero, scale = _nonzero_constants(alg)
-    a_ints, a_scale = _integral(a)
-    b_ints, b_scale = _integral(b)
+    a_ints, a_scale = _integral([coerce(field, x) for x in a])
+    b_ints, b_scale = _integral([coerce(field, x) for x in b])
     acc = [[0] * d for _ in range(d)]
     for sign, p, q in terms_of(*_left_right(d, nonzero, a_ints), *_left_right(d, nonzero, b_ints)):
         for acc_row, p_row in zip(acc, p):
@@ -60,9 +62,9 @@ def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
                     for col, y in enumerate(q[t]):
                         if y:
                             acc_row[col] += x * y
-    field = alg.field
-    inv = field.inv(field.normalize(a_scale * b_scale * scale * scale))
-    return Matrix(field, tuple(tuple(field.mul(x, inv) for x in row) for row in acc))
+    norm = field.normalize
+    inv = field.inv(norm(a_scale * b_scale * scale * scale))
+    return Matrix(field, tuple(tuple(norm(x * inv) for x in row) for row in acc))
 
 
 def derivation_six_term(alg: Algebra, a: Vector, b: Vector) -> Matrix:

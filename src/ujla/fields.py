@@ -1,16 +1,20 @@
 """Exact ground fields: the rationals and prime fields F_p.
 
-Scalars are plain Python values interpreted through a field object:
-``Fraction`` for Q (always in lowest terms, positive denominator) and
-``int`` residues in ``[0, p)`` for F_p.  All arithmetic is exact; there
-is no floating-point mode.  Field objects are frozen and safe to share.
+Scalars are plain Python values: ``Fraction`` for Q (always in lowest
+terms, positive denominator) and ``int`` residues in ``[0, p)`` for F_p.
+The arithmetic is Python's own operators, exact, with no floating-point
+mode; a field object is only the boundary.  Values enter through
+``coerce``, ``parse`` and ``from_fraction``; each computed result is
+brought back with ``normalize`` and printed with ``format``; ``inv`` is
+the one operation a field does itself.  Field objects are frozen and
+safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[Fraction, int]
 
@@ -58,28 +62,10 @@ class Rationals:
             raise ValueError(f"not a Q scalar (floats and bools are rejected): {x!r}")
         return Fraction(x)
 
-    def add(self, x, y):
-        return self.normalize(x + y)
-
-    def sub(self, x, y):
-        return self.normalize(x - y)
-
-    def mul(self, x, y):
-        return self.normalize(x * y)
-
-    def neg(self, x):
-        return self.normalize(-x)
-
     def inv(self, x) -> Fraction:
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse in Q")
         return 1 / Fraction(x)
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
 
     def from_fraction(self, q: Fraction) -> Fraction:
         return Fraction(q)
@@ -92,9 +78,6 @@ class Rationals:
 
     def format(self, x) -> str:
         return str(self.normalize(x))
-
-    def elements(self) -> Iterable[Fraction]:
-        raise ValueError("Q is infinite; cannot enumerate its elements")
 
     def __str__(self) -> str:
         return "Q"
@@ -133,29 +116,11 @@ class PrimeField:
     def normalize(self, x: int) -> int:
         return x % self.p
 
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.p
-
-    def neg(self, x: int) -> int:
-        return -x % self.p
-
     def inv(self, x: int) -> int:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in F_{self.p}")
         return pow(x, self.p - 2, self.p)
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
 
     def from_fraction(self, q: Fraction) -> int:
         if q.denominator % self.p == 0:
@@ -169,7 +134,7 @@ class PrimeField:
         try:
             if "/" in text:
                 num, den = text.split("/", 1)
-                return self.div(int(num) % self.p, int(den) % self.p)
+                return int(num) * self.inv(int(den)) % self.p
             return int(text) % self.p
         except ZeroDivisionError:
             raise
@@ -180,9 +145,6 @@ class PrimeField:
 
     def format(self, x: int) -> str:
         return str(x % self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
 
     def __str__(self) -> str:
         return self.label
@@ -197,7 +159,7 @@ def coerce(field: FieldSpec, x) -> Scalar:
     """The one entry gate for scalars: a string is parsed, an int or
     Fraction is mapped into the field, anything else is rejected."""
     if type(x) is int:  # the constructors' common case, ahead of the checks; excludes bool
-        return field.from_int(x)
+        return field.normalize(x)
     if isinstance(x, str):
         return field.parse(x)
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):

@@ -71,8 +71,8 @@ class Poly:
         return Poly(field, self.nvars, acc)
 
     def __neg__(self) -> "Poly":
-        neg = self.field.neg
-        return Poly(self.field, self.nvars, {m: neg(c) for m, c in self.terms.items()})
+        norm = self.field.normalize
+        return Poly(self.field, self.nvars, {m: norm(-c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)

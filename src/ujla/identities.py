@@ -284,13 +284,12 @@ def _eval_word(alg: Algebra, word: Word, env: dict, cache: dict):
 
 def _eval_comb_concrete(alg: Algebra, comb: LinComb, env: dict, cache: dict) -> Vector:
     field = alg.field
-    acc = [field.zero] * alg.dim
+    acc = [0] * alg.dim
     for coef, word in comb:
-        vec = _eval_word(alg, word, env, cache)
         c = field.from_fraction(coef)
-        for k in range(alg.dim):
-            acc[k] = field.add(acc[k], field.mul(c, vec[k]))
-    return tuple(acc)
+        for k, x in enumerate(_eval_word(alg, word, env, cache)):
+            acc[k] += c * x
+    return tuple(map(field.normalize, acc))
 
 
 def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
@@ -532,15 +531,14 @@ def _slot_value(alg: Algebra, shape, slots) -> Vector:
 def _slot_coefficients(alg: Algebra, spec: IdentitySpec, mono: tuple, k: int) -> tuple:
     """(lhs, rhs) coefficients of one monomial at coordinate k, from the slot
     assignments that land on it, evaluated through Algebra.multiply."""
-    field, d = alg.field, alg.dim
-    acc = [field.zero, field.zero]
+    d = alg.dim
+    acc = [0, 0]
     for side, coef, shape, leaves in _plan(alg, spec, "polynomial").words:
         choices = [[i for i in range(d) if mono[v * d + i]] for v in leaves]
         for sigma in itertools.product(*choices):
             if _monomial(leaves, sigma, len(mono), d) == mono:
-                x = _slot_value(alg, shape, iter(sigma))[k]
-                acc[side] = field.add(acc[side], field.mul(coef, x))
-    return tuple(acc)
+                acc[side] += coef * _slot_value(alg, shape, iter(sigma))[k]
+    return tuple(map(alg.field.normalize, acc))
 
 
 def holds(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> bool:
@@ -598,7 +596,7 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec) -> Optional[Concr
     d = alg.dim
     field = alg.field
     # dict.fromkeys dedupes while keeping order (0 = 1 = -1 collapses mod 2)
-    pool = list(dict.fromkeys([field.zero, field.one, field.neg(field.one)]))
+    pool = list(dict.fromkeys([field.zero, field.one, field.normalize(-1)]))
     grid = itertools.islice(itertools.product(pool, repeat=nv * d), WITNESS_SEARCH_CAP)
     # Basis tuples first: they witness most failures and read well.
     for combo in itertools.chain(

@@ -97,7 +97,7 @@ def _echelon(field: FieldSpec, rows: list) -> tuple[list, list]:
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    zero = field.zero
+    zero, norm = field.zero, field.normalize
     pivots = []
     r = 0
     for c in range(ncols):
@@ -112,11 +112,11 @@ def _echelon(field: FieldSpec, rows: list) -> tuple[list, list]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv_p = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv_p, x) for x in rows[r]]
+        rows[r] = [norm(inv_p * x) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != zero:
                 f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -166,11 +166,11 @@ def mat_kernel(a: Matrix) -> list[tuple]:
         v = [zero] * n
         v[f] = one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(reduced.rows[r][f])
+            v[pc] = field.normalize(-reduced.rows[r][f])
         lead = next(x for x in v if x != zero)
         if lead != one:
             inv_lead = field.inv(lead)
-            v = [field.mul(inv_lead, x) for x in v]
+            v = [field.normalize(inv_lead * x) for x in v]
         basis.append(tuple(v))
     return basis
 
@@ -184,7 +184,7 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
         raise ValueError("right-hand side length mismatch")
     field = a.field
     n = a.ncols
-    aug = [list(r) + [field.normalize(x)] for r, x in zip(a.rows, b)]
+    aug = [list(r) + [coerce(field, x)] for r, x in zip(a.rows, b)]
     aug, pivots = _echelon(field, aug)
     if n in pivots:
         return None

@@ -33,8 +33,7 @@ def commutator(alg: Algebra) -> Algebra:
     """Bracket product [u, v] = uv - vu; the unit annotation is dropped
     (1 is never a unit for an alternating product)."""
     field = alg.field
-    one = field.one
-    tensor = _recombined_tensor(alg, one, field.neg(one))
+    tensor = _recombined_tensor(alg, field.one, field.normalize(-1))
     return alg.with_tensor(alg.name + "/lie", tensor, unit=None)
 
 
@@ -59,7 +58,7 @@ def deform(alg: Algebra, alpha: Scalar, beta: Scalar) -> Algebra:
     field = alg.field
     alpha, beta = coerce(field, alpha), coerce(field, beta)
     tensor = _recombined_tensor(alg, alpha, beta)
-    unit = alg.unit if field.add(alpha, beta) == field.one else None
+    unit = alg.unit if field.normalize(alpha + beta) == field.one else None
     name = f"{alg.name}/deform({field.format(alpha)},{field.format(beta)})"
     return alg.with_tensor(name, tensor, unit=unit)
 

@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -9,6 +13,8 @@ from ujla.transforms import commutator
 from ujla.fields import QQ
 from ujla.linalg import Matrix
 from ujla.yang_baxter import TensorSquareOperator
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -107,6 +113,10 @@ def test_yb_params_classification(capsys):
     assert run(["yb", "params", "--alpha", "0", "--beta", "0", "--gamma", "2",
                 "--field", "F5"]) == 0
     assert "case: iii" in capsys.readouterr().out
+    assert run(["yb", "params", "--field", "F5", "--alpha", "1/5", "--beta", "1",
+                "--gamma", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_yb_assoc_verify(files, capsys):
@@ -227,3 +237,41 @@ def test_reports_are_byte_identical(files, capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+
+
+def test_algebras_directory_is_the_exported_corpus():
+    spec = importlib.util.spec_from_file_location(
+        "export_corpus", ROOT / "scripts" / "export_corpus.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    on_disk = {path.name: path.read_text() for path in (ROOT / "algebras").glob("*.alg")}
+    assert on_disk == {name: dumps_algebra(alg) for name, alg in script.EXPORTS.items()}
+
+
+def _readme_cli_examples():
+    """(argv, stated exit status) of each literal README CLI example whose
+    inputs exist in the repository; the status is 0 unless a comment says."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        inputs = [a for a in argv if a.endswith((".alg", ".op"))]
+        if any("[" in a for a in argv) or not all((ROOT / a).is_file() for a in inputs):
+            continue
+        stated = re.match(r"\s*exit (\d)", comment)
+        examples.append((argv, int(stated.group(1)) if stated else 0))
+    return examples
+
+
+def test_readme_cli_examples_exit_as_stated(capsys):
+    examples = _readme_cli_examples()
+    assert [argv[0] for argv, _ in examples] == [
+        "check", "check", "derive", "derive", "compat", "yb", "yb", "yb", "center",
+        "derivation",
+    ]
+    for argv, stated in examples:
+        argv = [str(ROOT / a) if a.startswith("algebras/") else a for a in argv]
+        assert run(argv) == stated, argv
+        assert capsys.readouterr().err == "", argv

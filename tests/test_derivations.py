@@ -205,7 +205,7 @@ def test_six_term_is_argument_swapped_two_term_on_jordan(standard_corpus):
                 assert six == derivation_two_term(alg, b, a), alg.name
                 neg_two = Matrix(
                     alg.field,
-                    tuple(tuple(alg.field.neg(x) for x in row)
+                    tuple(tuple(alg.field.normalize(-x) for x in row)
                           for row in derivation_two_term(alg, a, b).rows),
                 )
                 assert six == neg_two, alg.name

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from strategies import prime_fields, rationals
 from ujla import corpus
 from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products
+from ujla.derivations import derivation_six_term, derivation_two_term
 from ujla.fields import QQ, PrimeField, coerce, parse_field
 from ujla.linalg import Matrix, solve
 from ujla.transforms import deform
@@ -21,15 +22,17 @@ F5 = PrimeField(5)
 
 
 def test_rational_arithmetic():
-    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert QQ.mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
-    assert QQ.neg(Fraction(1, 2)) == Fraction(-1, 2)
+    assert QQ.normalize(Fraction(1, 2) + Fraction(1, 3)) == Fraction(5, 6)
+    assert QQ.normalize(Fraction(2, 3) * Fraction(3, 4)) == Fraction(1, 2)
+    assert QQ.normalize(-Fraction(1, 2)) == Fraction(-1, 2)
+    assert QQ.normalize(Fraction(1, 2) * QQ.inv(Fraction(1, 3))) == Fraction(3, 2)
 
 
 def test_prime_field_inverse():
     F5 = PrimeField(5)
     assert F5.inv(2) == 3
-    assert F5.mul(2, F5.inv(2)) == 1
+    assert F5.inv(-3) == 3
+    assert F5.normalize(2 * F5.inv(2)) == 1
 
 
 def test_inverse_of_zero_is_an_error():
@@ -69,6 +72,23 @@ def test_scalar_parsing_and_formatting():
         QQ.parse("x")
     with pytest.raises(ValueError):
         F5.parse("a/b")
+    assert F5.parse("4/3") == 3
+    assert F5.parse("-4/3") == 2
+    assert F5.parse("7/-2") == 4
+    for zero_denominator in ("1/5", "3/10", "2/0"):
+        with pytest.raises(ZeroDivisionError):
+            F5.parse(zero_denominator)
+
+
+def test_both_fields_expose_one_interface():
+    def public(field):
+        return {name for name in dir(field) if not name.startswith("_")}
+
+    assert public(PrimeField(5)) == public(QQ) | {"p"}
+    assert public(QQ) == {
+        "characteristic", "format", "from_fraction", "inv", "is_finite", "label",
+        "normalize", "one", "parse", "zero",
+    }
 
 
 def test_from_fraction():
@@ -78,26 +98,21 @@ def test_from_fraction():
         PrimeField(2).from_fraction(Fraction(1, 2))
 
 
-def test_elements_enumeration():
-    assert list(PrimeField(3).elements()) == [0, 1, 2]
-    with pytest.raises(ValueError):
-        QQ.elements()
-
-
 @given(rationals)
 def test_rational_inverse_exact(x):
     if x != 0:
-        assert QQ.mul(x, QQ.inv(x)) == Fraction(1)
+        assert QQ.normalize(x * QQ.inv(x)) == QQ.one
 
 
 @given(prime_fields, st.integers(), st.integers(), st.integers())
 def test_prime_field_ring_axioms(field, a, b, c):
-    a, b, c = field.normalize(a), field.normalize(b), field.normalize(c)
-    assert field.add(a, b) == field.add(b, a)
-    assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-    assert field.add(a, field.neg(a)) == field.zero
+    norm = field.normalize
+    a, b, c = norm(a), norm(b), norm(c)
+    assert norm(a + b) == norm(b + a)
+    assert norm(a * norm(b + c)) == norm(norm(a * b) + norm(a * c))
+    assert norm(a + norm(-a)) == field.zero
     if a != field.zero:
-        assert field.mul(a, field.inv(a)) == field.one
+        assert norm(a * field.inv(a)) == field.one
 
 
 @given(prime_fields, st.integers(min_value=0, max_value=100))
@@ -128,6 +143,11 @@ SCALAR_ENTRIES = {
     "build_lie_yb": lambda x: build_lie_yb(corpus.heisenberg(F5), x, (0, 0, 1)).matrix[8, 1],
     "build_lie_yb.z": lambda x: build_lie_yb(corpus.heisenberg(F5), 1, (0, 0, x)).matrix[8, 1],
     "classify_params": lambda x: classify_params(F5, x, 1, 3),
+    "solve": lambda x: solve(Matrix.identity(F5, 1), [x])[0],
+    "derivation_six_term": lambda x: derivation_six_term(
+        corpus.upper_triangular_2x2(F5), (x, 0, 0), (0, 1, 0))[1, 2],
+    "derivation_two_term": lambda x: derivation_two_term(
+        corpus.upper_triangular_2x2(F5), (1, 0, 0), (0, x, 0))[1, 2],
 }
 
 
@@ -162,5 +182,6 @@ def test_rational_normalize_rejects_floats_and_bools():
             QQ.normalize(bad)
     eye = Matrix.from_rows(QQ, [[1, 0], [0, 1]])
     assert solve(eye, [Fraction(1, 2), 3]) == (Fraction(1, 2), Fraction(3))
-    with pytest.raises(ValueError):
-        solve(eye, [0.5, 0.1])
+    for field in (QQ, F5):
+        with pytest.raises(ValueError, match="scalar must be"):
+            solve(Matrix.identity(field, 2), [0.5, 1])

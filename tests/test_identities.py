@@ -318,7 +318,7 @@ def test_coefficient_witness_tampering_is_detected(p, d, count):
         field, cw = alg.field, verdict.coefficient_witness
         bare = replace(verdict, concrete_witness=None)
         assert revalidate_verdict(alg, bare)
-        wrong = replace(cw, lhs_coefficient=field.add(cw.lhs_coefficient, field.one))
+        wrong = replace(cw, lhs_coefficient=field.normalize(cw.lhs_coefficient + 1))
         assert not revalidate_verdict(alg, replace(bare, coefficient_witness=wrong))
         tampers = {
             "monomial": replace(cw, monomial=cw.monomial[1:] + cw.monomial[:1]),
