@@ -6,13 +6,22 @@ Matrix convention, shared by every checker and oracle in this package:
 column index i*d + j encodes e_i (x) e_j, and the entry at row k*d + l
 is the coefficient of e_k (x) e_l in the image.  Triple-space lifts use
 index i*d^2 + j*d + k for e_i (x) e_j (x) e_k.
+
+The braid and QYBE checks run on integers: R is scaled once by L, the
+lcm of its entries' denominators (L = 1 over F_p), its lifts are built
+as integer rows by the same slot rule as `lift`, and the dense triple
+products are formed in Python ints (reduced mod p over F_p).  Only the
+first mismatching entry is converted back, as x / L^3, to a field scalar.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, format_vector, vec_is_zero
@@ -70,6 +79,17 @@ def compose(f: TensorSquareOperator, g: TensorSquareOperator) -> TensorSquareOpe
 _SLOTS = {12: (0, 1, 2), 23: (1, 2, 0), 13: (0, 2, 1)}
 
 
+def _lift_rows(rows: Sequence[Sequence], d: int, position: int, zero) -> tuple:
+    """Rows of the lift of the d^2 x d^2 grid rows to the slots named by
+    position, with zero off the slot pattern (see lift)."""
+    s, t, o = _SLOTS[position]
+    triples = list(itertools.product(range(d), repeat=3))
+    return tuple(
+        tuple(rows[u[s] * d + u[t]][v[s] * d + v[t]] if u[o] == v[o] else zero for v in triples)
+        for u in triples
+    )
+
+
 def lift(r: TensorSquareOperator, position: int) -> Matrix:
     """Lift to V (x) V (x) V acting on the slots named by position: 12, 23, or 13.
 
@@ -79,23 +99,42 @@ def lift(r: TensorSquareOperator, position: int) -> Matrix:
     """
     if position not in _SLOTS:
         raise ValueError(f"lift position must be 12, 23, or 13, got {position}")
-    s, t, o = _SLOTS[position]
-    d, rm, zero = r.dim, r.matrix.rows, r.field.zero
-    triples = list(itertools.product(range(d), repeat=3))
-    return Matrix(r.field, tuple(
-        tuple(rm[u[s] * d + u[t]][v[s] * d + v[t]] if u[o] == v[o] else zero for v in triples)
-        for u in triples
-    ))
+    return Matrix(r.field, _lift_rows(r.matrix.rows, r.dim, position, r.field.zero))
+
+
+def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> list:
+    """Dense product of two integer row grids, reduced mod p when p > 0."""
+    cols = list(zip(*b))
+    if p:
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -> Optional[tuple]:
-    """Row-major first (row, col, lhs, rhs) where the two lift products differ, else None."""
-    lifts = {p: lift(r, p) for p in lhs_word}
-    lhs, rhs = (mat_mul(lifts[a], mat_mul(lifts[b], lifts[c])) for a, b, c in (lhs_word, rhs_word))
-    for row, (ra, rb) in enumerate(zip(lhs.rows, rhs.rows)):
+    """Row-major first (row, col, lhs, rhs) where the two lift products differ, else None.
+
+    R is scaled once by L, the lcm of its entries' denominators (L = 1
+    over F_p), so every lift is an integer grid and each triple product,
+    formed in Python ints, is L^3 times the true one; over F_p each
+    product is reduced mod p.  The two products are compared as integers,
+    and only the first mismatch is brought back to field scalars, as
+    x / L^3 through the field.
+    """
+    field, rows = r.field, r.matrix.rows
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+    lifts = {pos: _lift_rows(ints, r.dim, pos, 0) for pos in lhs_word}
+    p = field.characteristic
+    lhs, rhs = (
+        _int_product(lifts[a], _int_product(lifts[b], lifts[c], p), p)
+        for a, b, c in (lhs_word, rhs_word)
+    )
+    for row, (ra, rb) in enumerate(zip(lhs, rhs)):
         if ra != rb:
             col = next(c for c, (x, y) in enumerate(zip(ra, rb)) if x != y)
-            return (row, col, ra[col], rb[col])
+            cube = scale ** 3
+            return (row, col, field.from_fraction(Fraction(ra[col], cube)),
+                    field.from_fraction(Fraction(rb[col], cube)))
     return None
 
 

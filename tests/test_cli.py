@@ -172,6 +172,25 @@ def test_yb_verify_operator_file(tmp_path, capsys):
     assert "invertible: no" in capsys.readouterr().out
 
 
+def test_yb_verify_reports_fractional_first_mismatch(tmp_path, capsys):
+    from operator_oracle import dense_oracle
+
+    m = Matrix.from_rows(QQ, [["1/2", 0, 0, 0], [0, 0, "2/3", 0], [0, "-7/4", 0, 0],
+                              ["5/6", 0, 0, "-3/2"]])
+    op = TensorSquareOperator(QQ, 2, m)
+    path = tmp_path / "frac.op"
+    path.write_text(dumps_operator(op, name="frac"))
+    assert run(["yb", "verify", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    _, braid, qybe = dense_oracle(op)
+    assert braid is not None and qybe is not None
+    r, c, lhs, rhs = braid
+    expected = f"  first mismatch at entry ({r}, {c}): lhs = {lhs}, rhs = {rhs}"
+    assert expected == "  first mismatch at entry (3, 0): lhs = 10/27, rhs = 5/24"
+    assert lines[lines.index("braid: FAIL") + 1] == expected
+    assert "qybe: FAIL" in lines
+
+
 def test_center_output(files, capsys):
     assert run(["center", files["heisenberg"]]) == 0
     out = capsys.readouterr().out

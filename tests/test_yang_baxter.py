@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from operator_oracle import dense_oracle, lift13_via_composition
 from strategies import matrices, prime_fields
 from ujla import corpus
 from ujla.fields import PrimeField, QQ
-from ujla.linalg import Matrix, kron, mat_mul
+from ujla.linalg import Matrix
 from ujla.yang_baxter import (
     TensorSquareOperator,
     build_assoc_yb,
@@ -83,15 +84,6 @@ def test_lift12_is_kronecker_padding():
         assert col[hot] == 1 and sum(1 for x in col if x != 0) == 1
 
 
-def lift13_via_composition(r):
-    """The 13-lift as (I (x) tau)(R (x) I)(I (x) tau)."""
-    d = r.dim
-    field = r.field
-    i_tau = kron(Matrix.identity(field, d), twist(field, d).matrix)
-    r_i = kron(r.matrix, Matrix.identity(field, d))
-    return mat_mul(i_tau, mat_mul(r_i, i_tau))
-
-
 @given(prime_fields, st.data())
 def test_lift13_matches_composition_formula(field, data):
     op = random_operator(field, 2, data)
@@ -118,30 +110,13 @@ def test_twist_satisfies_qybe():
 
 def test_braid_failure_reports_first_mismatch():
     m = Matrix.from_rows(QQ, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 1]])
-    report = check_braid(TensorSquareOperator(QQ, 2, m))
+    op = TensorSquareOperator(QQ, 2, m)
+    report = check_braid(op)
     assert not report.braid_ok
-    r, c, lhs, rhs = report.first_mismatch
-    assert lhs != rhs
+    assert report.first_mismatch == dense_oracle(op)[1] == (0, 0, Fraction(1), Fraction(2))
 
 
 # --- lifts, braid and QYBE against the dense Kronecker oracle ---------------
-
-def dense_oracle(r):
-    """Lifts as Kronecker paddings and twist conjugation, and the first
-    row-major mismatch of the braid and QYBE products formed from them."""
-    ident = Matrix.identity(r.field, r.dim)
-    lifts = {12: kron(r.matrix, ident), 23: kron(ident, r.matrix), 13: lift13_via_composition(r)}
-
-    def first_mismatch(lhs_word, rhs_word):
-        lhs, rhs = (mat_mul(lifts[a], mat_mul(lifts[b], lifts[c])) for a, b, c in (lhs_word, rhs_word))
-        for row, col in itertools.product(range(lhs.nrows), range(lhs.ncols)):
-            if lhs[row, col] != rhs[row, col]:
-                return (row, col, lhs[row, col], rhs[row, col])
-        return None
-
-    return (lifts, first_mismatch((12, 23, 12), (23, 12, 23)),
-            first_mismatch((12, 13, 23), (23, 13, 12)))
-
 
 def seeded_operators(field, dim, count):
     """The identity, the twist and seeded random operators: dense ones and
@@ -174,6 +149,72 @@ def test_lifts_and_mismatches_match_dense_oracle(field):
             failing += not b.braid_ok
             total += 1
     assert total > failing >= total / 3
+
+
+FRACTIONS = (0, 1, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(5, 6), Fraction(-7, 4))
+
+
+def fractional_operators(field, dim, count):
+    """Seeded operators with entries from FRACTIONS over Q (residues over
+    F_p): nonzero multiples of the identity and the twist, which satisfy
+    braid and QYBE, the same with one or two entries changed, and dense ones."""
+    rng = random.Random(f"fractional:{field.label}:{dim}")
+    values = FRACTIONS if field == QQ else tuple(range(field.p))
+    side = dim * dim
+    ops = []
+    for n in range(count):
+        base = (twist if n % 2 else identity_operator)(field, dim)
+        c = rng.choice(values[1:])
+        rows = [[c * x for x in row] for row in base.matrix.rows]
+        if n % 4 == 3:
+            rows = [[rng.choice(values) for _ in range(side)] for _ in range(side)]
+        for _ in range(n % 4 % 3):
+            rows[rng.randrange(side)][rng.randrange(side)] = rng.choice(values)
+        ops.append(TensorSquareOperator(field, dim, Matrix.from_rows(field, rows)))
+    return ops
+
+
+def family_operators(field, params):
+    """The associative family on the dual numbers for each (alpha, beta,
+    gamma) and the Lie family on the Heisenberg algebra at alpha = the
+    first alpha, z central."""
+    dual, heis = corpus.dual_numbers(field), corpus.heisenberg(field)
+    ops = [build_assoc_yb(dual, *abc) for abc in params]
+    ops.append(build_lie_yb(heis, params[0][0], center(heis)[0]))
+    return ops
+
+
+def test_integer_kernel_matches_dense_oracle_on_fractional_operators():
+    """The integer lift products, scaled by the lcm L of R's denominators
+    (up to 12 here) and reduced mod p over F_p, give the oracle's verdicts
+    and first mismatches, with Fraction scalars over Q and residues over F_p."""
+    member = (Fraction(2, 3), Fraction(-7, 4), Fraction(2, 3))  # case (i)
+    non_member = (Fraction(1, 2), Fraction(5, 6), Fraction(-3, 2))
+    # One d = 4 operator, the dense one: the Fraction oracle takes about 10 s per operator there.
+    cases = {
+        QQ: fractional_operators(QQ, 2, 8) + fractional_operators(QQ, 3, 4)
+        + fractional_operators(QQ, 4, 4)[3:] + family_operators(QQ, (member, non_member)),
+        PrimeField(3): fractional_operators(PrimeField(3), 2, 8)
+        + fractional_operators(PrimeField(3), 3, 4),
+        F5: fractional_operators(F5, 2, 8) + family_operators(F5, (member, non_member)),
+    }
+    outcomes = set()
+    for field, ops in cases.items():
+        for op in ops:
+            _, braid, qybe = dense_oracle(op)
+            b, q = check_braid(op), check_qybe(op)
+            assert (b.braid_ok, b.first_mismatch) == (braid is None, braid), op
+            assert (q.qybe_ok, q.first_mismatch) == (qybe is None, qybe), op
+            outcomes |= {("braid", b.braid_ok), ("qybe", q.qybe_ok)}
+            for mismatch in (b.first_mismatch, q.first_mismatch):
+                if mismatch is None:
+                    continue
+                for x in mismatch[2:]:
+                    if field == QQ:
+                        assert type(x) is Fraction, mismatch
+                    else:
+                        assert type(x) is int and 0 <= x < field.p, mismatch
+    assert outcomes == {(w, ok) for w in ("braid", "qybe") for ok in (True, False)}
 
 
 # --- the associative family ---------------------------------------------------
