@@ -19,12 +19,18 @@ Two semantics are implemented:
   found by fixing one coordinate at a time in the reduced difference.
 
 Both are decided by a plan compiled once per identity, dimension, field
-and semantics: the coefficients are sums of integer slot tables built
-from the structure constants, with no formal polynomials.  For the
-classification scan, constant_equations expands the same plan with the
-structure constants left symbolic, into polynomial equations in them.
+and semantics: the coefficients are sums of integer slot-table rows
+built from the structure constants, with no formal polynomials.  A row
+is built the first time a group reads it, so a failure in the first
+groups builds only their rows.  A polynomial failure's concrete witness
+is read off the same rows (basis tuples) and the same integer tensor
+(the {0, 1, -1} grid).  For the classification scan, constant_equations
+expands the same plan with the structure constants left symbolic, into
+polynomial equations in them.
 
-Failures always carry a witness that can be re-validated independently.
+Failures always carry a witness that can be re-validated independently:
+revalidate_verdict recomputes it through Algebra.multiply and field
+scalars, not through the integer rows.
 """
 
 from __future__ import annotations
@@ -319,7 +325,8 @@ def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
 # Arithmetic is on ints.  Over F_p the tensor and the coefficients are
 # residues, reduced once per sum.  Over Q the tensor is scaled by the lcm L
 # of its denominators and the coefficients by the lcm D of theirs, so a sum
-# over a group of degree m is its coefficient times D * L^(m-1).
+# over a group of degree m is its coefficient times D * L^(m-1).  The rows
+# of one algebra live in a _Rows, one lazily built _Table per shape.
 
 def _leaves(word: Word) -> list:
     if isinstance(word, str):
@@ -342,10 +349,12 @@ def _monomial(leaves: Sequence[int], sigma: Sequence[int], size: int, d: int) ->
 @dataclass(frozen=True)
 class _Plan:
     scale: int  # D over Q, 1 over F_p
-    words: tuple  # (side, field coefficient, shape, leaf variable numbers)
-    shapes: tuple  # word shapes whose tables are laid end to end
+    # (side, field coefficient, int coefficient, table, leaf variable numbers),
+    # the table an index into shapes
+    words: tuple
+    shapes: tuple  # word shapes, one slot table each
     # (monomial, lhs terms, rhs terms), ascending by monomial; each side's
-    # terms are ((int coefficient, table rows), ...)
+    # terms are ((int coefficient, table, rows of that table), ...)
     groups: tuple
 
 
@@ -356,29 +365,25 @@ def _compile(spec: IdentitySpec, d: int, field, reduce: bool) -> _Plan:
     comb = spec.lhs + spec.rhs
     scale = 1 if field.is_finite else math.lcm(*(c.denominator for c, _ in comb))
     words = []
-    offsets: dict = {}  # shape -> first table row
-    rows = 0
-    groups: dict = {}  # monomial -> ({coefficient: rows} for lhs, same for rhs)
+    tables: dict = {}  # shape -> table number
+    groups: dict = {}  # monomial -> ({(coefficient, table): rows} for lhs, same for rhs)
     for side, terms in enumerate((spec.lhs, spec.rhs)):
         for coef, word in terms:
             fc = field.from_fraction(coef)
             if fc == field.zero:
                 continue
-            leaves = [var[v] for v in _leaves(word)]
-            shape = _shape(word)
-            words.append((side, fc, shape, tuple(leaves)))
-            if shape not in offsets:
-                offsets[shape] = rows
-                rows += d ** len(leaves)
+            leaves = tuple(var[v] for v in _leaves(word))
+            t = tables.setdefault(_shape(word), len(tables))
             c = fc if field.is_finite else int(coef * scale)
+            words.append((side, fc, c, t, leaves))
             sigmas = itertools.product(range(d), repeat=len(leaves))
-            for n, sigma in enumerate(sigmas, offsets[shape]):
+            for n, sigma in enumerate(sigmas):
                 mono = _monomial(leaves, sigma, size, d)
                 if reduce:
                     mono = tuple(1 + (e - 1) % (field.p - 1) if e else 0 for e in mono)
-                groups.setdefault(mono, ({}, {}))[side].setdefault(c, []).append(n)
-    return _Plan(scale, tuple(words), tuple(offsets), tuple(
-        (mono, *(tuple((c, tuple(ns)) for c, ns in by_coef.items()) for by_coef in sides))
+                groups.setdefault(mono, ({}, {}))[side].setdefault((c, t), []).append(n)
+    return _Plan(scale, tuple(words), tuple(tables), tuple(
+        (mono, *(tuple((c, t, tuple(ns)) for (c, t), ns in by_key.items()) for by_key in sides))
         for mono, sides in sorted(groups.items())
     ))
 
@@ -399,47 +404,103 @@ def _plan(alg: Algebra, spec: IdentitySpec, semantics: str) -> _Plan:
     return _compile(spec, alg.dim, alg.field, reduce)
 
 
-def _table(shape, memo: dict, nonzero: list, d: int) -> list:
-    """Vectors of the shape on every slot assignment, sigma read big-endian."""
-    table = memo.get(shape)
-    if table is None:
-        left = _table(shape[0], memo, nonzero, d)
-        right = [[(j, y) for j, y in enumerate(v) if y] for v in _table(shape[1], memo, nonzero, d)]
-        table = []
-        for u in left:
-            uterms = [(x, nonzero[i]) for i, x in enumerate(u) if x]
-            for vterms in right:
-                acc = [0] * d
-                for x, plane in uterms:
-                    for j, y in vterms:
-                        s = x * y
-                        for k, c in plane[j]:
-                            acc[k] += s * c
-                table.append(acc)
-        memo[shape] = table
-    return table
+def _product(uterms: list, vterms: list, d: int) -> list:
+    """Integer product of u and v, given as their nonzero (x, plane i of the
+    tensor) and (j, y) terms; plane[j] lists the nonzero (k, c) of e_i e_j."""
+    acc = [0] * d
+    for x, plane in uterms:
+        for j, y in vterms:
+            s = x * y
+            for k, c in plane[j]:
+                acc[k] += s * c
+    return acc
 
 
-def _columns(plan: _Plan, alg: Algebra) -> tuple:
-    """Per coordinate, a getter over the plan's tables laid end to end, and L."""
-    d, tensor = alg.dim, alg.tensor
-    denom = 1
-    if not alg.field.is_finite:
-        denom = math.lcm(*(c.denominator for c in alg.tensor_flat()))
-        tensor = [[[c.numerator * (denom // c.denominator) for c in row] for row in plane]
-                  for plane in tensor]
-    nonzero = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in tensor]
-    memo = {None: [[int(i == j) for j in range(d)] for i in range(d)],
-            (None, None): [row for plane in tensor for row in plane]}
-    vectors = []
-    for shape in plan.shapes:
-        vectors.extend(_table(shape, memo, nonzero, d))
-    return [col.__getitem__ for col in zip(*vectors)], denom
+class _Rows:
+    """The integer slot tables of one algebra, one per shape, each row built
+    the first time it is read.
+
+    Over Q the tensor is scaled by L, the lcm of its denominators, so a row
+    of a shape with m leaves is L^(m-1) times the word's value on the basis
+    vectors; over F_p, L is 1 and rows are reduced mod p only where they
+    are compared.  p is the characteristic, 0 over Q.
+    """
+
+    def __init__(self, alg: Algebra):
+        d, tensor = alg.dim, alg.tensor
+        self.d, self.p = d, alg.field.characteristic
+        self.denom = 1
+        if not alg.field.is_finite:
+            self.denom = math.lcm(*(c.denominator for c in alg.tensor_flat()))
+            tensor = [[[c.numerator * (self.denom // c.denominator) for c in row] for row in plane]
+                      for plane in tensor]
+        self.planes = [[[(k, c) for k, c in enumerate(row) if c] for row in plane]
+                       for plane in tensor]
+        self.tables = {
+            None: _Table(self, None, [[int(i == j) for j in range(d)] for i in range(d)]),
+            (None, None): _Table(self, (None, None), [row for plane in tensor for row in plane]),
+        }
+
+    def table(self, shape) -> "_Table":
+        table = self.tables.get(shape)
+        if table is None:
+            table = self.tables[shape] = _Table(self, shape)
+        return table
+
+    def for_plan(self, plan: _Plan) -> list:
+        """The tables of the plan's shapes, by table number."""
+        return [self.table(shape) for shape in plan.shapes]
+
+    def multiply(self, u, v) -> list:
+        """Integer product of two integer vectors on the scaled tensor."""
+        planes = self.planes
+        return _product([(x, planes[i]) for i, x in enumerate(u) if x],
+                        [(j, y) for j, y in enumerate(v) if y], self.d)
+
+
+class _Table(dict):
+    """Row number -> integer vector of one shape, sigma read big-endian; a
+    missing row is the product of one row of each factor's table."""
+
+    def __init__(self, rows: _Rows, shape, base: Optional[list] = None):
+        super().__init__()
+        self.planes, self.d = rows.planes, rows.d
+        if base is not None:
+            self.size = len(base)
+            self.update(enumerate(base))
+        else:
+            self.left, self.right = rows.table(shape[0]), rows.table(shape[1])
+            self.size = self.left.size * self.right.size
+            self.vterms = [None] * self.right.size  # nonzero (j, y) of each right row
+
+    def __missing__(self, n: int) -> list:
+        q, r = divmod(n, self.right.size)
+        self._build(q, (r,))
+        return self[n]
+
+    def fill(self) -> None:
+        """Build every row, for the reads that visit every group."""
+        if len(self) < self.size:
+            self.left.fill()
+            self.right.fill()
+            for q in range(self.left.size):
+                self._build(q, range(self.right.size))
+
+    def _build(self, q: int, rs) -> None:
+        """The rows of left row q times right row r, for each r in rs."""
+        planes, right, vterms, d = self.planes, self.right, self.vterms, self.d
+        u = [(x, planes[i]) for i, x in enumerate(self.left[q]) if x]
+        base = q * right.size
+        for r in rs:
+            v = vterms[r]
+            if v is None:
+                v = vterms[r] = [(j, y) for j, y in enumerate(right[r]) if y]
+            self[base + r] = _product(u, v, d)
 
 
 def _symbolic_table(shape, memo: dict, d: int) -> list:
-    """_table with the structure constants left symbolic: each coordinate is
-    a polynomial {sorted flat constant indices: int coefficient}."""
+    """A whole slot table with the structure constants left symbolic: each
+    coordinate is a polynomial {sorted flat constant indices: int coefficient}."""
     table = memo.get(shape)
     if table is None:
         left = _symbolic_table(shape[0], memo, d)
@@ -481,17 +542,15 @@ def constant_equations(spec: IdentitySpec, dim: int, p: int,
     """
     plan = _compile(spec, dim, PrimeField(p), _reduces(spec, semantics))
     memo = {None: [[{(): 1} if i == j else {} for j in range(dim)] for i in range(dim)]}
-    vectors = []
-    for shape in plan.shapes:
-        vectors.extend(_symbolic_table(shape, memo, dim))
+    tables = [_symbolic_table(shape, memo, dim) for shape in plan.shapes]
     equations = {}
     for _, lhs, rhs in plan.groups:
         for k in range(dim):
             poly: dict = {}
             for sign, terms in ((1, lhs), (-1, rhs)):
-                for c, rows in terms:
+                for c, t, rows in terms:
                     for n in rows:
-                        for mono, x in vectors[n][k].items():
+                        for mono, x in tables[t][n][k].items():
                             poly[mono] = poly.get(mono, 0) + sign * c * x
             eq = sorted((mono, x % p) for mono, x in poly.items() if x % p)
             if eq:
@@ -500,22 +559,38 @@ def constant_equations(spec: IdentitySpec, dim: int, p: int,
     return tuple(equations)
 
 
-def _total(terms: tuple, get) -> int:
-    return sum(c * sum(map(get, rows)) for c, rows in terms)
+def _sums(terms: tuple, tables: list, d: int) -> list:
+    """One side of a plan group: its sum per coordinate."""
+    acc = [0] * d
+    for c, t, ns in terms:
+        for row in map(tables[t].__getitem__, ns):
+            for k, x in enumerate(row):
+                acc[k] += c * x
+    return acc
 
 
-def _first_failure(plan: _Plan, alg: Algebra) -> Optional[tuple]:
+# Most failing verdicts fail in one of the first two groups (1,309 of the
+# 1,426 failing polynomial verdicts of one pass of the check benchmark).  A
+# read that gets past them fills the tables, which costs less per row than
+# building rows one at a time.
+_LAZY_GROUPS = 2
+
+
+def _first_failure(plan: _Plan, rows: _Rows) -> Optional[tuple]:
     """(monomial, coordinate, lhs, rhs) of the least group and coordinate
-    whose sides differ, or None; lhs and rhs are field scalars."""
-    getters, denom = _columns(plan, alg)
-    p = alg.field.characteristic
-    for mono, lhs, rhs in plan.groups:
-        for k, get in enumerate(getters):
-            ls, rs = _total(lhs, get), _total(rhs, get)
+    whose sides differ, or None; lhs and rhs are field scalars.  The first
+    groups build only the rows they read."""
+    tables = rows.for_plan(plan)
+    d, p = rows.d, rows.p
+    for g, (mono, lhs, rhs) in enumerate(plan.groups):
+        if g == _LAZY_GROUPS:
+            for table in tables:
+                table.fill()
+        for k, (ls, rs) in enumerate(zip(_sums(lhs, tables, d), _sums(rhs, tables, d))):
             if (ls - rs) % p if p else ls != rs:
                 if p:
                     return mono, k, ls % p, rs % p
-                scale = plan.scale * denom ** (sum(mono) - 1)
+                scale = plan.scale * rows.denom ** (sum(mono) - 1)
                 return mono, k, Fraction(ls, scale), Fraction(rs, scale)
     return None
 
@@ -532,28 +607,31 @@ def _slot_coefficients(alg: Algebra, spec: IdentitySpec, mono: tuple, k: int) ->
     """(lhs, rhs) coefficients of one monomial at coordinate k, from the slot
     assignments that land on it, evaluated through Algebra.multiply."""
     d = alg.dim
+    plan = _plan(alg, spec, "polynomial")
     acc = [0, 0]
-    for side, coef, shape, leaves in _plan(alg, spec, "polynomial").words:
+    for side, coef, _, t, leaves in plan.words:
         choices = [[i for i in range(d) if mono[v * d + i]] for v in leaves]
         for sigma in itertools.product(*choices):
             if _monomial(leaves, sigma, len(mono), d) == mono:
-                acc[side] += coef * _slot_value(alg, shape, iter(sigma))[k]
+                acc[side] += coef * _slot_value(alg, plan.shapes[t], iter(sigma))[k]
     return tuple(map(alg.field.normalize, acc))
 
 
 def holds(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> bool:
     """Whether the identity holds, with no witness search."""
-    return _first_failure(_plan(alg, spec, semantics), alg) is None
+    return _first_failure(_plan(alg, spec, semantics), _Rows(alg)) is None
 
 
-def _residual(plan: _Plan, alg: Algebra) -> dict:
+def _residual(plan: _Plan, rows: _Rows) -> dict:
     """Monomial -> lhs - rhs per coordinate mod p, for every group whose
     sides differ (finite fields)."""
-    getters, _ = _columns(plan, alg)
-    p = alg.field.p
+    tables = rows.for_plan(plan)
+    for table in tables:
+        table.fill()
+    d, p = rows.d, rows.p
     residual = {}
     for mono, lhs, rhs in plan.groups:
-        diff = tuple((_total(lhs, get) - _total(rhs, get)) % p for get in getters)
+        diff = tuple((ls - rs) % p for ls, rs in zip(_sums(lhs, tables, d), _sums(rhs, tables, d)))
         if any(diff):
             residual[mono] = diff
     return residual
@@ -589,23 +667,72 @@ def _first_nonzero_point(residual: dict, p: int) -> list:
     return point
 
 
-def _search_concrete_witness(alg: Algebra, spec: IdentitySpec) -> Optional[ConcreteWitness]:
+def _row_number(combo: Sequence[int], leaves: Sequence[int], d: int) -> int:
+    """Table row of the slot assignment that gives each leaf the basis index
+    of its variable in combo."""
+    n = 0
+    for v in leaves:
+        n = n * d + combo[v]
+    return n
+
+
+def _int_value(rows: _Rows, shape, vectors) -> list:
+    """The shape on integer vectors, the next one from vectors at each leaf."""
+    if shape is None:
+        return next(vectors)
+    left = _int_value(rows, shape[0], vectors)
+    return rows.multiply(left, _int_value(rows, shape[1], vectors))
+
+
+def _search_concrete_witness(alg: Algebra, spec: IdentitySpec, plan: _Plan,
+                             rows: _Rows) -> Optional[ConcreteWitness]:
     """First assignment among basis tuples, then the {0, 1, -1} grid, whose
-    sides differ."""
-    nv = len(spec.variables)
-    d = alg.dim
-    field = alg.field
+    sides differ, evaluated in integers.
+
+    A word of degree m on integer vectors is L^(m-1) times its value, so
+    each word's coefficient is scaled by L^(top - m) and every side is
+    D * L^(top - 1) times its value (1 over F_p).  On a basis tuple a
+    word's value is its table row at the slot assignment."""
+    nv, d, p, field = len(spec.variables), alg.dim, rows.p, alg.field
+    top = max(len(leaves) for *_, leaves in plan.words)
+    tables = rows.for_plan(plan)
+    words = [(side, c * rows.denom ** (top - len(leaves)), plan.shapes[t], tables[t], leaves)
+             for side, _, c, t, leaves in plan.words]
+
+    def differing_sides(values) -> Optional[tuple]:
+        """Both sides from the words' values, if they differ."""
+        sides = ([0] * d, [0] * d)
+        for (side, c, *_), value in zip(words, values):
+            acc = sides[side]
+            for k, x in enumerate(value):
+                acc[k] += c * x
+        lhs, rhs = sides
+        if any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs:
+            return sides
+        return None
+
+    def witness(vectors, sides) -> ConcreteWitness:
+        scale = plan.scale * rows.denom ** (top - 1)
+        lhs, rhs = ((tuple(x % p for x in acc) if p else tuple(Fraction(x, scale) for x in acc))
+                    for acc in sides)
+        return ConcreteWitness(tuple(zip(spec.variables, vectors)), lhs, rhs)
+
+    # Basis tuples first: they witness most failures and read well.
+    for combo in itertools.product(range(d), repeat=nv):
+        sides = differing_sides([table[_row_number(combo, leaves, d)]
+                                 for _, _, _, table, leaves in words])
+        if sides:
+            return witness([alg.basis_vector(i) for i in combo], sides)
     # dict.fromkeys dedupes while keeping order (0 = 1 = -1 collapses mod 2)
     pool = list(dict.fromkeys([field.zero, field.one, field.normalize(-1)]))
-    grid = itertools.islice(itertools.product(pool, repeat=nv * d), WITNESS_SEARCH_CAP)
-    # Basis tuples first: they witness most failures and read well.
-    for combo in itertools.chain(
-        itertools.product(alg.basis_vectors(), repeat=nv),
-        (tuple(coords[i * d:(i + 1) * d] for i in range(nv)) for coords in grid),
-    ):
-        lhs, rhs = evaluate_sides(alg, spec, dict(zip(spec.variables, combo)))
-        if lhs != rhs:
-            return ConcreteWitness(tuple(zip(spec.variables, combo)), lhs, rhs)
+    grid = itertools.product(pool, repeat=nv * d)
+    for coords in itertools.islice(grid, WITNESS_SEARCH_CAP):
+        combo = [coords[v * d:(v + 1) * d] for v in range(nv)]
+        env = [list(map(int, vector)) for vector in combo]
+        sides = differing_sides([_int_value(rows, shape, map(env.__getitem__, leaves))
+                                 for _, _, shape, _, leaves in words])
+        if sides:
+            return witness(combo, sides)
     return None
 
 
@@ -621,8 +748,9 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
     failing assignment (variables in declared order, each vector by its
     coordinates), read off the plan's residual."""
     plan = _plan(alg, spec, semantics)
+    rows = _Rows(alg)
     if semantics == "pointwise":
-        residual = _residual(plan, alg)
+        residual = _residual(plan, rows)
         if not residual:
             return Verdict(spec.name, True, semantics, identity=spec)
         point = _first_nonzero_point(residual, alg.field.p)
@@ -632,13 +760,13 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
         lhs, rhs = evaluate_sides(alg, spec, dict(assignment))
         return Verdict(spec.name, False, semantics, identity=spec,
                        concrete_witness=ConcreteWitness(assignment, lhs, rhs))
-    failure = _first_failure(plan, alg)
+    failure = _first_failure(plan, rows)
     if failure is None:
         return Verdict(spec.name, True, semantics, identity=spec)
     mono, k, lc, rc = failure
     text = _monomial_text(mono, spec.indeterminate_names(alg.dim))
     cw = CoefficientWitness(mono, text, k, lc, rc)
-    concrete = _search_concrete_witness(alg, spec)
+    concrete = _search_concrete_witness(alg, spec, plan, rows)
     notes = ()
     if concrete is None:
         notes = ("no concrete counterexample among basis and {0,1,-1} assignments; "

@@ -16,8 +16,11 @@ from ujla.axioms import ALL_NAMED_IDENTITIES, ASSOC, JORDAN_COMM, UJLA_2A
 from ujla.classify import flat_to_tensor, tensor_algebra
 from ujla.fields import QQ, PrimeField
 from ujla.identities import (
+    WITNESS_SEARCH_CAP,
     CoefficientWitness,
+    ConcreteWitness,
     IdentitySpec,
+    _Rows,
     _slot_coefficients,
     check_identity,
     evaluate_sides,
@@ -380,3 +383,130 @@ def test_plan_verdict_and_witness_match_formal_oracle(p, d, count):
                     assert verdict.coefficient_witness == expected, (alg.name, spec.name)
                 outcomes.add((semantics, passed))
     assert {passed for _, passed in outcomes} == {True, False}
+
+
+# --- polynomial concrete witnesses against evaluate_sides -------------------
+
+NO_WITNESS_NOTE = ("no concrete counterexample among basis and {0,1,-1} assignments; "
+                   "the discrepancy is visible only at the coefficient level")
+
+
+def concrete_witness_oracle(alg, spec):
+    """The first assignment among basis tuples, then the first
+    WITNESS_SEARCH_CAP points of the {0, 1, -1} grid, whose sides differ
+    under evaluate_sides (Algebra.multiply on field scalars), or None."""
+    nv, d, field = len(spec.variables), alg.dim, alg.field
+    pool = list(dict.fromkeys([field.zero, field.one, field.normalize(-1)]))
+    grid = itertools.islice(itertools.product(pool, repeat=nv * d), WITNESS_SEARCH_CAP)
+    for combo in itertools.chain(
+        itertools.product(alg.basis_vectors(), repeat=nv),
+        (tuple(coords[i * d:(i + 1) * d] for i in range(nv)) for coords in grid),
+    ):
+        lhs, rhs = evaluate_sides(alg, spec, dict(zip(spec.variables, combo)))
+        if lhs != rhs:
+            return ConcreteWitness(tuple(zip(spec.variables, combo)), lhs, rhs)
+    return None
+
+
+def _witness_algebras(p, d, count):
+    """Seeded algebras over F_p, or over Q (p = 0) with entries whose
+    denominators make L = 2 and scaling errors visible; from sparse to
+    dense, so that basis tuples and grid points both witness failures."""
+    if p:
+        extra = [tensor_algebra(2, 2, F2_POINTWISE_ONLY)] if (p, d) == (2, 2) else []
+        return extra + [tensor_algebra(d, p, flat) for flat in _seeded_tensors(d, p, count)]
+    rng = random.Random(13 * d)
+    values = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+    densities = (0.15, 0.3, 1.0)
+
+    def entry(n):
+        return rng.choice(values) if rng.random() < densities[n % 3] else 0
+
+    return [Algebra(f"q{n}", QQ, d, tuple(f"e{i}" for i in range(d)),
+                    [[[entry(n) for _ in range(d)] for _ in range(d)] for _ in range(d)])
+            for n in range(count)]
+
+
+WITNESS_CASES = [(0, 2, 9), (0, 3, 6), (0, 4, 3), (2, 2, 10), (2, 3, 3), (3, 2, 8), (3, 3, 3),
+                 (5, 2, 8), (5, 3, 2)]
+
+
+def test_polynomial_concrete_witness_matches_evaluate_sides_oracle():
+    """The witness read off the integer rows is the one the field-scalar
+    search finds, with the same notes and scalar types."""
+    outcomes = {}
+    for p, d, count in WITNESS_CASES:
+        specs = list(ALL_NAMED_IDENTITIES.values()) + [NON_HOMOGENEOUS] + ([COMPAT] if p != 2 else [])
+        for alg in _witness_algebras(p, d, count):
+            basis = set(alg.basis_vectors())
+            for spec in specs:
+                verdict = check_identity(alg, spec)
+                if verdict.passed:
+                    continue
+                expected = concrete_witness_oracle(alg, spec)
+                assert verdict.concrete_witness == expected, (alg.tensor, spec.name)
+                assert verdict.notes == (() if expected else (NO_WITNESS_NOTE,)), (alg.tensor, spec.name)
+                w = verdict.concrete_witness
+                if w is None:
+                    kind = "none"
+                else:
+                    kind = "basis" if all(v in basis for _, v in w.assignment) else "grid"
+                    for x in w.lhs + w.rhs + tuple(c for _, v in w.assignment for c in v):
+                        assert type(x) is (int if p else Fraction), (alg.tensor, spec.name)
+                        assert not p or 0 <= x < p, (alg.tensor, spec.name)
+                outcomes.setdefault(kind, set()).add(p)
+    assert outcomes.keys() == {"basis", "grid", "none"}, outcomes
+    assert {0, 2} <= outcomes["grid"] and outcomes["none"] == {2}, outcomes
+
+
+def test_polynomial_failure_reads_its_witness_off_the_rows(monkeypatch):
+    """A failing polynomial check evaluates nothing through Algebra.multiply;
+    revalidation evaluates the printed witness once; a failing d = 4 check
+    builds only part of its tables."""
+    calls = {"evaluate_sides": 0, "multiply": 0}
+
+    def counting_sides(*args):
+        calls["evaluate_sides"] += 1
+        return evaluate_sides(*args)
+
+    multiply = Algebra.multiply
+
+    def counting_multiply(self, u, v):
+        calls["multiply"] += 1
+        return multiply(self, u, v)
+
+    sources = []
+
+    class RecordedRows(_Rows):
+        def __init__(self, alg):
+            super().__init__(alg)
+            sources.append(self)
+
+    monkeypatch.setattr("ujla.identities.evaluate_sides", counting_sides)
+    monkeypatch.setattr(Algebra, "multiply", counting_multiply)
+    monkeypatch.setattr("ujla.identities._Rows", RecordedRows)
+    failures = 0
+    for p, d in [(0, 2), (0, 3), (3, 2), (5, 3)]:
+        for alg in _witness_algebras(p, d, 2):
+            for spec in ALL_NAMED_IDENTITIES.values():
+                calls.update(evaluate_sides=0, multiply=0)
+                verdict = check_identity(alg, spec)
+                if verdict.passed:
+                    continue
+                failures += 1
+                assert calls == {"evaluate_sides": 0, "multiply": 0}, (alg.tensor, spec.name)
+                assert revalidate_verdict(alg, verdict)
+                assert calls["evaluate_sides"] == (verdict.concrete_witness is not None)
+    assert failures > 20
+    # A dense d = 4 algebra over Q fails associativity in its least group.
+    rng = random.Random(4)
+    values = (1, -1, 2, Fraction(1, 2))
+    alg = Algebra("dense", QQ, 4, ("e0", "e1", "e2", "e3"),
+                  [[[rng.choice(values) for _ in range(4)] for _ in range(4)] for _ in range(4)])
+    sources.clear()
+    verdict = check_identity(alg, ASSOC)
+    assert not verdict.passed
+    (rows,) = sources
+    built = sum(len(table) for table in rows.tables.values())
+    full = sum(table.size for table in rows.tables.values())
+    assert built < full // 4, (built, full)
