@@ -158,7 +158,7 @@ class Algebra:
         return replace(self, name=name, tensor=tensor, unit=unit)
 
     def tensor_flat(self) -> tuple:
-        return tuple(c for plane in self.tensor for row in plane for c in row)
+        return tuple([c for plane in self.tensor for row in plane for c in row])
 
 
 def algebra_from_products(

@@ -115,28 +115,28 @@ def _print_braid(report) -> None:
     print(f"yang-baxter operator: {'yes' if report.is_yang_baxter else 'no'}")
 
 
+def _print_operator(op, name: str, verify: bool) -> int:
+    """Write the operator file, then on verify its braid report."""
+    sys.stdout.write(fileformat.dumps_operator(op, name=name))
+    if not verify:
+        return 0
+    report = check_braid(op)
+    _print_braid(report)
+    return 0 if report.is_yang_baxter else 1
+
+
 def _cmd_yb_assoc(args) -> int:
     alg = fileformat.load_algebra_file(args.file)
     field = alg.field
     op = build_assoc_yb(alg, field.parse(args.alpha), field.parse(args.beta),
                         field.parse(args.gamma))
-    sys.stdout.write(fileformat.dumps_operator(op, name=f"{alg.name}-yb"))
-    if not args.verify:
-        return 0
-    report = check_braid(op)
-    _print_braid(report)
-    return 0 if report.is_yang_baxter else 1
+    return _print_operator(op, f"{alg.name}-yb", args.verify)
 
 
 def _cmd_yb_lie(args) -> int:
     alg = fileformat.load_algebra_file(args.file)
     op = build_lie_yb(alg, alg.field.parse(args.alpha), _parse_coords(alg, args.z))
-    sys.stdout.write(fileformat.dumps_operator(op, name=f"{alg.name}-lie-yb"))
-    if not args.verify:
-        return 0
-    report = check_braid(op)
-    _print_braid(report)
-    return 0 if report.is_yang_baxter else 1
+    return _print_operator(op, f"{alg.name}-lie-yb", args.verify)
 
 
 def _cmd_yb_params(args) -> int:

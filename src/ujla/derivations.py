@@ -11,24 +11,16 @@ is normalised once.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .algebra import Algebra, Vector, vec_add
-from .fields import coerce
+from .fields import coerce, integral
 from .identities import AxiomReport, ConcreteWitness, Verdict
 from .linalg import Matrix, mat_vec
-
-
-def _integral(values) -> tuple:
-    """Integers n and one scale s with values = n / s; s is 1 over F_p."""
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def _nonzero_constants(alg: Algebra) -> tuple:
     """(i, j, k, n) for each nonzero c[i][j][k] = n / scale, row-major; and the scale."""
     d = alg.dim
-    ints, scale = _integral(alg.tensor_flat())
+    ints, scale = integral(alg.tensor_flat())
     return [(f // (d * d), f // d % d, f % d, n) for f, n in enumerate(ints) if n], scale
 
 
@@ -51,8 +43,8 @@ def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
         raise ValueError(f"{alg.name}: argument vectors must have length {d}")
     field = alg.field
     nonzero, scale = _nonzero_constants(alg)
-    a_ints, a_scale = _integral([coerce(field, x) for x in a])
-    b_ints, b_scale = _integral([coerce(field, x) for x in b])
+    a_ints, a_scale = integral([coerce(field, x) for x in a])
+    b_ints, b_scale = integral([coerce(field, x) for x in b])
     acc = [[0] * d for _ in range(d)]
     for sign, p, q in terms_of(*_left_right(d, nonzero, a_ints), *_left_right(d, nonzero, b_ints)):
         for acc_row, p_row in zip(acc, p):
@@ -96,7 +88,7 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
         raise ValueError(f"{alg.name}: linear map must be {d}x{d}")
     # Scaling D and the constants to integers scales every defect by the
     # same nonzero factor, so the zero pattern is unchanged.
-    flat, _ = _integral([x for row in deriv.rows for x in row])
+    flat, _ = integral([x for row in deriv.rows for x in row])
     m = [flat[r * d:(r + 1) * d] for r in range(d)]
     defect = [[[0] * d for _ in range(d)] for _ in range(d)]
     for i, j, k, c in _nonzero_constants(alg)[0]:

@@ -6,7 +6,9 @@ The arithmetic is Python's own operators, exact, with no floating-point
 mode; a field object is only the boundary.  Values enter through
 ``coerce``, ``parse`` and ``from_fraction``; each computed result is
 brought back with ``normalize`` and printed with ``format``; ``inv`` is
-the one operation a field does itself.  Field objects are frozen and
+the one operation a field does itself.  Integer kernels take their
+inputs through ``integral`` and return each result x over its scale s as
+``field.from_fraction(Fraction(x, s))``.  Field objects are frozen and
 safe to share.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 Scalar = Union[Fraction, int]
@@ -68,7 +71,7 @@ class Rationals:
         return 1 / Fraction(x)
 
     def from_fraction(self, q: Fraction) -> Fraction:
-        return Fraction(q)
+        return q if type(q) is Fraction else Fraction(q)
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -123,11 +126,12 @@ class PrimeField:
         return pow(x, self.p - 2, self.p)
 
     def from_fraction(self, q: Fraction) -> int:
-        if q.denominator % self.p == 0:
+        num, den = q.numerator, q.denominator
+        if den % self.p == 0:
             raise ZeroDivisionError(
                 f"coefficient {q} is undefined in characteristic {self.p}"
             )
-        return q.numerator * self.inv(q.denominator % self.p) % self.p
+        return num * pow(den, -1, self.p) % self.p
 
     def parse(self, text: str) -> int:
         text = text.strip()
@@ -165,6 +169,13 @@ def coerce(field: FieldSpec, x) -> Scalar:
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return field.from_fraction(x)
     raise ValueError(f"scalar must be a string, an int or a Fraction, got {x!r}")
+
+
+def integral(values) -> tuple:
+    """Integers n and one scale s with values = n / s, for a sequence of
+    scalars of one field; s is 1 over F_p."""
+    scale = lcm(*[x.denominator for x in values])
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def parse_field(label: str) -> FieldSpec:

@@ -21,29 +21,30 @@ Two semantics are implemented:
 Both are decided by a plan compiled once per identity, dimension, field
 and semantics: the coefficients are sums of integer slot-table rows
 built from the structure constants, with no formal polynomials.  A row
-is built the first time a group reads it, so a failure in the first
-groups builds only their rows.  A polynomial failure's concrete witness
-is read off the same rows (basis tuples) and the same integer tensor
-(the {0, 1, -1} grid).  For the classification scan, constant_equations
-expands the same plan with the structure constants left symbolic, into
-polynomial equations in them.
+is built once, the first time a group reads it, as the product of one
+row of each factor's table, so a failure in the first groups builds only
+their rows.  A polynomial failure's concrete witness is read off the
+same rows (basis tuples) and the same integer tensor (the {0, 1, -1}
+grid).  For the classification scan, constant_equations expands the
+same plan with the structure constants left symbolic, into polynomial
+equations in them.
 
 Failures always carry a witness that can be re-validated independently:
 revalidate_verdict recomputes it through Algebra.multiply and field
-scalars, not through the integer rows.
+scalars, not through the integer rows.  One word evaluator serves both
+routes; it is handed the product to evaluate with.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import Algebra, Vector
-from .fields import PrimeField, Scalar
+from .fields import PrimeField, Scalar, integral
 
 Word = Union[str, tuple]
 LinComb = tuple  # of (Fraction, Word) pairs
@@ -276,34 +277,24 @@ class AxiomReport:
 # concrete evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_word(alg: Algebra, word: Word, env: dict, cache: dict):
-    if isinstance(word, str):
-        return env[word]
-    hit = cache.get(word)
-    if hit is not None:
-        return hit
-    u = _eval_word(alg, word[0], env, cache)
-    result = alg.multiply(u, _eval_word(alg, word[1], env, cache))
-    cache[word] = result
-    return result
-
-
-def _eval_comb_concrete(alg: Algebra, comb: LinComb, env: dict, cache: dict) -> Vector:
-    field = alg.field
-    acc = [0] * alg.dim
-    for coef, word in comb:
-        c = field.from_fraction(coef)
-        for k, x in enumerate(_eval_word(alg, word, env, cache)):
-            acc[k] += c * x
-    return tuple(map(field.normalize, acc))
+def _shape_value(multiply, shape, values):
+    """The shape evaluated by multiply, with the next of values at each leaf."""
+    if shape is None:
+        return next(values)
+    left = _shape_value(multiply, shape[0], values)
+    return multiply(left, _shape_value(multiply, shape[1], values))
 
 
 def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
-    """Concrete (lhs, rhs) vectors of the identity under an assignment."""
-    cache: dict = {}
-    lhs = _eval_comb_concrete(alg, spec.lhs, assignment, cache)
-    rhs = _eval_comb_concrete(alg, spec.rhs, assignment, cache)
-    return lhs, rhs
+    """Concrete (lhs, rhs) vectors of the identity under an assignment,
+    each word of the plan evaluated through Algebra.multiply."""
+    plan = _plan(alg, spec, "polynomial")
+    sides = ([0] * alg.dim, [0] * alg.dim)
+    for side, coef, _, t, leaves in plan.words:
+        values = map(assignment.__getitem__, map(spec.variables.__getitem__, leaves))
+        for k, x in enumerate(_shape_value(alg.multiply, plan.shapes[t], values)):
+            sides[side][k] += coef * x
+    return tuple(tuple(map(alg.field.normalize, acc)) for acc in sides)
 
 
 # ---------------------------------------------------------------------------
@@ -362,26 +353,21 @@ class _Plan:
 def _compile(spec: IdentitySpec, d: int, field, reduce: bool) -> _Plan:
     var = {v: n for n, v in enumerate(spec.variables)}
     size = len(spec.variables) * d
-    comb = spec.lhs + spec.rhs
-    scale = 1 if field.is_finite else math.lcm(*(c.denominator for c, _ in comb))
+    terms = [(side, fc, word) for side, comb in enumerate((spec.lhs, spec.rhs))
+             for coef, word in comb if (fc := field.from_fraction(coef)) != field.zero]
+    ints, scale = integral([fc for _, fc, _ in terms])
     words = []
     tables: dict = {}  # shape -> table number
     groups: dict = {}  # monomial -> ({(coefficient, table): rows} for lhs, same for rhs)
-    for side, terms in enumerate((spec.lhs, spec.rhs)):
-        for coef, word in terms:
-            fc = field.from_fraction(coef)
-            if fc == field.zero:
-                continue
-            leaves = tuple(var[v] for v in _leaves(word))
-            t = tables.setdefault(_shape(word), len(tables))
-            c = fc if field.is_finite else int(coef * scale)
-            words.append((side, fc, c, t, leaves))
-            sigmas = itertools.product(range(d), repeat=len(leaves))
-            for n, sigma in enumerate(sigmas):
-                mono = _monomial(leaves, sigma, size, d)
-                if reduce:
-                    mono = tuple(1 + (e - 1) % (field.p - 1) if e else 0 for e in mono)
-                groups.setdefault(mono, ({}, {}))[side].setdefault((c, t), []).append(n)
+    for (side, fc, word), c in zip(terms, ints):
+        leaves = tuple(var[v] for v in _leaves(word))
+        t = tables.setdefault(_shape(word), len(tables))
+        words.append((side, fc, c, t, leaves))
+        for n, sigma in enumerate(itertools.product(range(d), repeat=len(leaves))):
+            mono = _monomial(leaves, sigma, size, d)
+            if reduce:
+                mono = tuple(1 + (e - 1) % (field.p - 1) if e else 0 for e in mono)
+            groups.setdefault(mono, ({}, {}))[side].setdefault((c, t), []).append(n)
     return _Plan(scale, tuple(words), tuple(tables), tuple(
         (mono, *(tuple((c, t, tuple(ns)) for (c, t), ns in by_key.items()) for by_key in sides))
         for mono, sides in sorted(groups.items())
@@ -427,18 +413,15 @@ class _Rows:
     """
 
     def __init__(self, alg: Algebra):
-        d, tensor = alg.dim, alg.tensor
-        self.d, self.p = d, alg.field.characteristic
-        self.denom = 1
-        if not alg.field.is_finite:
-            self.denom = math.lcm(*(c.denominator for c in alg.tensor_flat()))
-            tensor = [[[c.numerator * (self.denom // c.denominator) for c in row] for row in plane]
-                      for plane in tensor]
-        self.planes = [[[(k, c) for k, c in enumerate(row) if c] for row in plane]
-                       for plane in tensor]
+        d = self.d = alg.dim
+        self.field, self.p = alg.field, alg.field.characteristic
+        ints, self.denom = integral(alg.tensor_flat())
+        products = [ints[n:n + d] for n in range(0, d ** 3, d)]  # e_i e_j at row i*d + j
+        nonzero = [[(k, c) for k, c in enumerate(row) if c] for row in products]
+        self.planes = [nonzero[i * d:(i + 1) * d] for i in range(d)]
         self.tables = {
             None: _Table(self, None, [[int(i == j) for j in range(d)] for i in range(d)]),
-            (None, None): _Table(self, (None, None), [row for plane in tensor for row in plane]),
+            (None, None): _Table(self, (None, None), products),
         }
 
     def table(self, shape) -> "_Table":
@@ -459,8 +442,9 @@ class _Rows:
 
 
 class _Table(dict):
-    """Row number -> integer vector of one shape, sigma read big-endian; a
-    missing row is the product of one row of each factor's table."""
+    """Row number -> integer vector of one shape, sigma read big-endian.  A
+    missing row is built when first read, as the product of one row of each
+    factor's table; the nonzero terms of each factor row are kept."""
 
     def __init__(self, rows: _Rows, shape, base: Optional[list] = None):
         super().__init__()
@@ -471,31 +455,19 @@ class _Table(dict):
         else:
             self.left, self.right = rows.table(shape[0]), rows.table(shape[1])
             self.size = self.left.size * self.right.size
+            self.uterms = [None] * self.left.size  # nonzero (x, plane i) of each left row
             self.vterms = [None] * self.right.size  # nonzero (j, y) of each right row
 
     def __missing__(self, n: int) -> list:
         q, r = divmod(n, self.right.size)
-        self._build(q, (r,))
-        return self[n]
-
-    def fill(self) -> None:
-        """Build every row, for the reads that visit every group."""
-        if len(self) < self.size:
-            self.left.fill()
-            self.right.fill()
-            for q in range(self.left.size):
-                self._build(q, range(self.right.size))
-
-    def _build(self, q: int, rs) -> None:
-        """The rows of left row q times right row r, for each r in rs."""
-        planes, right, vterms, d = self.planes, self.right, self.vterms, self.d
-        u = [(x, planes[i]) for i, x in enumerate(self.left[q]) if x]
-        base = q * right.size
-        for r in rs:
-            v = vterms[r]
-            if v is None:
-                v = vterms[r] = [(j, y) for j, y in enumerate(right[r]) if y]
-            self[base + r] = _product(u, v, d)
+        u = self.uterms[q]
+        if u is None:
+            u = self.uterms[q] = [(x, self.planes[i]) for i, x in enumerate(self.left[q]) if x]
+        v = self.vterms[r]
+        if v is None:
+            v = self.vterms[r] = [(j, y) for j, y in enumerate(self.right[r]) if y]
+        row = self[n] = _product(u, v, self.d)
+        return row
 
 
 def _symbolic_table(shape, memo: dict, d: int) -> list:
@@ -569,38 +541,18 @@ def _sums(terms: tuple, tables: list, d: int) -> list:
     return acc
 
 
-# Most failing verdicts fail in one of the first two groups (1,309 of the
-# 1,426 failing polynomial verdicts of one pass of the check benchmark).  A
-# read that gets past them fills the tables, which costs less per row than
-# building rows one at a time.
-_LAZY_GROUPS = 2
-
-
 def _first_failure(plan: _Plan, rows: _Rows) -> Optional[tuple]:
     """(monomial, coordinate, lhs, rhs) of the least group and coordinate
-    whose sides differ, or None; lhs and rhs are field scalars.  The first
-    groups build only the rows they read."""
+    whose sides differ, or None; lhs and rhs are field scalars.  Only the
+    rows of the groups read are built."""
     tables = rows.for_plan(plan)
     d, p = rows.d, rows.p
-    for g, (mono, lhs, rhs) in enumerate(plan.groups):
-        if g == _LAZY_GROUPS:
-            for table in tables:
-                table.fill()
+    for mono, lhs, rhs in plan.groups:
         for k, (ls, rs) in enumerate(zip(_sums(lhs, tables, d), _sums(rhs, tables, d))):
             if (ls - rs) % p if p else ls != rs:
-                if p:
-                    return mono, k, ls % p, rs % p
                 scale = plan.scale * rows.denom ** (sum(mono) - 1)
-                return mono, k, Fraction(ls, scale), Fraction(rs, scale)
+                return mono, k, *(rows.field.from_fraction(Fraction(x, scale)) for x in (ls, rs))
     return None
-
-
-def _slot_value(alg: Algebra, shape, slots) -> Vector:
-    """The shape evaluated with the next basis vector from slots at each leaf."""
-    if shape is None:
-        return alg.basis_vector(next(slots))
-    left = _slot_value(alg, shape[0], slots)
-    return alg.multiply(left, _slot_value(alg, shape[1], slots))
 
 
 def _slot_coefficients(alg: Algebra, spec: IdentitySpec, mono: tuple, k: int) -> tuple:
@@ -613,7 +565,8 @@ def _slot_coefficients(alg: Algebra, spec: IdentitySpec, mono: tuple, k: int) ->
         choices = [[i for i in range(d) if mono[v * d + i]] for v in leaves]
         for sigma in itertools.product(*choices):
             if _monomial(leaves, sigma, len(mono), d) == mono:
-                acc[side] += coef * _slot_value(alg, plan.shapes[t], iter(sigma))[k]
+                value = _shape_value(alg.multiply, plan.shapes[t], map(alg.basis_vector, sigma))
+                acc[side] += coef * value[k]
     return tuple(map(alg.field.normalize, acc))
 
 
@@ -626,8 +579,6 @@ def _residual(plan: _Plan, rows: _Rows) -> dict:
     """Monomial -> lhs - rhs per coordinate mod p, for every group whose
     sides differ (finite fields)."""
     tables = rows.for_plan(plan)
-    for table in tables:
-        table.fill()
     d, p = rows.d, rows.p
     residual = {}
     for mono, lhs, rhs in plan.groups:
@@ -676,14 +627,6 @@ def _row_number(combo: Sequence[int], leaves: Sequence[int], d: int) -> int:
     return n
 
 
-def _int_value(rows: _Rows, shape, vectors) -> list:
-    """The shape on integer vectors, the next one from vectors at each leaf."""
-    if shape is None:
-        return next(vectors)
-    left = _int_value(rows, shape[0], vectors)
-    return rows.multiply(left, _int_value(rows, shape[1], vectors))
-
-
 def _search_concrete_witness(alg: Algebra, spec: IdentitySpec, plan: _Plan,
                              rows: _Rows) -> Optional[ConcreteWitness]:
     """First assignment among basis tuples, then the {0, 1, -1} grid, whose
@@ -693,7 +636,7 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec, plan: _Plan,
     each word's coefficient is scaled by L^(top - m) and every side is
     D * L^(top - 1) times its value (1 over F_p).  On a basis tuple a
     word's value is its table row at the slot assignment."""
-    nv, d, p, field = len(spec.variables), alg.dim, rows.p, alg.field
+    nv, d, p, field = len(spec.variables), alg.dim, rows.p, rows.field
     top = max(len(leaves) for *_, leaves in plan.words)
     tables = rows.for_plan(plan)
     words = [(side, c * rows.denom ** (top - len(leaves)), plan.shapes[t], tables[t], leaves)
@@ -713,8 +656,7 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec, plan: _Plan,
 
     def witness(vectors, sides) -> ConcreteWitness:
         scale = plan.scale * rows.denom ** (top - 1)
-        lhs, rhs = ((tuple(x % p for x in acc) if p else tuple(Fraction(x, scale) for x in acc))
-                    for acc in sides)
+        lhs, rhs = (tuple(field.from_fraction(Fraction(x, scale)) for x in acc) for acc in sides)
         return ConcreteWitness(tuple(zip(spec.variables, vectors)), lhs, rhs)
 
     # Basis tuples first: they witness most failures and read well.
@@ -729,7 +671,7 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec, plan: _Plan,
     for coords in itertools.islice(grid, WITNESS_SEARCH_CAP):
         combo = [coords[v * d:(v + 1) * d] for v in range(nv)]
         env = [list(map(int, vector)) for vector in combo]
-        sides = differing_sides([_int_value(rows, shape, map(env.__getitem__, leaves))
+        sides = differing_sides([_shape_value(rows.multiply, shape, map(env.__getitem__, leaves))
                                  for _, _, shape, _, leaves in words])
         if sides:
             return witness(combo, sides)

@@ -17,7 +17,6 @@ first mismatching entry is converted back, as x / L^3, to a field scalar.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, format_vector, vec_is_zero
 from .axioms import check_associative, check_lie
-from .fields import FieldSpec, Scalar, coerce
+from .fields import FieldSpec, Scalar, coerce, integral
 from .linalg import Matrix, mat_kernel, mat_mul, mat_rank, mat_vec
 
 
@@ -120,9 +119,9 @@ def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -
     and only the first mismatch is brought back to field scalars, as
     x / L^3 through the field.
     """
-    field, rows = r.field, r.matrix.rows
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+    field, n = r.field, r.dim * r.dim
+    flat, scale = integral([x for row in r.matrix.rows for x in row])
+    ints = [flat[i:i + n] for i in range(0, n * n, n)]
     lifts = {pos: _lift_rows(ints, r.dim, pos, 0) for pos in lhs_word}
     p = field.characteristic
     lhs, rhs = (

@@ -12,7 +12,7 @@ from reference import ref_pointwise_holds
 from strategies import algebras
 from ujla import corpus
 from ujla.algebra import Algebra
-from ujla.axioms import ALL_NAMED_IDENTITIES, ASSOC, JORDAN_COMM, UJLA_2A
+from ujla.axioms import ALL_NAMED_IDENTITIES, ASSOC, JORDAN_COMM, UJLA_2A, check_ujla
 from ujla.classify import flat_to_tensor, tensor_algebra
 from ujla.fields import QQ, PrimeField
 from ujla.identities import (
@@ -21,6 +21,7 @@ from ujla.identities import (
     ConcreteWitness,
     IdentitySpec,
     _Rows,
+    _product,
     _slot_coefficients,
     check_identity,
     evaluate_sides,
@@ -510,3 +511,77 @@ def test_polynomial_failure_reads_its_witness_off_the_rows(monkeypatch):
     built = sum(len(table) for table in rows.tables.values())
     full = sum(table.size for table in rows.tables.values())
     assert built < full // 4, (built, full)
+
+
+def test_each_slot_table_row_is_built_once(monkeypatch):
+    """Every row a slot table holds is one _product call, and no row is built
+    twice: on a passing check, a pointwise check that reads every group and
+    a failing check that stops early."""
+    calls = {"product": 0, "multiply": 0}
+
+    def counting_product(*args):
+        calls["product"] += 1
+        return _product(*args)
+
+    sources = []
+
+    class RecordedRows(_Rows):
+        def __init__(self, alg):
+            super().__init__(alg)
+            sources.append(self)
+
+        def multiply(self, u, v):  # the grid witness search, not a table row
+            calls["multiply"] += 1
+            return super().multiply(u, v)
+
+    monkeypatch.setattr("ujla.identities._product", counting_product)
+    monkeypatch.setattr("ujla.identities._Rows", RecordedRows)
+    rng = random.Random(5)
+    values = (1, -1, 2, Fraction(1, 3))
+    dense = Algebra("dense", QQ, 4, ("e0", "e1", "e2", "e3"),
+                    [[[rng.choice(values) for _ in range(4)] for _ in range(4)] for _ in range(4)])
+    cases = [(corpus.matrix_algebra_2x2(), "polynomial", True),
+             (corpus.matrix_algebra_2x2(PrimeField(3)), "pointwise", True),
+             (tensor_algebra(2, 3, _seeded_tensors(2, 3, 3)[2]), "pointwise", False),
+             (dense, "polynomial", False)]
+    for alg, semantics, passed in cases:
+        calls.update(product=0, multiply=0)
+        sources.clear()
+        assert check_ujla(alg, semantics).passed == passed, (alg.name, semantics)
+        held = sum(len(table) for rows in sources for shape, table in rows.tables.items()
+                   if shape not in (None, (None, None)))
+        assert held and calls["product"] - calls["multiply"] == held, (alg.name, calls, held)
+
+
+def test_revalidation_never_reads_the_integer_rows(monkeypatch):
+    """Revalidating a failing verdict, polynomial or pointwise, evaluates
+    through Algebra.multiply and builds no row source and no integer row."""
+    verdicts = [(alg, check_identity(alg, spec, "pointwise"))
+                for alg, spec in _seeded_pointwise_cases()]
+    verdicts += [(alg, check_identity(alg, spec))
+                 for p, d in [(0, 2), (0, 3), (3, 2), (5, 3)] for alg in _witness_algebras(p, d, 2)
+                 for spec in ALL_NAMED_IDENTITIES.values()]
+    failing = [(alg, v) for alg, v in verdicts if not v.passed]
+    assert {v.semantics for _, v in failing} == {"polynomial", "pointwise"}
+    calls = {"rows": 0, "rows_multiply": 0, "product": 0, "multiply": 0}
+
+    class CountedRows(_Rows):
+        def __init__(self, alg):
+            calls["rows"] += 1
+            super().__init__(alg)
+
+    def counting(key, original):
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr("ujla.identities._Rows", CountedRows)
+    monkeypatch.setattr(_Rows, "multiply", counting("rows_multiply", _Rows.multiply))
+    monkeypatch.setattr("ujla.identities._product", counting("product", _product))
+    monkeypatch.setattr(Algebra, "multiply", counting("multiply", Algebra.multiply))
+    for alg, verdict in failing:
+        calls.update(dict.fromkeys(calls, 0))
+        assert revalidate_verdict(alg, verdict), (alg.tensor, verdict.name)
+        assert calls["rows"] == calls["rows_multiply"] == calls["product"] == 0, calls
+        assert calls["multiply"] > 0, (alg.tensor, verdict.name)
