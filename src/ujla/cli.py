@@ -75,10 +75,11 @@ def _cmd_check(args) -> int:
     names = [n.strip() for n in args.axioms.split(",") if n.strip()]
     if not names:
         raise ValueError("--axioms needs at least one suite name")
-    ok = True
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown axiom suite {name!r} (choose from {', '.join(SUITES)})")
+    ok = True
+    for name in names:
         report = SUITES[name](alg, semantics)
         ok = _print_report(alg, report) and ok
     return 0 if ok else 1

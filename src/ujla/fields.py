@@ -4,7 +4,9 @@ Scalars are plain Python values: ``Fraction`` for Q (always in lowest
 terms, positive denominator) and ``int`` residues in ``[0, p)`` for F_p.
 The arithmetic is Python's own operators, exact, with no floating-point
 mode; a field object is only the boundary.  Values enter through
-``coerce``, ``parse`` and ``from_fraction``; each computed result is
+``coerce``, ``parse`` and ``from_fraction``; ``parse`` reads one
+grammar in both fields, an integer or n/d of two integers (no decimals
+or exponents, and int()'s digit limit applies); each computed result is
 brought back with ``normalize`` and printed with ``format``; ``inv`` is
 the one operation a field does itself.  Integer kernels take their
 inputs through ``integral`` and return each result x over its scale s as
@@ -37,6 +39,13 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def _literal(text: str) -> tuple:
+    """The int numerator and denominator of an integer or n/d literal;
+    ValueError for anything else."""
+    num, slash, den = text.partition("/")
+    return int(num), int(den) if slash else 1
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,7 @@ class Rationals:
 
     def parse(self, text: str) -> Fraction:
         try:
-            return Fraction(text.strip())
+            return Fraction(*_literal(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid rational literal {text!r}: {exc}") from None
 
@@ -136,10 +145,8 @@ class PrimeField:
     def parse(self, text: str) -> int:
         text = text.strip()
         try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return int(num) * self.inv(int(den)) % self.p
-            return int(text) % self.p
+            num, den = _literal(text)
+            return num * self.inv(den) % self.p
         except ZeroDivisionError:
             raise
         except ValueError:

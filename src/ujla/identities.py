@@ -20,19 +20,20 @@ Two semantics are implemented:
 
 Both are decided by a plan compiled once per identity, dimension, field
 and semantics: the coefficients are sums of integer slot-table rows
-built from the structure constants, with no formal polynomials.  A row
-is built once, the first time a group reads it, as the product of one
-row of each factor's table, so a failure in the first groups builds only
-their rows.  A polynomial failure's concrete witness is read off the
-same rows (basis tuples) and the same integer tensor (the {0, 1, -1}
-grid).  For the classification scan, constant_equations expands the
-same plan with the structure constants left symbolic, into polynomial
-equations in them.
+built from the structure constants, with no formal polynomials.  One
+walk over the plan's groups yields, in order, each group whose sides
+differ, building a row the first time a group reads it: holds and a
+polynomial failure stop at the first, a pointwise failure takes them
+all.  A polynomial failure's concrete witness is read off the same rows
+(basis tuples) and the same integer tensor (the {0, 1, -1} grid).  For
+the classification scan, constant_equations expands the same plan with
+the structure constants left symbolic, into polynomial equations in them.
 
 Failures always carry a witness that can be re-validated independently:
-revalidate_verdict recomputes it through Algebra.multiply and field
-scalars, not through the integer rows.  One word evaluator serves both
-routes; it is handed the product to evaluate with.
+revalidate_verdict sums the plan's words through Algebra.multiply on
+field scalars, over one assignment or over the slot assignments of the
+witness monomial, and never reads the integer rows.  One word evaluator
+serves that route and the grid search; it is handed the product to use.
 """
 
 from __future__ import annotations
@@ -285,16 +286,22 @@ def _shape_value(multiply, shape, values):
     return multiply(left, _shape_value(multiply, shape[1], values))
 
 
-def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
-    """Concrete (lhs, rhs) vectors of the identity under an assignment,
-    each word of the plan evaluated through Algebra.multiply."""
+def _field_sides(alg: Algebra, spec: IdentitySpec, leaf_vectors) -> tuple:
+    """(lhs, rhs) vectors of the polynomial plan's words, each word evaluated
+    through Algebra.multiply on field scalars and summed over the iterators
+    of leaf vectors that leaf_vectors(leaves) yields."""
     plan = _plan(alg, spec, "polynomial")
     sides = ([0] * alg.dim, [0] * alg.dim)
     for side, coef, _, t, leaves in plan.words:
-        values = map(assignment.__getitem__, map(spec.variables.__getitem__, leaves))
-        for k, x in enumerate(_shape_value(alg.multiply, plan.shapes[t], values)):
-            sides[side][k] += coef * x
+        for vectors in leaf_vectors(leaves):
+            for k, x in enumerate(_shape_value(alg.multiply, plan.shapes[t], vectors)):
+                sides[side][k] += coef * x
     return tuple(tuple(map(alg.field.normalize, acc)) for acc in sides)
+
+
+def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
+    """Concrete (lhs, rhs) vectors of the identity under an assignment."""
+    return _field_sides(alg, spec, lambda leaves: [(assignment[spec.variables[v]] for v in leaves)])
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +437,6 @@ class _Rows:
             table = self.tables[shape] = _Table(self, shape)
         return table
 
-    def for_plan(self, plan: _Plan) -> list:
-        """The tables of the plan's shapes, by table number."""
-        return [self.table(shape) for shape in plan.shapes]
-
     def multiply(self, u, v) -> list:
         """Integer product of two integer vectors on the scaled tensor."""
         planes = self.planes
@@ -531,61 +534,42 @@ def constant_equations(spec: IdentitySpec, dim: int, p: int,
     return tuple(equations)
 
 
-def _sums(terms: tuple, tables: list, d: int) -> list:
-    """One side of a plan group: its sum per coordinate."""
-    acc = [0] * d
-    for c, t, ns in terms:
-        for row in map(tables[t].__getitem__, ns):
-            for k, x in enumerate(row):
-                acc[k] += c * x
-    return acc
-
-
-def _first_failure(plan: _Plan, rows: _Rows) -> Optional[tuple]:
-    """(monomial, coordinate, lhs, rhs) of the least group and coordinate
-    whose sides differ, or None; lhs and rhs are field scalars.  Only the
-    rows of the groups read are built."""
-    tables = rows.for_plan(plan)
+def _differences(plan: _Plan, rows: _Rows):
+    """(monomial, lhs sums, rhs sums) of each plan group, in order, whose
+    sides differ; over F_p the sums are residues mod p.  Only the rows of
+    the groups read are built."""
+    tables = [rows.table(shape) for shape in plan.shapes]
     d, p = rows.d, rows.p
-    for mono, lhs, rhs in plan.groups:
-        for k, (ls, rs) in enumerate(zip(_sums(lhs, tables, d), _sums(rhs, tables, d))):
-            if (ls - rs) % p if p else ls != rs:
-                scale = plan.scale * rows.denom ** (sum(mono) - 1)
-                return mono, k, *(rows.field.from_fraction(Fraction(x, scale)) for x in (ls, rs))
-    return None
+    for mono, lterms, rterms in plan.groups:
+        lhs, rhs = [0] * d, [0] * d
+        for acc, terms in ((lhs, lterms), (rhs, rterms)):
+            for c, t, ns in terms:
+                for row in map(tables[t].__getitem__, ns):
+                    for k, x in enumerate(row):
+                        acc[k] += c * x
+        if p:
+            lhs, rhs = [x % p for x in lhs], [x % p for x in rhs]
+        if lhs != rhs:
+            yield mono, lhs, rhs
 
 
 def _slot_coefficients(alg: Algebra, spec: IdentitySpec, mono: tuple, k: int) -> tuple:
     """(lhs, rhs) coefficients of one monomial at coordinate k, from the slot
-    assignments that land on it, evaluated through Algebra.multiply."""
+    assignments that land on it."""
     d = alg.dim
-    plan = _plan(alg, spec, "polynomial")
-    acc = [0, 0]
-    for side, coef, _, t, leaves in plan.words:
+
+    def slot_vectors(leaves):
         choices = [[i for i in range(d) if mono[v * d + i]] for v in leaves]
         for sigma in itertools.product(*choices):
             if _monomial(leaves, sigma, len(mono), d) == mono:
-                value = _shape_value(alg.multiply, plan.shapes[t], map(alg.basis_vector, sigma))
-                acc[side] += coef * value[k]
-    return tuple(map(alg.field.normalize, acc))
+                yield map(alg.basis_vector, sigma)
+    lhs, rhs = _field_sides(alg, spec, slot_vectors)
+    return lhs[k], rhs[k]
 
 
 def holds(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> bool:
     """Whether the identity holds, with no witness search."""
-    return _first_failure(_plan(alg, spec, semantics), _Rows(alg)) is None
-
-
-def _residual(plan: _Plan, rows: _Rows) -> dict:
-    """Monomial -> lhs - rhs per coordinate mod p, for every group whose
-    sides differ (finite fields)."""
-    tables = rows.for_plan(plan)
-    d, p = rows.d, rows.p
-    residual = {}
-    for mono, lhs, rhs in plan.groups:
-        diff = tuple((ls - rs) % p for ls, rs in zip(_sums(lhs, tables, d), _sums(rhs, tables, d)))
-        if any(diff):
-            residual[mono] = diff
-    return residual
+    return next(_differences(_plan(alg, spec, semantics), _Rows(alg)), None) is None
 
 
 def _first_nonzero_point(residual: dict, p: int) -> list:
@@ -638,7 +622,7 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec, plan: _Plan,
     word's value is its table row at the slot assignment."""
     nv, d, p, field = len(spec.variables), alg.dim, rows.p, rows.field
     top = max(len(leaves) for *_, leaves in plan.words)
-    tables = rows.for_plan(plan)
+    tables = [rows.table(shape) for shape in plan.shapes]
     words = [(side, c * rows.denom ** (top - len(leaves)), plan.shapes[t], tables[t], leaves)
              for side, _, c, t, leaves in plan.words]
 
@@ -692,20 +676,25 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
     plan = _plan(alg, spec, semantics)
     rows = _Rows(alg)
     if semantics == "pointwise":
-        residual = _residual(plan, rows)
+        p = alg.field.p
+        residual = {mono: [(x - y) % p for x, y in zip(lhs, rhs)]
+                    for mono, lhs, rhs in _differences(plan, rows)}
         if not residual:
             return Verdict(spec.name, True, semantics, identity=spec)
-        point = _first_nonzero_point(residual, alg.field.p)
+        point = _first_nonzero_point(residual, p)
         d = alg.dim
         combo = [tuple(point[v * d:(v + 1) * d]) for v in range(len(spec.variables))]
         assignment = tuple(zip(spec.variables, combo))
         lhs, rhs = evaluate_sides(alg, spec, dict(assignment))
         return Verdict(spec.name, False, semantics, identity=spec,
                        concrete_witness=ConcreteWitness(assignment, lhs, rhs))
-    failure = _first_failure(plan, rows)
+    failure = next(_differences(plan, rows), None)
     if failure is None:
         return Verdict(spec.name, True, semantics, identity=spec)
-    mono, k, lc, rc = failure
+    mono, lhs, rhs = failure
+    k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    scale = plan.scale * rows.denom ** (sum(mono) - 1)
+    lc, rc = (alg.field.from_fraction(Fraction(x[k], scale)) for x in (lhs, rhs))
     text = _monomial_text(mono, spec.indeterminate_names(alg.dim))
     cw = CoefficientWitness(mono, text, k, lc, rc)
     concrete = _search_concrete_witness(alg, spec, plan, rows)
@@ -749,8 +738,7 @@ def revalidate_verdict(alg: Algebra, verdict: Verdict) -> bool:
         ok = True
     xw = verdict.concrete_witness
     if xw is not None:
-        env = dict(xw.assignment)
-        lhs, rhs = evaluate_sides(alg, spec, env)
+        lhs, rhs = evaluate_sides(alg, spec, dict(xw.assignment))
         if lhs != xw.lhs or rhs != xw.rhs or lhs == rhs:
             return False
         ok = True

@@ -53,6 +53,27 @@ def test_check_pointwise_on_rationals_is_a_usage_error(files, capsys):
 
 def test_check_unknown_suite(files, capsys):
     assert run(["check", files["dual-numbers"], "--axioms", "frobenius"]) == 2
+    capsys.readouterr()
+    # Every name is validated before the first suite runs.
+    assert run(["check", files["dual-numbers"], "--axioms", "assoc,bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unknown axiom suite 'bogus' "
+                            "(choose from assoc, lie, jordan, ujla)\n")
+
+
+def test_check_rejects_a_constant_that_is_no_literal(tmp_path, capsys):
+    """A Q file with an exponent or an over-long constant does not load, so
+    no suite runs and nothing reaches stdout."""
+    obj = json.loads(dumps_algebra(corpus.dual_numbers()))
+    for literal in ("1e20000", "7" * 5000):
+        obj["constants"][1][1][1] = literal
+        path = tmp_path / "big.alg"
+        path.write_text(json.dumps(obj))
+        assert run(["check", str(path), "--axioms", "assoc,lie,jordan,ujla"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid rational literal"), literal[:8]
 
 
 def test_check_missing_file(tmp_path, capsys):
@@ -256,6 +277,19 @@ def test_reports_are_byte_identical(files, capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+
+
+def test_check_sweep_is_deterministic(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "check_sweep", ROOT / "scripts" / "check_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = []
+    for _ in range(2):
+        script.main(["--seed", "3", "--runs", "12"])
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    assert sum(map(int, re.findall(r"exit \S+ (\d+)", lines[0]))) == 12, lines[0]
 
 
 def test_algebras_directory_is_the_exported_corpus():

@@ -80,6 +80,23 @@ def test_scalar_parsing_and_formatting():
             F5.parse(zero_denominator)
 
 
+def test_both_fields_read_one_literal_grammar():
+    """An integer or n/d of two integers, in both fields; no decimals or
+    exponents, and no integer past int()'s digit limit."""
+    F5 = PrimeField(5)
+    for text in ("3", "-3", "+3", " 4/3 ", "-4/3", "7/-2", "3/-4", "1/2", "10/14"):
+        assert F5.parse(text) == F5.from_fraction(QQ.parse(text)), text
+    assert QQ.parse("3/-4") == Fraction(-3, 4)
+    for text in ("0.5", "1e3", "1e20000", "1e2000000", "7" * 5000, "1/" + "7" * 5000,
+                 "", "x", "1/", "/2", "1/2/3", "1/2.0", "inf"):
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            QQ.parse(text)
+        with pytest.raises(ValueError, match="invalid F_5 literal"):
+            F5.parse(text)
+    with pytest.raises(ValueError, match="invalid rational literal"):
+        QQ.parse("1/0")
+
+
 def test_both_fields_expose_one_interface():
     def public(field):
         return {name for name in dir(field) if not name.startswith("_")}

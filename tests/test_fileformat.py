@@ -107,6 +107,11 @@ def test_scalar_strings_are_validated():
     bad = DUAL_FILE.replace('"1","0"', '"1","zebra"', 1)
     with pytest.raises(ValueError, match="invalid rational"):
         loads_algebra(bad)
+    # Decimals, exponents and integers past int()'s digit limit are not
+    # literals: "1e20000" must not load as a 20,001-digit constant.
+    for literal in ("0.5", "1e3", "1e20000", "7" * 5000):
+        with pytest.raises(ValueError, match="invalid rational literal"):
+            loads_algebra(DUAL_FILE.replace('["0","0"]', f'["0","{literal}"]'))
 
 
 def test_operator_roundtrip():
