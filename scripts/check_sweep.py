@@ -1,17 +1,32 @@
 #!/usr/bin/env python3
-"""Seeded byte-identity sweep of `ujla check` and `ujla compat`.
+"""Seeded byte-identity sweep of `ujla check` and `ujla compat`, and of
+the `ujla yb` commands.
 
-Writes seeded algebra files into a temporary directory: random tensors
-over Q (entries 0, 1, -1, 2, 1/2, -3/2) and over F_2, F_3, F_5 and F_7
-(any residue), at d = 1-4 and densities from sparse to dense, some of
-them symmetrised so that checks pass, interleaved with a copy of
-algebras/*.alg.  Each file is run in-process through `cli.run` as
-`check --axioms assoc,lie,jordan,ujla` and `compat`, and over F_p once
-more with `--pointwise`, until --runs runs are done.  One line is
-printed: the number of runs per exit code, and a SHA-256 over every
-run's argv (which names its case file), exit code, stdout and stderr.
-Two checkouts that print the same line for one seed gave the same
-verdicts, witnesses and errors on these inputs, byte for byte.
+The check line: seeded algebra files are written into a temporary
+directory: random tensors over Q (entries 0, 1, -1, 2, 1/2, -3/2) and
+over F_2, F_3, F_5 and F_7 (any residue), at d = 1-4 and densities from
+sparse to dense, some of them symmetrised so that checks pass,
+interleaved with a copy of algebras/*.alg.  Each file is run in-process
+through `cli.run` as `check --axioms assoc,lie,jordan,ujla` and
+`compat`, and over F_p once more with `--pointwise`, until --runs runs
+are done.
+
+The yb line: the corpus files are taken in turn, cycling.  Each is run
+through `yb assoc ... --verify` with seeded (alpha, beta, gamma), half
+of them from the three Yang-Baxter cases, then through `yb assoc` with
+parameters from those cases and `yb lie` with z zero or a multiple of
+one basis vector; each operator file these two write is run through
+`yb verify`.  Every corpus step is followed by three seeded random
+operator files over the same fields, d = 1-4, sparse to dense, each run
+through `yb verify`, until --runs runs are done.  Only the `error:`
+lines of stderr enter this digest, so that the non-associative input
+warning, advice rather than a verdict, is not compared.
+
+Each line gives the number of runs per exit code and a SHA-256 over
+every run's argv (which names its case file), exit code, stdout and
+stderr.  Two checkouts that print the same lines for one seed gave the
+same verdicts, witnesses, mismatches and errors on these inputs, byte
+for byte.
 
     PYTHONPATH=src python3 scripts/check_sweep.py --seed 1 --runs 1000
 """
@@ -74,33 +89,115 @@ def argvs(fname: str, text: str) -> list:
     return runs
 
 
-def sweep(seed: int, runs: int) -> str:
-    """The summary line of the first `runs` runs of the seed's cases."""
+def check_runs(seed: int):
+    """The check line's argvs, each case file written before its runs."""
+    for fname, text in cases(seed):
+        pathlib.Path(fname).write_text(text)
+        for argv in argvs(fname, text):
+            yield argv
+
+
+def yb_params(rng: random.Random, label: str, member_share: float) -> tuple:
+    """(alpha, beta, gamma) as literals, drawn from the three Yang-Baxter
+    cases with probability member_share and from all values otherwise."""
+    values = ["0", *Q_VALUES] if label == "Q" else [str(x) for x in range(int(label[1:]))]
+    nonzero = values[1:]
+    if rng.random() >= member_share:
+        return tuple(rng.choice(values) for _ in range(3))
+    g = rng.choice(nonzero)
+    case = rng.choice(("i", "ii", "iii"))
+    if case == "i":
+        return g, rng.choice(nonzero), g
+    if case == "ii":
+        return rng.choice(nonzero), g, g
+    return "0", "0", g
+
+
+def param_args(abg: tuple) -> list:
+    """The --alpha/--beta/--gamma options; `=` keeps a literal such as -3/2 a value."""
+    return [f"--{name}={x}" for name, x in zip(("alpha", "beta", "gamma"), abg)]
+
+
+def random_operator(rng: random.Random, n: int) -> tuple:
+    """(file name, operator file text) of one seeded random operator."""
+    label = rng.choice(FIELDS)
+    d = rng.randint(1, 4)
+    density = rng.choice(DENSITIES)
+    values = Q_VALUES if label == "Q" else [str(x) for x in range(1, int(label[1:]))]
+    side = d * d
+    matrix = [[rng.choice(values) if rng.random() < density else "0" for _ in range(side)]
+              for _ in range(side)]
+    name = f"op{n:04d}-{label}-d{d}"
+    return f"{name}.op", json.dumps({"kind": "tensor-square-operator", "field": label,
+                                     "dim": d, "convention": "column-major-basis-image",
+                                     "matrix": matrix, "name": name})
+
+
+def yb_runs(seed: int):
+    """The yb line's argvs.  Each run's (exit code, stdout) is sent back,
+    so that the operator files `yb assoc` and `yb lie` write can be verified."""
+    rng = random.Random(f"yb:{seed}")
+    corpus = sorted((ROOT / "algebras").glob("*.alg"))
+    for n in itertools.count():
+        path = corpus[n % len(corpus)]
+        fname, text = f"corpus-{path.name}", path.read_text()
+        pathlib.Path(fname).write_text(text)
+        obj = json.loads(text)
+        label, d = obj["field"], obj["dim"]
+        yield ["yb", "assoc", fname, *param_args(yb_params(rng, label, 0.5)), "--verify"]
+        assoc = ["yb", "assoc", fname, *param_args(yb_params(rng, label, 1.0))]
+        z = ["0"] * d
+        if rng.random() < 0.5:
+            z[rng.randrange(d)] = rng.choice(Q_VALUES)
+        lie = ["yb", "lie", fname, f"--alpha={rng.choice(Q_VALUES)}", f"--z={','.join(z)}"]
+        for kind, argv in (("assoc", assoc), ("lie", lie)):
+            code, out = yield argv
+            if code == 0:
+                op_name = f"corpus-{n:04d}-{path.stem}-{kind}.op"
+                pathlib.Path(op_name).write_text(out)
+                yield ["yb", "verify", op_name]
+        for k in range(3):
+            op_name, text = random_operator(rng, 3 * n + k)
+            pathlib.Path(op_name).write_text(text)
+            yield ["yb", "verify", op_name]
+
+
+def run_cli(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except Exception as exc:  # a crash is an outcome to compare
+            code = type(exc).__name__
+    return code, out.getvalue(), err.getvalue()
+
+
+def sweep(label: str, runs_of, seed: int, runs: int, errors_only: bool = False) -> str:
+    """The summary line of the first `runs` runs that runs_of(seed) yields,
+    run in a fresh temporary directory; each run's (exit code, stdout) is
+    sent back to the generator.  With errors_only, only the `error:` lines
+    of stderr are digested."""
     digest = hashlib.sha256()
     counts: dict = {}
-    done = 0
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)  # argv and error messages name files relative to it
         try:
-            for fname, text in cases(seed):
-                pathlib.Path(fname).write_text(text)
-                for argv in argvs(fname, text)[:runs - done]:
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        try:
-                            code = cli.run(argv)
-                        except Exception as exc:  # a crash is an outcome to compare
-                            code = type(exc).__name__
-                    counts[code] = counts.get(code, 0) + 1
-                    digest.update(json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode())
-                    done += 1
-                if done == runs:
-                    break
+            gen = runs_of(seed)
+            argv = next(gen)
+            for done in range(1, runs + 1):
+                code, out, err = run_cli(argv)
+                if errors_only:
+                    err = "".join(line for line in err.splitlines(True) if line.startswith("error: "))
+                counts[code] = counts.get(code, 0) + 1
+                digest.update(json.dumps([argv, code, out, err]).encode())
+                if done < runs:
+                    argv = gen.send((code, out))
         finally:
             os.chdir(cwd)
     tally = ", ".join(f"exit {code} {n}" for code, n in sorted(counts.items(), key=str))
-    return f"seed {seed} runs {runs}: {tally}; sha256 {digest.hexdigest()}"
+    return f"{label}seed {seed} runs {runs}: {tally}; sha256 {digest.hexdigest()}"
 
 
 def main(argv=None) -> None:
@@ -110,7 +207,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    print(sweep(args.seed, args.runs))
+    print(sweep("", check_runs, args.seed, args.runs))
+    print(sweep("yb ", yb_runs, args.seed, args.runs, errors_only=True))
 
 
 if __name__ == "__main__":

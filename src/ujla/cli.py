@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from . import fileformat
@@ -129,8 +130,13 @@ def _print_operator(op, name: str, verify: bool) -> int:
 def _cmd_yb_assoc(args) -> int:
     alg = fileformat.load_algebra_file(args.file)
     field = alg.field
-    op = build_assoc_yb(alg, field.parse(args.alpha), field.parse(args.beta),
-                        field.parse(args.gamma))
+    # Recorded, not shown, so that every run prints the same one line.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        op = build_assoc_yb(alg, field.parse(args.alpha), field.parse(args.beta),
+                            field.parse(args.gamma))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     return _print_operator(op, f"{alg.name}-yb", args.verify)
 
 

@@ -8,10 +8,12 @@ is the coefficient of e_k (x) e_l in the image.  Triple-space lifts use
 index i*d^2 + j*d + k for e_i (x) e_j (x) e_k.
 
 The braid and QYBE checks run on integers: R is scaled once by L, the
-lcm of its entries' denominators (L = 1 over F_p), its lifts are built
-as integer rows by the same slot rule as `lift`, and the dense triple
-products are formed in Python ints (reduced mod p over F_p).  Only the
-first mismatching entry is converted back, as x / L^3, to a field scalar.
+lcm of its entries' denominators (L = 1 over F_p).  Each triple product
+starts from the integer lift of its last factor, built by the same slot
+rule as `lift`, and applies R at the slot pair of each earlier factor in
+Python ints (reduced mod p over F_p), d^8 multiplications a step where a
+dense lift product takes d^9.  Only the first mismatching entry is
+converted back, as x / L^3, to a field scalar.
 """
 
 from __future__ import annotations
@@ -101,31 +103,45 @@ def lift(r: TensorSquareOperator, position: int) -> Matrix:
     return Matrix(r.field, _lift_rows(r.matrix.rows, r.dim, position, r.field.zero))
 
 
-def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> list:
-    """Dense product of two integer row grids, reduced mod p when p > 0."""
-    cols = list(zip(*b))
-    if p:
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _apply(ints: Sequence[Sequence[int]], d: int, position: int, grid: Sequence, p: int) -> list:
+    """R, as integer rows, applied at the slots of position to every column
+    of the d^3 x d^3 integer grid, reduced mod p when p > 0.
+
+    With (s, t) those slots and o the other, entry (u, v) is the sum over
+    triples w with w_o = u_o of R[u_s*d + u_t, w_s*d + w_t] * grid[w, v]:
+    the product lift(R, position) * grid, at d^8 multiplications instead
+    of d^9.
+    """
+    s, t, o = _SLOTS[position]
+    stride = (d * d, d, 1)
+    pairs = [(a * stride[s], b * stride[t]) for a in range(d) for b in range(d)]
+    out = [None] * (d ** 3)
+    for x in range(0, d * stride[o], stride[o]):
+        members = [x + a + b for a, b in pairs]  # the rows with w_o = x, in (w_s, w_t) order
+        cols = list(zip(*(grid[w] for w in members)))
+        for u, row in zip(members, ints):
+            out[u] = ([sum(map(mul, row, col)) % p for col in cols] if p
+                      else [sum(map(mul, row, col)) for col in cols])
+    return out
 
 
 def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -> Optional[tuple]:
     """Row-major first (row, col, lhs, rhs) where the two lift products differ, else None.
 
     R is scaled once by L, the lcm of its entries' denominators (L = 1
-    over F_p), so every lift is an integer grid and each triple product,
-    formed in Python ints, is L^3 times the true one; over F_p each
-    product is reduced mod p.  The two products are compared as integers,
-    and only the first mismatch is brought back to field scalars, as
-    x / L^3 through the field.
+    over F_p), so it is an integer grid.  Each triple product (a, b, c)
+    is the integer lift of c with R then applied at the slots of b and
+    of a (see _apply), reduced mod p after each step over F_p: L^3 times
+    the true product.  The two products are compared as integers, and
+    only the first mismatch is brought back to field scalars, as x / L^3
+    through the field.
     """
-    field, n = r.field, r.dim * r.dim
+    field, d, n = r.field, r.dim, r.dim * r.dim
     flat, scale = integral([x for row in r.matrix.rows for x in row])
     ints = [flat[i:i + n] for i in range(0, n * n, n)]
-    lifts = {pos: _lift_rows(ints, r.dim, pos, 0) for pos in lhs_word}
     p = field.characteristic
     lhs, rhs = (
-        _int_product(lifts[a], _int_product(lifts[b], lifts[c], p), p)
+        _apply(ints, d, a, _apply(ints, d, b, _lift_rows(ints, d, c, 0), p), p)
         for a, b, c in (lhs_word, rhs_word)
     )
     for row, (ra, rb) in enumerate(zip(lhs, rhs)):

@@ -24,11 +24,16 @@ def lift13_via_composition(r):
     return mat_mul(i_tau, mat_mul(r_i, i_tau))
 
 
+def oracle_lifts(r):
+    """The lifts by position: Kronecker paddings and twist conjugation."""
+    ident = Matrix.identity(r.field, r.dim)
+    return {12: kron(r.matrix, ident), 23: kron(ident, r.matrix), 13: lift13_via_composition(r)}
+
+
 def dense_oracle(r):
     """Lifts as Kronecker paddings and twist conjugation, and the first
     row-major mismatch of the braid and QYBE products formed from them."""
-    ident = Matrix.identity(r.field, r.dim)
-    lifts = {12: kron(r.matrix, ident), 23: kron(ident, r.matrix), 13: lift13_via_composition(r)}
+    lifts = oracle_lifts(r)
 
     def first_mismatch(lhs_word, rhs_word):
         lhs, rhs = (mat_mul(lifts[a], mat_mul(lifts[b], lifts[c])) for a, b, c in (lhs_word, rhs_word))

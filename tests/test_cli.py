@@ -177,6 +177,21 @@ def test_yb_assoc_needs_a_declared_unit(files, capsys):
     assert "unit" in capsys.readouterr().err
 
 
+def test_yb_assoc_warns_on_one_stderr_line_every_run(capsys):
+    """A non-associative unital input warns the same one line on each run,
+    naming no source file."""
+    argv = ["yb", "assoc", str(ROOT / "algebras" / "jordan-mat-2x2.alg"), "--alpha", "1",
+            "--beta", "1", "--gamma", "1", "--verify"]
+    runs = []
+    for _ in range(2):
+        status = run(argv)
+        runs.append((status, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    err = runs[0][1].err
+    assert err.startswith("warning: ") and "not associative" in err
+    assert err.count("\n") == 1 and ".py" not in err and str(ROOT) not in err
+
+
 def test_yb_verify_operator_file(tmp_path, capsys):
     from ujla.yang_baxter import twist
 
@@ -284,12 +299,15 @@ def test_check_sweep_is_deterministic(capsys):
         "check_sweep", ROOT / "scripts" / "check_sweep.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    lines = []
+    outputs = []
     for _ in range(2):
         script.main(["--seed", "3", "--runs", "12"])
-        lines.append(capsys.readouterr().out)
-    assert lines[0] == lines[1]
-    assert sum(map(int, re.findall(r"exit \S+ (\d+)", lines[0]))) == 12, lines[0]
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert [line.split("seed")[0] for line in lines] == ["", "yb "], lines
+    for line in lines:
+        assert sum(map(int, re.findall(r"exit \S+ (\d+)", line))) == 12, line
 
 
 def test_algebras_directory_is_the_exported_corpus():

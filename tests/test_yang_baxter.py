@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from operator_oracle import dense_oracle, lift13_via_composition
+from operator_oracle import dense_oracle, lift13_via_composition, oracle_lifts
 from strategies import matrices, prime_fields
 from ujla import corpus
-from ujla.fields import PrimeField, QQ
+from ujla.fields import PrimeField, QQ, integral
 from ujla.linalg import Matrix
 from ujla.yang_baxter import (
     TensorSquareOperator,
+    _apply,
     build_assoc_yb,
     build_lie_yb,
     center,
@@ -149,6 +150,50 @@ def test_lifts_and_mismatches_match_dense_oracle(field):
             failing += not b.braid_ok
             total += 1
     assert total > failing >= total / 3
+
+
+def _int_rows(m, scale):
+    return [[int(x * scale) for x in row] for row in m.rows]
+
+
+def _dense_int_product(a, b, p):
+    """Row-by-column product of two integer grids, reduced mod p when p > 0."""
+    cols = list(zip(*b))
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[x % p for x in row] for row in rows] if p else rows
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_slot_application_matches_dense_oracle_lifts(field, dim):
+    """R applied at each slot pair to the identity grid gives the integer
+    rows of the oracle's lift, and applied to the grid of another lift,
+    the integer rows of the oracle's product of the two (mod p over F_p)."""
+    side, n, p = dim ** 3, dim * dim, field.characteristic
+    identity = [[int(i == j) for j in range(side)] for i in range(side)]
+    for op in seeded_operators(field, dim, 2):
+        flat, scale = integral([x for row in op.matrix.rows for x in row])
+        ints = [flat[i:i + n] for i in range(0, n * n, n)]
+        lifts = {pos: _int_rows(m, scale) for pos, m in oracle_lifts(op).items()}
+        for pos, expected in lifts.items():
+            assert _apply(ints, dim, pos, identity, p) == expected, pos
+            for inner, grid in lifts.items():
+                assert _apply(ints, dim, pos, grid, p) == _dense_int_product(expected, grid, p), (pos, inner)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_perturbed_twist_has_late_first_mismatches(field):
+    """One entry of the d = 3 twist changed in its last row block: the first
+    braid mismatch lies in the last row of the 27 x 27 products and the
+    first QYBE one past their first quarter, and both are the oracle's."""
+    d = 3
+    rows = [list(row) for row in twist(field, d).matrix.rows]
+    rows[8][7] = Fraction(-3, 2)
+    op = TensorSquareOperator(field, d, Matrix.from_rows(field, rows))
+    _, braid, qybe = dense_oracle(op)
+    b, q = check_braid(op), check_qybe(op)
+    assert (b.first_mismatch, q.first_mismatch) == (braid, qybe)
+    assert braid[:2] == (26, 22) and qybe[:2] == (8, 21)
 
 
 FRACTIONS = (0, 1, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(5, 6), Fraction(-7, 4))
