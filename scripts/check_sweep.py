@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Seeded byte-identity sweep of `ujla check` and `ujla compat`, and of
-the `ujla yb` commands.
+"""Seeded byte-identity sweep of `ujla check` and `ujla compat`, of the
+`ujla yb` commands and of `ujla derivation`.
 
 The check line: seeded algebra files are written into a temporary
 directory: random tensors over Q (entries 0, 1, -1, 2, 1/2, -3/2) and
@@ -21,6 +21,13 @@ operator files over the same fields, d = 1-4, sparse to dense, each run
 through `yb verify`, until --runs runs are done.  Only the `error:`
 lines of stderr enter this digest, so that the non-associative input
 warning, advice rather than a verdict, is not compared.
+
+The derivation line: the corpus files, each followed by one seeded
+random algebra file as on the check line (from a seed of its own), then
+random files only.  Each file is run through `derivation --formula six`
+and `--formula two`, once with a and b seeded basis vectors and once
+with seeded vectors of any coordinates, until --runs runs are done.
+About half of these runs fail the Leibniz rule and print a witness.
 
 Each line gives the number of runs per exit code and a SHA-256 over
 every run's argv (which names its case file), exit code, stdout and
@@ -72,8 +79,9 @@ def random_case(rng: random.Random, n: int) -> tuple:
                                       "constants": tensor})
 
 
-def cases(seed: int):
-    """The corpus files, each followed by one random case, then random cases."""
+def cases(seed):
+    """The corpus files, each followed by one random case, then random cases;
+    seed is any seed random.Random takes."""
     rng = random.Random(seed)
     corpus = sorted((ROOT / "algebras").glob("*.alg"))
     for n in itertools.count():
@@ -162,6 +170,29 @@ def yb_runs(seed: int):
             yield ["yb", "verify", op_name]
 
 
+def coordinates(rng: random.Random, label: str, d: int) -> str:
+    """A seeded vector as a coordinate list: a basis vector or, as often,
+    any coordinates, negative literals included."""
+    if rng.random() < 0.5:
+        n = rng.randrange(d)
+        return ",".join("1" if i == n else "0" for i in range(d))
+    values = ["0", *Q_VALUES] if label == "Q" else ["-1", *map(str, range(int(label[1:])))]
+    return ",".join(rng.choice(values) for _ in range(d))
+
+
+def derivation_runs(seed: int):
+    """The derivation line's argvs, each case file written before its runs."""
+    rng = random.Random(f"derivation:{seed}")
+    for fname, text in cases(f"derivation-files:{seed}"):
+        pathlib.Path(fname).write_text(text)
+        obj = json.loads(text)
+        label, d = obj["field"], obj["dim"]
+        for formula in ("six", "two"):
+            for _ in range(2):
+                a, b = coordinates(rng, label, d), coordinates(rng, label, d)
+                yield ["derivation", fname, f"--a={a}", f"--b={b}", "--formula", formula]
+
+
 def run_cli(argv: list) -> tuple:
     """(exit code, stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -209,6 +240,7 @@ def main(argv=None) -> None:
         parser.error("--runs must be at least 1")
     print(sweep("", check_runs, args.seed, args.runs))
     print(sweep("yb ", yb_runs, args.seed, args.runs, errors_only=True))
+    print(sweep("derivation ", derivation_runs, args.seed, args.runs))
 
 
 if __name__ == "__main__":

@@ -2,12 +2,19 @@
 
 An algebra is a field, a basis, and a tensor c[i][j][k] meaning
 e_i * e_j = sum_k c[i][j][k] e_k.  Vectors are plain tuples of scalars.
-Everything is immutable after construction; products are pure functions,
-so algebras are safe to share between threads.
+The dataclass fields are immutable after construction; products are pure
+functions, so algebras are safe to share between threads.  Beside those
+fields an algebra keeps two caches, filled lazily per instance in its
+__dict__ (the way functools.cached_property keeps a value): the nonzero
+terms of each basis product, which multiply reads, and the identity
+engine's integer slot tables (identities._row_source).  Both are pure
+functions of the tensor, so threads that race on an entry only build it
+twice; neither takes part in equality, hashing or replace().
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
@@ -98,29 +105,29 @@ class Algebra:
         zero = self.field.zero
         return tuple(zero for _ in range(self.dim))
 
+    @functools.cached_property
+    def _products(self) -> tuple:
+        """The nonzero (k, c) terms of e_i e_j, at [i][j]."""
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+                     for plane in self.tensor)
+
     def multiply(self, u: Sequence, v: Sequence) -> Vector:
-        """Bilinear product through the structure tensor."""
+        """Bilinear product through the structure tensor, skipping zero
+        coordinates and constants; each coordinate is normalised once."""
         d = self.dim
         if len(u) != d or len(v) != d:
             raise ValueError(f"{self.name}: vector length does not match dimension {d}")
-        field = self.field
-        zero = field.zero
         acc = [0] * d
-        tensor = self.tensor
-        for i, ui in enumerate(u):
-            if ui == zero:
-                continue
-            plane = tensor[i]
-            for j, vj in enumerate(v):
-                if vj == zero:
-                    continue
-                s = ui * vj
-                row = plane[j]
-                for k in range(d):
-                    cijk = row[k]
-                    if cijk != zero:
-                        acc[k] += s * cijk
-        norm = field.normalize
+        products = self._products
+        vterms = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if x:
+                plane = products[i]
+                for j, y in vterms:
+                    s = x * y
+                    for k, c in plane[j]:
+                        acc[k] += s * c
+        norm = self.field.normalize
         return tuple(norm(x) for x in acc)
 
     def multiply_formal(self, u: Sequence[Poly], v: Sequence[Poly]) -> tuple:

@@ -8,6 +8,7 @@ Reports are deterministic: identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -206,8 +207,22 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a separate argument such as -3/2 or
+    -1,1/2 for a value, not an option.
+
+    argparse reads an argument that starts with '-' as a value only when
+    it looks like a negative number (-1 or -1.5).  Field literals and
+    coordinate lists widen that pattern; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ujla",
         description="Exact checks for structure-constant algebras: axiom suites, "
                     "Yang-Baxter operators, derivations, and small classifications.",

@@ -11,6 +11,8 @@ is normalised once.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import Algebra, Vector, vec_add
 from .fields import coerce, integral
 from .identities import AxiomReport, ConcreteWitness, Verdict
@@ -78,42 +80,49 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
 
     The rule is linear in D and bilinear in (x, y), so it is checked
     exactly on basis pairs: one contraction of D with the structure
-    tensor gives every defect D(e_i e_j) - D(e_i)e_j - e_i D(e_j).  A
-    failure reports the first failing pair (i, j) in row-major order,
-    its two sides recomputed through the product.  The verdict keeps
-    the label "polynomial" that exact verdicts carry.
+    tensor gives both sides, D(e_i e_j) and D(e_i)e_j + e_i D(e_j), of
+    every pair as integer sums.  A failure reports the first failing pair
+    (i, j) in row-major order, with its two sides read off those sums;
+    revalidate_leibniz recomputes them through the product.  The verdict
+    keeps the label "polynomial" that exact verdicts carry.
     """
     d = alg.dim
     if deriv.nrows != d or deriv.ncols != d:
         raise ValueError(f"{alg.name}: linear map must be {d}x{d}")
-    # Scaling D and the constants to integers scales every defect by the
-    # same nonzero factor, so the zero pattern is unchanged.
-    flat, _ = integral([x for row in deriv.rows for x in row])
+    # With D scaled by s and the constants by t to integers, both sides of
+    # every pair are s * t times their values.
+    flat, s = integral([x for row in deriv.rows for x in row])
     m = [flat[r * d:(r + 1) * d] for r in range(d)]
-    defect = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i, j, k, c in _nonzero_constants(alg)[0]:
-        # c = c[i][j][k] enters defect (i, j) through D(e_i e_j), defect (r, j)
-        # through D(e_r)e_j and defect (i, r) through e_i D(e_r).
+    nonzero, t = _nonzero_constants(alg)
+    lhs = [[[0] * d for _ in range(d)] for _ in range(d)]
+    rhs = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i, j, k, c in nonzero:
+        # c = c[i][j][k] enters pair (i, j) through D(e_i e_j), pair (r, j)
+        # through D(e_r)e_j and pair (i, r) through e_i D(e_r).
         for r in range(d):
             if m[r][k]:
-                defect[i][j][r] += c * m[r][k]
+                lhs[i][j][r] += c * m[r][k]
             if m[i][r]:
-                defect[r][j][k] -= m[i][r] * c
+                rhs[r][j][k] += m[i][r] * c
             if m[j][r]:
-                defect[i][r][k] -= m[j][r] * c
-    norm = alg.field.normalize
+                rhs[i][r][k] += m[j][r] * c
+    field = alg.field
+    norm = field.normalize
     failing = next(((i, j) for i in range(d) for j in range(d)
-                    if any(norm(x) for x in defect[i][j])), None)
+                    if any(norm(x - y) for x, y in zip(lhs[i][j], rhs[i][j]))), None)
     verdict = Verdict("leibniz", True, "polynomial")
     if failing is not None:
-        x, y = (alg.basis_vector(n) for n in failing)
-        witness = ConcreteWitness((("x", x), ("y", y)), *_leibniz_sides(alg, deriv, x, y))
+        i, j = failing
+        sides = (tuple(field.from_fraction(Fraction(x, s * t)) for x in acc)
+                 for acc in (lhs[i][j], rhs[i][j]))
+        witness = ConcreteWitness((("x", alg.basis_vector(i)), ("y", alg.basis_vector(j))), *sides)
         verdict = Verdict("leibniz", False, "polynomial", concrete_witness=witness)
     return AxiomReport(algebra=alg.name, semantics="polynomial", verdicts=(verdict,))
 
 
 def _leibniz_sides(alg: Algebra, deriv: Matrix, x: Vector, y: Vector) -> tuple:
-    """(D(xy), D(x)y + xD(y)) through the product, not the contraction."""
+    """(D(xy), D(x)y + xD(y)) through the product, not the contraction:
+    the revalidation route."""
     lhs = mat_vec(deriv, alg.multiply(x, y))
     rhs = vec_add(alg.field, alg.multiply(mat_vec(deriv, x), y), alg.multiply(x, mat_vec(deriv, y)))
     return lhs, rhs

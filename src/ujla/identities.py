@@ -24,16 +24,22 @@ built from the structure constants, with no formal polynomials.  One
 walk over the plan's groups yields, in order, each group whose sides
 differ, building a row the first time a group reads it: holds and a
 polynomial failure stop at the first, a pointwise failure takes them
-all.  A polynomial failure's concrete witness is read off the same rows
-(basis tuples) and the same integer tensor (the {0, 1, -1} grid).  For
-the classification scan, constant_equations expands the same plan with
-the structure constants left symbolic, into polynomial equations in them.
+all.  An algebra keeps one row source for its lifetime, so every identity
+checked on it reads and fills the same tables.  The sides of a concrete
+witness are read off the same rows and the same integer tensor: a
+polynomial failure's at the first basis tuple or {0, 1, -1} grid point
+whose sides differ, a pointwise failure's at the point its residual
+names.  For the classification scan, constant_equations expands the same
+plan with the structure constants left symbolic, into polynomial
+equations in them.
 
-Failures always carry a witness that can be re-validated independently:
+Failures always carry a witness that is re-validated independently:
 revalidate_verdict sums the plan's words through Algebra.multiply on
-field scalars, over one assignment or over the slot assignments of the
-witness monomial, and never reads the integer rows.  One word evaluator
-serves that route and the grid search; it is handed the product to use.
+field scalars, over one assignment (evaluate_sides, which only
+revalidation calls) or over the slot assignments of the witness
+monomial, sharing each sub-product within the call, and never reads the
+integer rows.  One word evaluator serves that route and the integer one;
+it is handed the product to use.
 """
 
 from __future__ import annotations
@@ -286,22 +292,38 @@ def _shape_value(multiply, shape, values):
     return multiply(left, _shape_value(multiply, shape[1], values))
 
 
-def _field_sides(alg: Algebra, spec: IdentitySpec, leaf_vectors) -> tuple:
+def _field_sides(alg: Algebra, spec: IdentitySpec, leaf_keys, vector) -> tuple:
     """(lhs, rhs) vectors of the polynomial plan's words, each word evaluated
-    through Algebra.multiply on field scalars and summed over the iterators
-    of leaf vectors that leaf_vectors(leaves) yields."""
+    through Algebra.multiply on field scalars and summed over the tuples of
+    leaf keys that leaf_keys(leaves) yields, with vector(key) at each leaf.
+
+    Each sub-product is computed once per call.  Its memo key is the word's
+    tree with every leaf replaced by its key (an int), which names both the
+    shape and the leaf keys; no vector of scalars is hashed."""
     plan = _plan(alg, spec, "polynomial")
+    memo: dict = {}
+
+    def multiply(u, v):  # on (key, vector) pairs
+        key = (u[0], v[0])
+        product = memo.get(key)
+        if product is None:
+            product = memo[key] = alg.multiply(u[1], v[1])
+        return key, product
+
     sides = ([0] * alg.dim, [0] * alg.dim)
     for side, coef, _, t, leaves in plan.words:
-        for vectors in leaf_vectors(leaves):
-            for k, x in enumerate(_shape_value(alg.multiply, plan.shapes[t], vectors)):
-                sides[side][k] += coef * x
+        acc = sides[side]
+        for keys in leaf_keys(leaves):
+            _, value = _shape_value(multiply, plan.shapes[t], ((key, vector(key)) for key in keys))
+            for k, x in enumerate(value):
+                if x:
+                    acc[k] += coef * x
     return tuple(tuple(map(alg.field.normalize, acc)) for acc in sides)
 
 
 def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
     """Concrete (lhs, rhs) vectors of the identity under an assignment."""
-    return _field_sides(alg, spec, lambda leaves: [(assignment[spec.variables[v]] for v in leaves)])
+    return _field_sides(alg, spec, lambda leaves: [leaves], lambda v: assignment[spec.variables[v]])
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +346,8 @@ def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
 # residues, reduced once per sum.  Over Q the tensor is scaled by the lcm L
 # of its denominators and the coefficients by the lcm D of theirs, so a sum
 # over a group of degree m is its coefficient times D * L^(m-1).  The rows
-# of one algebra live in a _Rows, one lazily built _Table per shape.
+# of one algebra live in its one _Rows, one lazily built _Table per shape,
+# which every identity checked on that algebra reads and fills.
 
 def _leaves(word: Word) -> list:
     if isinstance(word, str):
@@ -473,6 +496,17 @@ class _Table(dict):
         return row
 
 
+def _row_source(alg: Algebra) -> _Rows:
+    """The algebra's one row source, built on first use and kept in the
+    instance's __dict__ for its lifetime, as functools.cached_property keeps
+    a value.  The shape of (a*b)*c then serves assoc, lie.jacobi and ujla.1
+    alike, and each row is built at most once per algebra."""
+    rows = alg.__dict__.get("_rows")
+    if rows is None:
+        rows = alg.__dict__["_rows"] = _Rows(alg)
+    return rows
+
+
 def _symbolic_table(shape, memo: dict, d: int) -> list:
     """A whole slot table with the structure constants left symbolic: each
     coordinate is a polynomial {sorted flat constant indices: int coefficient}."""
@@ -558,18 +592,18 @@ def _slot_coefficients(alg: Algebra, spec: IdentitySpec, mono: tuple, k: int) ->
     assignments that land on it."""
     d = alg.dim
 
-    def slot_vectors(leaves):
+    def slot_assignments(leaves):
         choices = [[i for i in range(d) if mono[v * d + i]] for v in leaves]
         for sigma in itertools.product(*choices):
             if _monomial(leaves, sigma, len(mono), d) == mono:
-                yield map(alg.basis_vector, sigma)
-    lhs, rhs = _field_sides(alg, spec, slot_vectors)
+                yield sigma
+    lhs, rhs = _field_sides(alg, spec, slot_assignments, alg.basis_vectors().__getitem__)
     return lhs[k], rhs[k]
 
 
 def holds(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> bool:
     """Whether the identity holds, with no witness search."""
-    return next(_differences(_plan(alg, spec, semantics), _Rows(alg)), None) is None
+    return next(_differences(_plan(alg, spec, semantics), _row_source(alg)), None) is None
 
 
 def _first_nonzero_point(residual: dict, p: int) -> list:
@@ -611,54 +645,79 @@ def _row_number(combo: Sequence[int], leaves: Sequence[int], d: int) -> int:
     return n
 
 
-def _search_concrete_witness(alg: Algebra, spec: IdentitySpec, plan: _Plan,
-                             rows: _Rows) -> Optional[ConcreteWitness]:
-    """First assignment among basis tuples, then the {0, 1, -1} grid, whose
-    sides differ, evaluated in integers.
+class _IntegerWords:
+    """The plan's words on a row source, evaluated in integers at concrete
+    assignments.
 
     A word of degree m on integer vectors is L^(m-1) times its value, so
     each word's coefficient is scaled by L^(top - m) and every side is
     D * L^(top - 1) times its value (1 over F_p).  On a basis tuple a
-    word's value is its table row at the slot assignment."""
-    nv, d, p, field = len(spec.variables), alg.dim, rows.p, rows.field
-    top = max(len(leaves) for *_, leaves in plan.words)
-    tables = [rows.table(shape) for shape in plan.shapes]
-    words = [(side, c * rows.denom ** (top - len(leaves)), plan.shapes[t], tables[t], leaves)
-             for side, _, c, t, leaves in plan.words]
+    word's value is its table row at the slot assignment; elsewhere it is
+    the word evaluated through the integer product."""
 
-    def differing_sides(values) -> Optional[tuple]:
-        """Both sides from the words' values, if they differ."""
+    def __init__(self, spec: IdentitySpec, plan: _Plan, rows: _Rows):
+        self.spec, self.rows = spec, rows
+        top = max(len(leaves) for *_, leaves in plan.words)
+        self.scale = plan.scale * rows.denom ** (top - 1)
+        self.words = [(side, c * rows.denom ** (top - len(leaves)), plan.shapes[t],
+                       rows.table(plan.shapes[t]), leaves)
+                      for side, _, c, t, leaves in plan.words]
+
+    def _sides(self, values) -> tuple:
+        """Both sides' integer sums, from each word's integer value."""
+        d = self.rows.d
         sides = ([0] * d, [0] * d)
-        for (side, c, *_), value in zip(words, values):
+        for (side, c, *_), value in zip(self.words, values):
             acc = sides[side]
             for k, x in enumerate(value):
                 acc[k] += c * x
+        return sides
+
+    def at_basis(self, combo: Sequence[int]) -> tuple:
+        """Both sides when variable v is the basis vector e_combo[v]."""
+        d = self.rows.d
+        return self._sides([table[_row_number(combo, leaves, d)]
+                            for _, _, _, table, leaves in self.words])
+
+    def at(self, vectors) -> tuple:
+        """Both sides when the variables are vectors with integer coordinates."""
+        env = [list(map(int, vector)) for vector in vectors]
+        multiply = self.rows.multiply
+        return self._sides([_shape_value(multiply, shape, map(env.__getitem__, leaves))
+                            for _, _, shape, _, leaves in self.words])
+
+    def differ(self, sides: tuple) -> bool:
+        """Whether the sides differ, mod p over F_p."""
         lhs, rhs = sides
-        if any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs:
-            return sides
-        return None
+        p = self.rows.p
+        return any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs
 
-    def witness(vectors, sides) -> ConcreteWitness:
-        scale = plan.scale * rows.denom ** (top - 1)
+    def witness(self, vectors, sides: tuple) -> ConcreteWitness:
+        """The witness at vectors, its sides brought back to the field."""
+        field, scale = self.rows.field, self.scale
         lhs, rhs = (tuple(field.from_fraction(Fraction(x, scale)) for x in acc) for acc in sides)
-        return ConcreteWitness(tuple(zip(spec.variables, vectors)), lhs, rhs)
+        return ConcreteWitness(tuple(zip(self.spec.variables, vectors)), lhs, rhs)
 
+
+def _search_concrete_witness(alg: Algebra, spec: IdentitySpec, plan: _Plan,
+                             rows: _Rows) -> Optional[ConcreteWitness]:
+    """First assignment among basis tuples, then the {0, 1, -1} grid, whose
+    sides differ, evaluated in integers."""
+    nv, d, field = len(spec.variables), alg.dim, rows.field
+    words = _IntegerWords(spec, plan, rows)
     # Basis tuples first: they witness most failures and read well.
     for combo in itertools.product(range(d), repeat=nv):
-        sides = differing_sides([table[_row_number(combo, leaves, d)]
-                                 for _, _, _, table, leaves in words])
-        if sides:
-            return witness([alg.basis_vector(i) for i in combo], sides)
+        sides = words.at_basis(combo)
+        if words.differ(sides):
+            return words.witness([alg.basis_vector(i) for i in combo], sides)
     # dict.fromkeys dedupes while keeping order (0 = 1 = -1 collapses mod 2)
     pool = list(dict.fromkeys([field.zero, field.one, field.normalize(-1)]))
     grid = itertools.product(pool, repeat=nv * d)
     for coords in itertools.islice(grid, WITNESS_SEARCH_CAP):
         combo = [coords[v * d:(v + 1) * d] for v in range(nv)]
-        env = [list(map(int, vector)) for vector in combo]
-        sides = differing_sides([_shape_value(rows.multiply, shape, map(env.__getitem__, leaves))
-                                 for _, _, shape, _, leaves in words])
-        if sides:
-            return witness(combo, sides)
+        sides = words.at(combo)
+        if words.differ(sides):
+            return words.witness(combo, sides)
     return None
 
 
@@ -672,9 +731,11 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
     """Single-identity verdict under the chosen semantics, decided by the
     compiled plan.  A pointwise failure names the lexicographically least
     failing assignment (variables in declared order, each vector by its
-    coordinates), read off the plan's residual."""
+    coordinates), read off the plan's residual; its sides are the words'
+    integer values there, as in the polynomial witness search.  Both
+    semantics read the algebra's one row source."""
     plan = _plan(alg, spec, semantics)
-    rows = _Rows(alg)
+    rows = _row_source(alg)
     if semantics == "pointwise":
         p = alg.field.p
         residual = {mono: [(x - y) % p for x, y in zip(lhs, rhs)]
@@ -684,10 +745,9 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
         point = _first_nonzero_point(residual, p)
         d = alg.dim
         combo = [tuple(point[v * d:(v + 1) * d]) for v in range(len(spec.variables))]
-        assignment = tuple(zip(spec.variables, combo))
-        lhs, rhs = evaluate_sides(alg, spec, dict(assignment))
+        words = _IntegerWords(spec, plan, rows)
         return Verdict(spec.name, False, semantics, identity=spec,
-                       concrete_witness=ConcreteWitness(assignment, lhs, rhs))
+                       concrete_witness=words.witness(combo, words.at(combo)))
     failure = next(_differences(plan, rows), None)
     if failure is None:
         return Verdict(spec.name, True, semantics, identity=spec)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import hypothesis.strategies as st
 from strategies import algebras, prime_fields, scalars, vectors
 from ujla import corpus
 from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products, vec_add, vec_scale
-from ujla.fields import QQ
+from ujla.fields import QQ, PrimeField
 
 
 def test_zero_algebra_multiplies_to_zero():
@@ -32,6 +33,45 @@ def test_dimension_mismatch():
     z = corpus.zero_algebra(dim=2)
     with pytest.raises(ValueError):
         z.multiply((1, 2, 3), (1, 2))
+
+
+def _dense_product(alg, u, v):
+    """e_i e_j summed over every (i, j, k), zeros included, normalised once."""
+    d = alg.dim
+    acc = [0] * d
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                acc[k] += u[i] * v[j] * alg.tensor[i][j][k]
+    return tuple(map(alg.field.normalize, acc))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=str)
+def test_sparse_multiply_matches_dense_product(field):
+    """The product over the nonzero terms of each e_i e_j equals the dense
+    sum on seeded algebras from sparse to dense, zero vectors included."""
+    rng = random.Random(f"multiply:{field}")
+    if field.is_finite:
+        values = list(range(field.p))
+    else:
+        values = [Fraction(x) for x in (0, 1, -1, 2)] + [Fraction(1, 2), Fraction(-3, 2)]
+    for d in range(1, 5):
+        for density in (0.0, 0.2, 0.6, 1.0):
+            tensor = [[[rng.choice(values) if rng.random() < density else 0 for _ in range(d)]
+                       for _ in range(d)] for _ in range(d)]
+            alg = Algebra("seeded", field, d, tuple(f"e{i}" for i in range(d)), tensor)
+            vectors = [alg.zero_vector(), *alg.basis_vectors()]
+            vectors += [tuple(rng.choice(values) for _ in range(d)) for _ in range(4)]
+            for u in vectors:
+                for v in vectors:
+                    product = alg.multiply(u, v)
+                    assert product == _dense_product(alg, u, v), (tensor, u, v)
+                    assert all(type(x) is (int if field.is_finite else Fraction) for x in product)
+            assert alg.multiply(alg.zero_vector(), vectors[-1]) == alg.zero_vector()
+            for u, v in [(alg.zero_vector() + (0,), alg.zero_vector()),
+                         (alg.zero_vector(), alg.zero_vector()[1:])]:
+                with pytest.raises(ValueError, match="does not match dimension"):
+                    alg.multiply(u, v)
 
 
 def test_unit_is_validated():

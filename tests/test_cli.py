@@ -6,11 +6,11 @@ import shlex
 
 import pytest
 
-from ujla import corpus
+from ujla import corpus, identities
 from ujla.cli import run
 from ujla.fileformat import dumps_algebra, dumps_operator, loads_algebra, loads_operator
 from ujla.transforms import commutator
-from ujla.fields import QQ
+from ujla.fields import QQ, PrimeField
 from ujla.linalg import Matrix
 from ujla.yang_baxter import TensorSquareOperator
 
@@ -42,6 +42,56 @@ def test_check_failure_names_identity_and_witness(files, capsys):
     assert status == 1
     assert "jordan.comm: FAIL" in out
     assert "witness:" in out and "lhs =" in out
+
+
+@pytest.mark.parametrize("pointwise", [False, True])
+def test_check_reads_one_row_source_per_file(pointwise, tmp_path, monkeypatch, capsys):
+    """Every suite of one check command reads the algebra's one row source."""
+    sources = []
+
+    class RecordedRows(identities._Rows):
+        def __init__(self, alg):
+            super().__init__(alg)
+            sources.append(self)
+
+    monkeypatch.setattr(identities, "_Rows", RecordedRows)
+    alg = corpus.heisenberg(PrimeField(3)) if pointwise else corpus.heisenberg()
+    path = tmp_path / "heisenberg.alg"
+    path.write_text(dumps_algebra(alg))
+    argv = ["check", str(path), "--axioms", "assoc,lie,jordan,ujla"]
+    assert run(argv + ["--pointwise"] * pointwise) == 1
+    out = capsys.readouterr().out
+    assert "ujla.2d: PASS" in out and "jordan.comm: FAIL" in out and "witness:" in out
+    assert len(sources) == 1
+
+
+# Each field-literal option, given a negative fraction or coordinate list as
+# a separate argument.
+NEGATIVE_LITERALS = [
+    (["yb", "assoc", "dual-numbers", "--beta", "1", "--gamma", "1"], "--alpha", "-3/2"),
+    (["yb", "assoc", "dual-numbers", "--alpha", "1", "--gamma", "1", "--verify"], "--beta", "-3/2"),
+    (["yb", "params", "--alpha", "0", "--beta", "0"], "--gamma", "-3/2"),
+    (["yb", "lie", "abelian-2", "--alpha", "1"], "--z", "-3/2,1"),
+    (["derivation", "sl2", "--b", "0,1,0", "--formula", "six"], "--a", "-1,1/2,0"),
+    (["derivation", "sl2", "--a", "1,0,0", "--formula", "two"], "--b", "-1/2,0,1"),
+]
+
+
+@pytest.mark.parametrize("argv, option, value", NEGATIVE_LITERALS,
+                         ids=[option for _, option, _ in NEGATIVE_LITERALS])
+def test_negative_literal_is_a_separate_option_value(argv, option, value, files, tmp_path,
+                                                    capsys):
+    abelian = tmp_path / "abelian-2.alg"
+    abelian.write_text(dumps_algebra(corpus.abelian_lie(2)))
+    paths = dict(files, **{"abelian-2": str(abelian)})
+    argv = [paths.get(a, a) for a in argv]
+    outputs = []
+    for tail in ([option, value], [f"{option}={value}"]):
+        status = run(argv + tail)
+        outputs.append((status, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    status, out, err = outputs[0]
+    assert status in (0, 1) and out and not err, outputs[0]
 
 
 def test_check_pointwise_on_rationals_is_a_usage_error(files, capsys):
@@ -305,7 +355,7 @@ def test_check_sweep_is_deterministic(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    assert [line.split("seed")[0] for line in lines] == ["", "yb "], lines
+    assert [line.split("seed")[0] for line in lines] == ["", "yb ", "derivation "], lines
     for line in lines:
         assert sum(map(int, re.findall(r"exit \S+ (\d+)", line))) == 12, line
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from reference import ref_leibniz_witness
-from ujla import corpus
+from ujla import corpus, derivations
 from ujla.algebra import Algebra, vec_add, vec_sub
 from ujla.axioms import check_ujla
 from ujla.classify import SearchSpec, enumerate_ujla
@@ -87,6 +87,42 @@ def test_identity_map_on_dual_numbers_fails_leibniz(dual):
     assert env["x"] == (1, 0) and env["y"] == (1, 0)
     assert w.lhs == (Fraction(1), 0) and w.rhs == (Fraction(2), 0)
     assert revalidate_leibniz(dual, Matrix.identity(QQ, 2), report.verdicts[0])
+
+
+def test_revalidation_rejects_a_wrong_leibniz_sides(monkeypatch):
+    """The checker reads a failing pair's sides off its contraction, so a
+    wrong _leibniz_sides, swapped in for the whole check-and-revalidate
+    run, makes revalidation reject the witness wherever it is wrong."""
+    true_sides = derivations._leibniz_sides
+
+    def without_x_dy(alg, deriv, x, y):
+        return mat_vec(deriv, alg.multiply(x, y)), alg.multiply(mat_vec(deriv, x), y)
+
+    rnd = random.Random(f"{RANDOM_SEED}:wrong-leibniz")
+    cases = []
+    for field, values in [(QQ, (0, 0, 1, -1, 2, Fraction(1, 2))), (PrimeField(5), range(5))]:
+        for d in (2, 3):
+            for n in range(6):
+                alg = Algebra(f"r{n}", field, d, tuple(f"e{i}" for i in range(d)),
+                              [[[rnd.choice(values) for _ in range(d)] for _ in range(d)]
+                               for _ in range(d)])
+                cases.append((alg, Matrix.from_rows(field, [[rnd.choice(values) for _ in range(d)]
+                                                            for _ in range(d)])))
+    monkeypatch.setattr(derivations, "_leibniz_sides", without_x_dy)
+    rejected = 0
+    for alg, deriv in cases:
+        (verdict,) = check_derivation(alg, deriv).verdicts
+        if verdict.passed:
+            continue
+        w = verdict.concrete_witness
+        env = dict(w.assignment)
+        true = true_sides(alg, deriv, env["x"], env["y"])
+        wrong = without_x_dy(alg, deriv, env["x"], env["y"])
+        accepted = revalidate_leibniz(alg, deriv, verdict)
+        assert accepted == (wrong == true), alg.tensor
+        assert (w.lhs, w.rhs) == true, alg.tensor
+        rejected += not accepted
+    assert rejected > 10
 
 
 def test_constructions_yield_derivations_across_classes(standard_corpus):

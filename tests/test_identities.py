@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from ujla.identities import (
     ConcreteWitness,
     IdentitySpec,
     _Rows,
+    _field_sides,
     _product,
     _slot_coefficients,
     check_identity,
@@ -250,8 +253,9 @@ ASSOC_F5_D4 = tuple(4 if n == 3 else 2 if n == 13 else 0 for n in range(64))
 
 
 def test_pointwise_witness_evaluates_the_sides_once(monkeypatch):
-    """A failing pointwise check reads its witness off the plan and
-    evaluates the identity only on that witness."""
+    """A failing pointwise check reads its witness point off the plan and
+    its sides off the integer rows; only revalidation evaluates the
+    identity through evaluate_sides, once, on that witness."""
     calls = [0]
 
     def counting(*args):
@@ -264,14 +268,40 @@ def test_pointwise_witness_evaluates_the_sides_once(monkeypatch):
     for alg, spec in cases:
         calls[0] = 0
         verdict = check_identity(alg, spec, "pointwise")
-        assert calls[0] == (0 if verdict.passed else 1), (alg.tensor, spec.name)
+        assert calls[0] == 0, (alg.tensor, spec.name)
         failures += not verdict.passed
         assert revalidate_verdict(alg, verdict)
+        assert calls[0] == (0 if verdict.passed else 1), (alg.tensor, spec.name)
     assert failures > 100
     w = verdict.concrete_witness
     e0 = (1, 0, 0, 0)
     assert w.assignment == (("a", e0), ("b", e0), ("c", e0))
     assert (w.lhs, w.rhs) == ((0, 0, 0, 0), (0, 3, 0, 0))
+
+
+def test_revalidation_rejects_a_wrong_evaluate_sides(monkeypatch):
+    """A pointwise witness's sides come from the integer rows, so an
+    evaluate_sides that reads the leaves in reverse, swapped in for the
+    whole check-and-revalidate run, makes revalidation reject the witness
+    wherever it evaluates it wrongly."""
+    def reversed_leaves(alg, spec, assignment):
+        return _field_sides(alg, spec, lambda leaves: [leaves[::-1]],
+                            lambda v: assignment[spec.variables[v]])
+
+    monkeypatch.setattr("ujla.identities.evaluate_sides", reversed_leaves)
+    rejected = 0
+    for alg, spec in _seeded_pointwise_cases():
+        verdict = check_identity(alg, spec, "pointwise")
+        if verdict.passed:
+            continue
+        w = verdict.concrete_witness
+        assignment = dict(w.assignment)
+        true = evaluate_sides(alg, spec, assignment)
+        accepted = revalidate_verdict(alg, verdict)
+        assert accepted == (reversed_leaves(alg, spec, assignment) == true), (alg.tensor, spec.name)
+        assert (w.lhs, w.rhs) == true, (alg.tensor, spec.name)
+        rejected += not accepted
+    assert rejected > 30
 
 
 # --- coefficient witnesses against the full expansion ----------------------
@@ -516,7 +546,8 @@ def test_polynomial_failure_reads_its_witness_off_the_rows(monkeypatch):
 def test_each_slot_table_row_is_built_once(monkeypatch):
     """Every row a slot table holds is one _product call, and no row is built
     twice: on a passing check, a pointwise check that reads every group and
-    a failing check that stops early."""
+    a failing check that stops early.  The five identities of one report
+    read one row source."""
     calls = {"product": 0, "multiply": 0}
 
     def counting_product(*args):
@@ -548,9 +579,44 @@ def test_each_slot_table_row_is_built_once(monkeypatch):
         calls.update(product=0, multiply=0)
         sources.clear()
         assert check_ujla(alg, semantics).passed == passed, (alg.name, semantics)
+        assert len(sources) == 1, (alg.name, semantics)
         held = sum(len(table) for rows in sources for shape, table in rows.tables.items()
                    if shape not in (None, (None, None)))
         assert held and calls["product"] - calls["multiply"] == held, (alg.name, calls, held)
+
+
+def test_threads_sharing_one_algebra_get_the_serial_verdicts():
+    """An algebra's row source and product terms are filled lazily; threads
+    that race on them still get the verdicts of a serial run."""
+    rng = random.Random(6)
+    values = (0, 1, -1, 2, Fraction(1, 2))
+    tensor = [[[rng.choice(values) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+
+    def fresh():
+        return Algebra("shared", QQ, 3, ("e0", "e1", "e2"), tensor)
+
+    specs = list(ALL_NAMED_IDENTITIES.values())
+    expected = [check_identity(fresh(), spec) for spec in specs]
+    alg = fresh()
+    results = {}
+
+    def work(n):
+        results[n] = [check_identity(alg, spec) for spec in specs[n:] + specs[:n]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {
+        n: expected[n:] + expected[:n] for n in range(4)}
+    assert not all(v.passed for v in expected)
 
 
 def test_revalidation_never_reads_the_integer_rows(monkeypatch):
