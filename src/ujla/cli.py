@@ -8,6 +8,7 @@ Reports are deterministic: identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import warnings
@@ -190,11 +191,22 @@ def _cmd_derivation(args) -> int:
     return 0 if ok else 1
 
 
+def _require_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise, and leave no new file."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_classify(args) -> int:
     spec = SearchSpec(
         dim=args.dim, p=args.prime,
         semantics="pointwise" if args.pointwise else "polynomial",
     )
+    if args.out:
+        _require_writable(args.out)  # before a scan that may take minutes
     result = enumerate_ujla(spec, workers=args.workers)
     text = fileformat.dumps_classification(result)
     if args.out:

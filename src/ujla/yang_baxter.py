@@ -11,14 +11,14 @@ The braid and QYBE checks run on integers: R is scaled once by L, the
 lcm of its entries' denominators (L = 1 over F_p).  Each triple product
 starts from the integer lift of its last factor, built by the same slot
 rule as `lift`, and applies R at the slot pair of each earlier factor in
-Python ints (reduced mod p over F_p), d^8 multiplications a step where a
-dense lift product takes d^9.  Only the first mismatching entry is
-converted back, as x / L^3, to a field scalar.
+Python ints (reduced mod p over F_p).  The lift and each application
+read only R's nonzero entries, so an application costs nnz(R)*d^4
+multiplications where a dense lift product takes d^9.  Only the first
+mismatching entry is converted back, as x / L^3, to a field scalar.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,15 +80,29 @@ def compose(f: TensorSquareOperator, g: TensorSquareOperator) -> TensorSquareOpe
 _SLOTS = {12: (0, 1, 2), 23: (1, 2, 0), 13: (0, 2, 1)}
 
 
+def _slot_offsets(d: int, position: int) -> tuple:
+    """Index offsets of the slots named by position: pair[a*d + b] for e_a
+    and e_b in the two slots R acts on, other[c] for e_c in the remaining
+    one.  A basis triple's index is the sum of its two offsets."""
+    s, t, o = _SLOTS[position]
+    stride = (d * d, d, 1)
+    return ([a * stride[s] + b * stride[t] for a in range(d) for b in range(d)],
+            range(0, d * stride[o], stride[o]))
+
+
 def _lift_rows(rows: Sequence[Sequence], d: int, position: int, zero) -> tuple:
     """Rows of the lift of the d^2 x d^2 grid rows to the slots named by
-    position, with zero off the slot pattern (see lift)."""
-    s, t, o = _SLOTS[position]
-    triples = list(itertools.product(range(d), repeat=3))
-    return tuple(
-        tuple(rows[u[s] * d + u[t]][v[s] * d + v[t]] if u[o] == v[o] else zero for v in triples)
-        for u in triples
-    )
+    position (see lift): each nonzero entry (i, j) of rows is written into
+    a zero grid at (pair[i] + w, pair[j] + w) for every offset w of the
+    other slot."""
+    pair, other = _slot_offsets(d, position)
+    grid = [[zero] * d ** 3 for _ in range(d ** 3)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                for w in other:
+                    grid[pair[i] + w][pair[j] + w] = x
+    return tuple(map(tuple, grid))
 
 
 def lift(r: TensorSquareOperator, position: int) -> Matrix:
@@ -109,19 +123,23 @@ def _apply(ints: Sequence[Sequence[int]], d: int, position: int, grid: Sequence,
 
     With (s, t) those slots and o the other, entry (u, v) is the sum over
     triples w with w_o = u_o of R[u_s*d + u_t, w_s*d + w_t] * grid[w, v]:
-    the product lift(R, position) * grid, at d^8 multiplications instead
-    of d^9.
+    the product lift(R, position) * grid.  Output row u is formed only from
+    the grid rows that the nonzero entries of R's row u_s*d + u_t select,
+    so a step costs nnz(R)*d^4 multiplications where the dense product
+    takes d^9; a zero row of R gives a zero row.
     """
-    s, t, o = _SLOTS[position]
-    stride = (d * d, d, 1)
-    pairs = [(a * stride[s], b * stride[t]) for a in range(d) for b in range(d)]
-    out = [None] * (d ** 3)
-    for x in range(0, d * stride[o], stride[o]):
-        members = [x + a + b for a, b in pairs]  # the rows with w_o = x, in (w_s, w_t) order
-        cols = list(zip(*(grid[w] for w in members)))
-        for u, row in zip(members, ints):
-            out[u] = ([sum(map(mul, row, col)) % p for col in cols] if p
-                      else [sum(map(mul, row, col)) for col in cols])
+    pair, other = _slot_offsets(d, position)
+    side = d ** 3
+    terms = [([pair[j] for j, x in enumerate(row) if x], [x for x in row if x]) for row in ints]
+    out = [None] * side
+    for w in other:
+        for u, (offsets, coeffs) in zip(pair, terms):
+            if not coeffs:
+                out[u + w] = [0] * side
+                continue
+            cols = zip(*(grid[v + w] for v in offsets))
+            out[u + w] = ([sum(map(mul, coeffs, col)) % p for col in cols] if p
+                          else [sum(map(mul, coeffs, col)) for col in cols])
     return out
 
 

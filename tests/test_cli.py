@@ -313,6 +313,30 @@ def test_classify_to_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_classify_unwritable_out_fails_before_the_scan(target, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("no scan may start")
+
+    monkeypatch.setattr("ujla.cli.enumerate_ujla", never)
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "report.json"
+    assert run(["classify", "--dim", "1", "--prime", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_classify_out_overwrites_an_existing_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("old")
+    assert run(["classify", "--dim", "1", "--prime", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}: 3 UJLA tensors in 2 classes out of 3\n"
+    assert run(["classify", "--dim", "1", "--prime", "3"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_classify_validates_parameters(capsys):
     assert run(["classify", "--dim", "3", "--prime", "2"]) == 2
 

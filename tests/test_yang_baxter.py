@@ -262,6 +262,75 @@ def test_integer_kernel_matches_dense_oracle_on_fractional_operators():
     assert outcomes == {(w, ok) for w in ("braid", "qybe") for ok in (True, False)}
 
 
+def edge_operators(field, dim):
+    """Operators by name for the kernel's sparse paths: the zero operator,
+    one nonzero entry, a sparse operator with one all-zero row, and c times
+    the twist and the identity.  Over Q the entries and c = -2/3 are
+    negative or fractional, so L > 1; over F_p, c = -1."""
+    rng = random.Random(f"edge:{field.label}:{dim}")
+    side = dim * dim
+    values = (Fraction(-3, 2), Fraction(2, 3), -1, Fraction(5, 6)) if field == QQ else range(1, field.p)
+    c = Fraction(-2, 3) if field == QQ else field.p - 1
+    single = [[0] * side for _ in range(side)]
+    single[rng.randrange(side)][rng.randrange(side)] = rng.choice(values)
+    zero_row = [[rng.choice(values) if rng.random() < 0.4 else 0 for _ in range(side)]
+                for _ in range(side)]
+    zero_row[rng.randrange(side)] = [0] * side
+    rows = {
+        "zero": [[0] * side for _ in range(side)],
+        "single": single,
+        "zero row": zero_row,
+        "twist": [[c * x for x in row] for row in twist(field, dim).matrix.rows],
+        "identity": [[c * x for x in row] for row in identity_operator(field, dim).matrix.rows],
+    }
+    return {name: TensorSquareOperator(field, dim, Matrix.from_rows(field, r)) for name, r in rows.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), F5], ids=str)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sparse_kernel_matches_dense_oracle_on_edge_operators(field, dim):
+    """lift at all three positions, and the verdicts and exact first
+    mismatches of check_braid and check_qybe, equal the dense oracle's on
+    every edge operator; over Q at d = 4 only on the zero-row operator,
+    since the Fraction oracle takes about 10 s per operator there."""
+    ops = edge_operators(field, dim)
+    if field == QQ and dim == 4:
+        ops = {"zero row": ops["zero row"]}
+    for name, op in ops.items():
+        lifts, braid, qybe = dense_oracle(op)
+        for pos, expected in lifts.items():
+            assert lift(op, pos) == expected, (name, pos)
+        b, q = check_braid(op), check_qybe(op)
+        assert (b.braid_ok, b.first_mismatch) == (braid is None, braid), name
+        assert (q.qybe_ok, q.first_mismatch) == (qybe is None, qybe), name
+        if name in ("zero", "twist", "identity"):
+            assert b.braid_ok and q.qybe_ok, name
+        elif name == "zero row" and dim > 1:
+            assert not b.braid_ok and not q.qybe_ok, name
+
+
+def test_kernel_forms_four_d4_nnz_products(monkeypatch):
+    """Each relation applies R four times, and one application multiplies
+    each nonzero entry of R by d^4 grid entries: 4 * d^4 * nnz(R) products
+    per check, where a kernel reading every entry of R forms 4 * d^8."""
+    count = [0]
+
+    def counting_mul(x, y):
+        count[0] += 1
+        return x * y
+
+    monkeypatch.setattr("ujla.yang_baxter.mul", counting_mul)
+    ops = [edge_operators(QQ, 3)["twist"], edge_operators(QQ, 2)["zero"],
+           edge_operators(PrimeField(2), 3)["zero row"], edge_operators(F5, 4)["single"],
+           edge_operators(F5, 4)["zero row"], fractional_operators(QQ, 2, 4)[3]]
+    for op in ops:
+        nnz = sum(1 for row in op.matrix.rows for x in row if x)
+        for check in (check_braid, check_qybe):
+            count[0] = 0
+            check(op)
+            assert count[0] == 4 * op.dim ** 4 * nnz, (op, check.__name__)
+
+
 # --- the associative family ---------------------------------------------------
 
 def test_assoc_family_on_dual_numbers(dual):
