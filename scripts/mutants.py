@@ -18,8 +18,8 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 23 mutants, took 28.6 s of wall time on a 2-core box
-with Python 3.11.7, the unmutated pass included.
+The full table, 29 mutants, took 26-42 s of wall time over three runs
+on a 2-core box with Python 3.11.7, the unmutated pass included.
 """
 
 from __future__ import annotations
@@ -52,23 +52,35 @@ T_ID = "tests/test_identities.py::"
 
 MUTANTS = (
     # The sparse braid/QYBE kernel.
-    Mutant("apply-no-mod-p", YB,
-           "[sum(map(mul, coeffs, col)) % p for col in cols] if p",
-           "[sum(map(mul, coeffs, col)) for col in cols] if p",
+    Mutant("product-no-mod-p", YB,
+           "            acc = [x % p for x in acc]\n",
+           "            pass\n",
            (T_YB + "test_slot_application_matches_dense_oracle_lifts[2-F5]",)),
-    Mutant("apply-full-row-with-selected-grid-rows", YB,
-           "[x for x in row if x]) for row in ints]",
-           "row) for row in ints]",
+    Mutant("product-keeps-a-reduced-zero-in-a-row", YB,
+           "        if p:\n"
+           "            acc = [x % p for x in acc]\n"
+           "        out.append((list(compress(columns, acc)), list(filter(None, acc))))\n",
+           "        out.append((list(compress(columns, acc)), [x % p if p else x for x in filter(None, acc)]))\n",
+           (T_YB + "test_sparse_kernel_matches_dense_oracle_on_edge_operators[3-F5]",)),
+    Mutant("product-accumulates-the-coefficient-alone", YB,
+           "acc[col] += c * x",
+           "acc[col] += c",
+           (T_YB + "test_slot_application_matches_dense_oracle_lifts[2-Q]",)),
+    Mutant("lift-rows-keep-zero-entries-of-r", YB,
+           "([pair[j] for j, x in enumerate(row) if x], [x for x in row if x]) for row in rows]",
+           "(pair, list(row)) for row in rows]",
+           (T_YB + "test_kernel_forms_one_product_per_selected_nonzero",)),
+    Mutant("lift-rows-without-other-slot-offset", YB,
+           "([v + w for v in cols], vals)",
+           "(cols, vals)",
            (T_YB + "test_sparse_kernel_matches_dense_oracle_on_edge_operators[2-F5]",)),
-    Mutant("apply-no-zero-row-branch", YB,
-           "            if not coeffs:\n"
-           "                out[u + w] = [0] * side\n"
-           "                continue\n",
-           "",
-           (T_YB + "test_sparse_kernel_matches_dense_oracle_on_edge_operators[2-F5]",)),
-    Mutant("lift-fill-without-other-slot-offset", YB,
-           "grid[pair[i] + w][pair[j] + w] = x",
-           "grid[pair[i] + w][pair[j]] = x",
+    Mutant("mismatch-column-from-rhs-entries-only", YB,
+           "for c in ra.keys() | rb.keys()",
+           "for c in rb",
+           (T_YB + "test_sparse_kernel_matches_dense_oracle_on_edge_operators[3-F5]",)),
+    Mutant("mismatch-column-from-lhs-entries-only", YB,
+           "for c in ra.keys() | rb.keys()",
+           "for c in ra",
            (T_YB + "test_sparse_kernel_matches_dense_oracle_on_edge_operators[2-F5]",)),
     Mutant("mismatch-scaled-by-l-squared", YB,
            "cube = scale ** 3",
@@ -140,6 +152,19 @@ MUTANTS = (
            "Fraction(x, s * t)",
            "Fraction(x, s)",
            ("tests/test_derivations.py::test_leibniz_verdict_and_witness_match_basis_pair_oracle",)),
+    # The classification walk and its constant equations.
+    Mutant("scan-subtree-count-not-clipped", "src/ujla/classify.py",
+           "counts[names[0]] += min(b, stop) - max(a, start)",
+           "counts[names[0]] += b - a",
+           ("tests/test_classify.py::test_split_scan_ranges_concatenate_to_the_serial_scan[polynomial]",)),
+    Mutant("scan-failed-not-lowered", "src/ujla/classify.py",
+           "                    failed = pos\n",
+           "",
+           ("tests/test_classify.py::test_scan_builds_no_algebra_and_runs_no_identity_check[polynomial]",)),
+    Mutant("constant-equations-lead-not-normalised", IDS,
+           "equations.setdefault(tuple((mono, x * lead % p) for mono, x in eq))",
+           "equations.setdefault(tuple(eq))",
+           ("tests/test_classify.py::test_constant_equations_are_monic_and_counted[5]",)),
     Mutant("option-pattern-without-fractions", "src/ujla/cli.py",
            r'r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$"',
            r'r"^-\d+(,-?\d+)*$|^-\d*\.\d+$"',

@@ -8,13 +8,17 @@ is the coefficient of e_k (x) e_l in the image.  Triple-space lifts use
 index i*d^2 + j*d + k for e_i (x) e_j (x) e_k.
 
 The braid and QYBE checks run on integers: R is scaled once by L, the
-lcm of its entries' denominators (L = 1 over F_p).  Each triple product
-starts from the integer lift of its last factor, built by the same slot
-rule as `lift`, and applies R at the slot pair of each earlier factor in
-Python ints (reduced mod p over F_p).  The lift and each application
-read only R's nonzero entries, so an application costs nnz(R)*d^4
-multiplications where a dense lift product takes d^9.  Only the first
-mismatching entry is converted back, as x / L^3, to a field scalar.
+lcm of its entries' denominators (L = 1 over F_p).  The lifts of the
+integer R, built by the same slot rule as `lift`, are sparse grids: each
+row holds the columns of its nonzero entries, increasing, and their values.
+Each triple product is the lift of its last factor multiplied on the
+left by the lifts of the other two, in Python ints (reduced mod p over
+F_p), and each intermediate row keeps only its nonzero entries.  An
+output row is formed from the nonzero entries of the rows that its own
+nonzero entries select (Gustavson's row-by-row product), so a step costs
+the sum of those rows' entry counts, at most nnz(R)*d^4 multiplications
+where a dense lift product takes d^9.  Only the first mismatching entry
+is converted back, as x / L^3, to a field scalar.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import compress
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, format_vector, vec_is_zero
@@ -80,29 +84,26 @@ def compose(f: TensorSquareOperator, g: TensorSquareOperator) -> TensorSquareOpe
 _SLOTS = {12: (0, 1, 2), 23: (1, 2, 0), 13: (0, 2, 1)}
 
 
-def _slot_offsets(d: int, position: int) -> tuple:
-    """Index offsets of the slots named by position: pair[a*d + b] for e_a
-    and e_b in the two slots R acts on, other[c] for e_c in the remaining
-    one.  A basis triple's index is the sum of its two offsets."""
+def _lift_rows(rows: Sequence[Sequence], d: int, position: int) -> list:
+    """Sparse rows of the lift of the d^2 x d^2 grid rows to the slots named
+    by position (see lift): row k is the pair (columns, values) of its
+    nonzero entries, columns increasing.
+
+    With (s, t) the slots R acts on and o the other, pair[a*d + b] is the
+    index offset of e_a and e_b in slots s and t, and w runs over the
+    offsets of the basis vectors in slot o; a basis triple's index is the
+    sum of its two offsets.  Each nonzero entry (i, j) of rows goes to
+    (pair[i] + w, pair[j] + w) for every w.
+    """
     s, t, o = _SLOTS[position]
     stride = (d * d, d, 1)
-    return ([a * stride[s] + b * stride[t] for a in range(d) for b in range(d)],
-            range(0, d * stride[o], stride[o]))
-
-
-def _lift_rows(rows: Sequence[Sequence], d: int, position: int, zero) -> tuple:
-    """Rows of the lift of the d^2 x d^2 grid rows to the slots named by
-    position (see lift): each nonzero entry (i, j) of rows is written into
-    a zero grid at (pair[i] + w, pair[j] + w) for every offset w of the
-    other slot."""
-    pair, other = _slot_offsets(d, position)
-    grid = [[zero] * d ** 3 for _ in range(d ** 3)]
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x:
-                for w in other:
-                    grid[pair[i] + w][pair[j] + w] = x
-    return tuple(map(tuple, grid))
+    pair = [a * stride[s] + b * stride[t] for a in range(d) for b in range(d)]
+    entries = [([pair[j] for j, x in enumerate(row) if x], [x for x in row if x]) for row in rows]
+    out = [None] * d ** 3
+    for w in range(0, d * stride[o], stride[o]):
+        for u, (cols, vals) in zip(pair, entries):
+            out[u + w] = ([v + w for v in cols], vals)
+    return out
 
 
 def lift(r: TensorSquareOperator, position: int) -> Matrix:
@@ -114,32 +115,38 @@ def lift(r: TensorSquareOperator, position: int) -> Matrix:
     """
     if position not in _SLOTS:
         raise ValueError(f"lift position must be 12, 23, or 13, got {position}")
-    return Matrix(r.field, _lift_rows(r.matrix.rows, r.dim, position, r.field.zero))
+    grid = []
+    for cols, vals in _lift_rows(r.matrix.rows, r.dim, position):
+        row = [r.field.zero] * r.dim ** 3
+        for col, x in zip(cols, vals):
+            row[col] = x
+        grid.append(tuple(row))
+    return Matrix(r.field, tuple(grid))
 
 
-def _apply(ints: Sequence[Sequence[int]], d: int, position: int, grid: Sequence, p: int) -> list:
-    """R, as integer rows, applied at the slots of position to every column
-    of the d^3 x d^3 integer grid, reduced mod p when p > 0.
+def _product(left: Sequence, right: Sequence, p: int) -> list:
+    """left * right for two d^3 x d^3 integer grids given by their sparse
+    rows (see _lift_rows), reduced mod p when p > 0, in the same form.
 
-    With (s, t) those slots and o the other, entry (u, v) is the sum over
-    triples w with w_o = u_o of R[u_s*d + u_t, w_s*d + w_t] * grid[w, v]:
-    the product lift(R, position) * grid.  Output row u is formed only from
-    the grid rows that the nonzero entries of R's row u_s*d + u_t select,
-    so a step costs nnz(R)*d^4 multiplications where the dense product
-    takes d^9; a zero row of R gives a zero row.
+    Gustavson's row-by-row product: output row u accumulates, into one
+    dense row, each nonzero entry of each row v of right that a nonzero
+    entry c at column v of left's row u selects, times c; then it keeps the
+    nonzero entries, after reduction mod p over F_p and dropping exact
+    zeros over Q.  The cost is the sum, over output rows, of the selected
+    rows' entry counts; with left a lift of R that is at most nnz(R)*d^4
+    multiplications, where the dense product takes d^9.
     """
-    pair, other = _slot_offsets(d, position)
-    side = d ** 3
-    terms = [([pair[j] for j, x in enumerate(row) if x], [x for x in row if x]) for row in ints]
-    out = [None] * side
-    for w in other:
-        for u, (offsets, coeffs) in zip(pair, terms):
-            if not coeffs:
-                out[u + w] = [0] * side
-                continue
-            cols = zip(*(grid[v + w] for v in offsets))
-            out[u + w] = ([sum(map(mul, coeffs, col)) % p for col in cols] if p
-                          else [sum(map(mul, coeffs, col)) for col in cols])
+    columns = range(len(right))
+    out = []
+    for selected, coeffs in left:
+        acc = [0] * len(right)
+        for v, c in zip(selected, coeffs):
+            cols, vals = right[v]
+            for col, x in zip(cols, vals):
+                acc[col] += c * x
+        if p:
+            acc = [x % p for x in acc]
+        out.append((list(compress(columns, acc)), list(filter(None, acc))))
     return out
 
 
@@ -147,27 +154,31 @@ def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -
     """Row-major first (row, col, lhs, rhs) where the two lift products differ, else None.
 
     R is scaled once by L, the lcm of its entries' denominators (L = 1
-    over F_p), so it is an integer grid.  Each triple product (a, b, c)
-    is the integer lift of c with R then applied at the slots of b and
-    of a (see _apply), reduced mod p after each step over F_p: L^3 times
-    the true product.  The two products are compared as integers, and
-    only the first mismatch is brought back to field scalars, as x / L^3
-    through the field.
+    over F_p), so its lifts are sparse integer grids.  Each triple product
+    (a, b, c) is the lift of c multiplied on the left by the lift of b,
+    then of a (see _product), reduced mod p after each step over F_p:
+    L^3 times the true product.  Sparse rows hold no zero entry, so two
+    rows are equal exactly when their columns and values are; in the
+    first row that differs, the column is the least one, over both rows'
+    entries, where the values differ.  Only that mismatch is brought back
+    to field scalars, as x / L^3 through the field.
     """
     field, d, n = r.field, r.dim, r.dim * r.dim
     flat, scale = integral([x for row in r.matrix.rows for x in row])
     ints = [flat[i:i + n] for i in range(0, n * n, n)]
+    lifts = {position: _lift_rows(ints, d, position) for position in {*lhs_word, *rhs_word}}
     p = field.characteristic
     lhs, rhs = (
-        _apply(ints, d, a, _apply(ints, d, b, _lift_rows(ints, d, c, 0), p), p)
+        _product(lifts[a], _product(lifts[b], lifts[c], p), p)
         for a, b, c in (lhs_word, rhs_word)
     )
     for row, (ra, rb) in enumerate(zip(lhs, rhs)):
         if ra != rb:
-            col = next(c for c, (x, y) in enumerate(zip(ra, rb)) if x != y)
+            ra, rb = dict(zip(*ra)), dict(zip(*rb))
+            col = min(c for c in ra.keys() | rb.keys() if ra.get(c, 0) != rb.get(c, 0))
             cube = scale ** 3
-            return (row, col, field.from_fraction(Fraction(ra[col], cube)),
-                    field.from_fraction(Fraction(rb[col], cube)))
+            return (row, col, field.from_fraction(Fraction(ra.get(col, 0), cube)),
+                    field.from_fraction(Fraction(rb.get(col, 0), cube)))
     return None
 
 

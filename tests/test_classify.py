@@ -151,6 +151,18 @@ def test_constant_equations_of_degree_three(spec):
             assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("p,counts", [(3, [4, 12, 12, 12, 12]), (5, [8, 12, 12, 12, 12])],
+                         ids=["3", "5"])
+def test_constant_equations_are_monic_and_counted(p, counts):
+    """Each d2 equation is scaled to lead coefficient 1, so repeats up to a
+    nonzero scalar merge: the number of equations per UJLA identity is the
+    golden count, under both semantics."""
+    for semantics in ("polynomial", "pointwise"):
+        equations = [constant_equations(spec, 2, p, semantics) for spec in UJLA_SPECS]
+        assert all(eq[0][1] == 1 for eqs in equations for eq in eqs), semantics
+        assert [len(eqs) for eqs in equations] == counts, semantics
+
+
 @pytest.mark.parametrize("semantics", ["polynomial", "pointwise"])
 def test_scan_builds_no_algebra_and_runs_no_identity_check(semantics, monkeypatch, golden):
     """The walk decides the whole suite on the structure constants: a d2 p3
