@@ -18,7 +18,7 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 29 mutants, took 26-42 s of wall time over three runs
+The full table, 33 mutants, took 32-36 s of wall time over three runs
 on a 2-core box with Python 3.11.7, the unmutated pass included.
 """
 
@@ -143,6 +143,27 @@ MUTANTS = (
            "key = (u[0], v[0])",
            "key = v[0]",
            ("tests/test_axioms.py::test_failing_verdicts_carry_revalidating_witnesses",)),
+    # The identity text parser.
+    Mutant("parse-malformed-coefficient-unchecked", IDS,
+           '        if tok.endswith("/"):\n'
+           '            raise ValueError(f"malformed coefficient {tok!r} in identity text")\n',
+           "",
+           (T_ID + "test_parse_names_a_malformed_coefficient",)),
+    Mutant("parse-zero-denominator-leaks", IDS,
+           "coef = QQ.parse(toks.pop()[1])",
+           "coef = Fraction(toks.pop()[1])",
+           (T_ID + "test_parse_rejects_malformed_input",)),
+    Mutant("parse-ambiguous-product-unchecked", IDS,
+           '    if toks[-1][1] == "*":\n'
+           '        raise ValueError("ambiguous product: products are non-associative, '
+           'parenthesize explicitly")\n',
+           "",
+           (T_ID + "test_parse_rejects_ambiguous_products",)),
+    Mutant("parse-right-side-end-unchecked", IDS,
+           "        if toks != [_END]:\n"
+           '            raise ValueError(f"{name}: trailing tokens after the right side")\n',
+           "",
+           (T_ID + "test_parse_rejects_malformed_input",)),
     # Products, derivations and the command line.
     Mutant("sparse-multiply-reads-e_j-e_i", "src/ujla/algebra.py",
            "for k, c in plane[j]:",

@@ -104,10 +104,11 @@ class PrimeField:
     is_finite = True
 
     def __post_init__(self):
+        # The bound first: trial division of a huge modulus would not end.
+        if isinstance(self.p, int) and self.p >= MAX_PRIME:
+            raise ValueError(f"field modulus must be < 2^31, got {self.p}")
         if not isinstance(self.p, int) or not is_prime(self.p):
             raise ValueError(f"field modulus must be prime, got {self.p!r}")
-        if self.p >= MAX_PRIME:
-            raise ValueError(f"field modulus must be < 2^31, got {self.p}")
 
     @property
     def characteristic(self) -> int:

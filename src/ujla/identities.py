@@ -3,8 +3,11 @@
 An identity is an equation between linear combinations of parenthesized
 product words in abstract variables, e.g. ``((a*a)*b)*a = (a*a)*(b*a)``.
 Products carry no associativity, so every product of more than two
-factors must be parenthesized explicitly; sums and integer or rational
-coefficients are allowed at the top level of each side.
+factors must be parenthesized explicitly; sums, signs and integer or n/d
+coefficients are allowed at the top level of each side, and a bare 0 is
+the zero side.  IdentitySpec.parse reads the whole text, '=' included, as
+one stream of tokens matched by one pattern; malformed text raises
+ValueError.
 
 Two semantics are implemented:
 
@@ -46,12 +49,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import Algebra, Vector
-from .fields import PrimeField, Scalar, integral
+from .fields import QQ, PrimeField, Scalar, integral
 
 Word = Union[str, tuple]
 LinComb = tuple  # of (Fraction, Word) pairs
@@ -64,121 +68,75 @@ WITNESS_SEARCH_CAP = 20000
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+#
+# The whole text is one token stream, '=' included.  Each match of _TOKEN is
+# one token: a number (n or n/d; a bare n/ is malformed), a name, one of
+# ()+-*=, or any other visible character, which is an error.  The parser
+# pops (kind, text) tokens off the stream stored last first, over an end
+# marker that fails every check of the token read after the last.
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.toks = self._lex(text)
-        self.pos = 0
-
-    @staticmethod
-    def _lex(text: str) -> list:
-        text = text.replace("·", "*")
-        toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "()+-*=":
-                toks.append(ch)
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                if j < len(text) and text[j] == "/":
-                    j += 1
-                    if j >= len(text) or not text[j].isdigit():
-                        raise ValueError(f"malformed coefficient at position {i}: {text[i:j]!r}")
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-                toks.append(text[i:j])
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(text[i:j])
-                i = j
-            else:
-                raise ValueError(f"unexpected character {ch!r} in identity text")
-        return toks
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of identity text")
-        self.pos += 1
-        return tok
+_TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d*)?)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<op>[-()+*=])|(?P<other>\S))")
+_END = ("end", "end of text")
 
 
-def _is_number(tok: Optional[str]) -> bool:
-    return tok is not None and tok[0].isdigit()
+def _tokens(text: str) -> list:
+    """The (kind, text) tokens of the identity text, last first, over _END."""
+    toks = []
+    for m in _TOKEN.finditer(text.replace("·", "*")):
+        kind, tok = m.lastgroup, m[m.lastgroup]
+        if kind == "other":
+            raise ValueError(f"unexpected character {tok!r} in identity text")
+        if tok.endswith("/"):
+            raise ValueError(f"malformed coefficient {tok!r} in identity text")
+        toks.append((kind, tok))
+    return [_END] + toks[::-1]
 
 
-def _is_name(tok: Optional[str]) -> bool:
-    return tok is not None and (tok[0].isalpha() or tok[0] == "_")
-
-
-def _parse_atom(ts: _Tokens, variables: Sequence[str]) -> Word:
-    tok = ts.next()
+def _parse_atom(toks: list, variables: Sequence[str]) -> Word:
+    kind, tok = toks.pop()
     if tok == "(":
-        word = _parse_word(ts, variables)
-        if ts.next() != ")":
+        word = _parse_word(toks, variables)
+        if toks.pop()[1] != ")":
             raise ValueError("expected ')' in identity text")
         return word
-    if _is_name(tok):
-        if tok not in variables:
-            raise ValueError(f"unknown variable {tok!r} (declared: {', '.join(variables)})")
-        return tok
-    raise ValueError(f"expected a variable or '(' in identity text, got {tok!r}")
+    if kind != "name":
+        raise ValueError(f"expected a variable or '(' in identity text, got {tok!r}")
+    if tok not in variables:
+        raise ValueError(f"unknown variable {tok!r} (declared: {', '.join(variables)})")
+    return tok
 
 
-def _parse_word(ts: _Tokens, variables: Sequence[str]) -> Word:
-    left = _parse_atom(ts, variables)
-    if ts.peek() == "*":
-        ts.next()
-        right = _parse_atom(ts, variables)
-        if ts.peek() == "*":
-            raise ValueError(
-                "ambiguous product: products are non-associative, parenthesize explicitly"
-            )
-        return (left, right)
-    return left
+def _parse_word(toks: list, variables: Sequence[str]) -> Word:
+    left = _parse_atom(toks, variables)
+    if toks[-1][1] != "*":
+        return left
+    toks.pop()
+    right = _parse_atom(toks, variables)
+    if toks[-1][1] == "*":
+        raise ValueError("ambiguous product: products are non-associative, parenthesize explicitly")
+    return (left, right)
 
 
-def _parse_side(ts: _Tokens, variables: Sequence[str]) -> LinComb:
+def _parse_side(toks: list, variables: Sequence[str]) -> LinComb:
+    """Signed terms (a word, n/d*word or a bare 0) up to the first token
+    after a term that is not + or -."""
     terms = []
-    sign = Fraction(1)
-    tok = ts.peek()
-    if tok == "-":
-        ts.next()
-        sign = Fraction(-1)
+    sign = toks.pop()[1] if toks[-1][1] == "-" else "+"
     while True:
-        tok = ts.peek()
+        kind, tok = toks[-1]
         if tok == "0":
-            ts.next()
-        elif _is_number(tok):
-            coef = Fraction(ts.next())
-            if ts.next() != "*":
-                raise ValueError("a coefficient must multiply a word, e.g. 2*(a*b)")
-            word = _parse_word(ts, variables)
-            terms.append((sign * coef, word))
+            toks.pop()
         else:
-            word = _parse_word(ts, variables)
-            terms.append((sign, word))
-        tok = ts.peek()
-        if tok == "+":
-            ts.next()
-            sign = Fraction(1)
-        elif tok == "-":
-            ts.next()
-            sign = Fraction(-1)
-        else:
+            coef = Fraction(1)
+            if kind == "number":
+                coef = QQ.parse(toks.pop()[1])  # ValueError on a zero denominator
+                if toks.pop()[1] != "*":
+                    raise ValueError("a coefficient must multiply a word, e.g. 2*(a*b)")
+            terms.append((coef if sign == "+" else -coef, _parse_word(toks, variables)))
+        if toks[-1][1] not in ("+", "-"):
             return tuple(terms)
+        sign = toks.pop()[1]
 
 
 @dataclass(frozen=True)
@@ -196,17 +154,13 @@ class IdentitySpec:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError(f"{name}: identity variables must be distinct")
-        if text.count("=") != 1:
-            raise ValueError(f"{name}: identity must contain exactly one '='")
-        lhs_text, rhs_text = text.split("=")
-        lts = _Tokens(lhs_text)
-        lhs = _parse_side(lts, variables)
-        if lts.peek() is not None:
-            raise ValueError(f"{name}: trailing tokens on left side")
-        rts = _Tokens(rhs_text)
-        rhs = _parse_side(rts, variables)
-        if rts.peek() is not None:
-            raise ValueError(f"{name}: trailing tokens on right side")
+        toks = _tokens(text)
+        lhs = _parse_side(toks, variables)
+        if toks.pop()[1] != "=":
+            raise ValueError(f"{name}: expected '=' after the left side")
+        rhs = _parse_side(toks, variables)
+        if toks != [_END]:
+            raise ValueError(f"{name}: trailing tokens after the right side")
         return cls(name, variables, lhs, rhs, text)
 
     @functools.cached_property

@@ -64,10 +64,6 @@ class Matrix:
         return cls(field, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
 
 
-def transpose(a: Matrix) -> Matrix:
-    return Matrix(a.field, tuple(zip(*a.rows)) if a.rows else ())
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.field != b.field:
         raise ValueError("matrix product across different fields")

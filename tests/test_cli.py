@@ -3,6 +3,7 @@ import json
 import pathlib
 import re
 import shlex
+import time
 
 import pytest
 
@@ -139,6 +140,25 @@ def test_malformed_algebra_file_is_status_2(tmp_path, capsys):
         path.write_text(json.dumps({**obj, key: bad}))
         assert run(["check", str(path), "--axioms", "assoc"]) == 2, key
         assert capsys.readouterr().err.startswith("error: "), key
+
+
+HUGE_PRIME_FIELD = "F1000000000000000000000000000057"
+
+
+@pytest.mark.parametrize("route", ["yb params", "check"])
+def test_huge_prime_field_is_status_2_at_once(route, tmp_path, capsys):
+    if route == "check":
+        path = tmp_path / "huge.alg"
+        obj = json.loads(dumps_algebra(corpus.dual_numbers()))
+        path.write_text(json.dumps({**obj, "field": HUGE_PRIME_FIELD}))
+        argv = ["check", str(path), "--axioms", "assoc"]
+    else:
+        argv = ["yb", "params", "--alpha", "1", "--beta", "1", "--gamma", "1",
+                "--field", HUGE_PRIME_FIELD]
+    start = time.monotonic()
+    assert run(argv) == 2
+    assert time.monotonic() - start < 1.0
+    assert "2^31" in capsys.readouterr().err
 
 
 def test_usage_errors_are_status_2(capsys):

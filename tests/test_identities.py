@@ -71,9 +71,22 @@ def test_parse_rejects_duplicate_variables():
 
 
 def test_parse_rejects_malformed_input():
-    for text in ["a*b", "a = b = c", "(a*b = 0", "a) = 0", "1/ * a = 0", "a % b = 0"]:
+    for text in ["a*b", "a = b = c", "(a*b = 0", "a) = 0", "1/ * a = 0", "a % b = 0",
+                 "1/0*(a*b) = 0"]:
         with pytest.raises(ValueError):
             IdentitySpec.parse("t", text, ("a", "b"))
+
+
+def test_parse_names_a_malformed_coefficient():
+    for text in ["3/ * (a*b) = 0", "a*b = 2/*(b*a)", "a = 1/"]:
+        with pytest.raises(ValueError, match="malformed coefficient"):
+            IdentitySpec.parse("t", text, ("a", "b"))
+
+
+def test_parse_reads_signs_coefficients_and_zero_across_lines():
+    spec = IdentitySpec.parse("t", "0 + 2/4*(a·b)\n - b = -3*((a*b)*a)", ("a", "b"))
+    assert spec.lhs == ((Fraction(1, 2), ("a", "b")), (-1, "b"))
+    assert spec.rhs == ((-3, (("a", "b"), "a")),)
 
 
 def test_multilinearity_detection():

@@ -17,7 +17,6 @@ from ujla.linalg import (
     mat_rank,
     mat_vec,
     solve,
-    transpose,
 )
 
 
@@ -113,8 +112,3 @@ def test_matmul_associates_with_vector_action(field, data):
     b = data.draw(matrices(field, 3, 2))
     v = data.draw(vectors(field, 2))
     assert mat_vec(mat_mul(a, b), v) == mat_vec(a, mat_vec(b, v))
-
-
-def test_transpose():
-    m = Matrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6]])
-    assert transpose(m) == Matrix.from_rows(QQ, [[1, 4], [2, 5], [3, 6]])
