@@ -4,9 +4,9 @@
 Every row of MUTANTS is a name, a file under src/, an `old` text that
 occurs exactly once in that file, the `new` text that replaces it, and the
 test node ids that must fail once it is in place.  For each mutant the
-script copies src/ and tests/ into a fresh temporary directory, applies
-the replacement there and runs only that mutant's tests with
-`python -m pytest -x -q`.  The mutant is killed when they fail and
+script copies src/, tests/, scripts/ and algebras/ into a fresh temporary
+directory, applies the replacement there and runs only that mutant's
+tests with `python -m pytest -x -q`.  The mutant is killed when they fail and
 survives when they pass.  Before any mutant, the union of the selected
 mutants' tests must pass on an unmutated copy, so a test that fails for
 another reason is not read as a kill.  The working tree is never written.
@@ -18,8 +18,9 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 33 mutants, took 32-36 s of wall time over three runs
-on a 2-core box with Python 3.11.7, the unmutated pass included.
+The full table, 37 mutants, took 35-50 s for the mutants alone and
+44-59 s of wall time with the unmutated pass, on a 2-core box with
+Python 3.11.7; witness-lhs-printed-with-a-colon runs the 4-5 s sweep test.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ YB = "src/ujla/yang_baxter.py"
 IDS = "src/ujla/identities.py"
 T_YB = "tests/test_yang_baxter.py::"
 T_ID = "tests/test_identities.py::"
+T_RV = "tests/test_revalidation.py::"
 
 MUTANTS = (
     # The sparse braid/QYBE kernel.
@@ -116,7 +118,7 @@ MUTANTS = (
            "[field.normalize(-1), field.one, field.zero]",
            (T_ID + "test_polynomial_concrete_witness_matches_evaluate_sides_oracle",)),
     Mutant("witness-words-scaled-by-l-m-minus-1", IDS,
-           "c * rows.denom ** (top - len(leaves))",
+           "c * rows.denom ** (plan.top - len(leaves))",
            "c * rows.denom ** (len(leaves) - 1)",
            (T_ID + "test_polynomial_concrete_witness_matches_evaluate_sides_oracle",)),
     Mutant("witness-sides-compared-without-mod-p", IDS,
@@ -136,13 +138,21 @@ MUTANTS = (
            "if True:",
            ("tests/test_axioms.py::test_failing_verdicts_carry_revalidating_witnesses",)),
     Mutant("field-sides-normalise-one-side", IDS,
-           "return tuple(tuple(map(alg.field.normalize, acc)) for acc in sides)",
-           "return tuple(map(alg.field.normalize, sides[0])), tuple(sides[1])",
+           "return tuple(from_integers(alg.field, acc, scale) for acc in sides)",
+           "return from_integers(alg.field, sides[0], scale), tuple(sides[1])",
            ("tests/test_axioms.py::test_failing_verdicts_carry_revalidating_witnesses",)),
+    Mutant("view-multiply-reads-left-coordinates-from-v", "src/ujla/algebra.py",
+           "for x, plane in zip(u, self.planes):",
+           "for x, plane in zip(v, self.planes):",
+           (T_RV + "test_integer_sides_match_the_field_scalar_oracle[2-Q]",)),
     Mutant("field-sides-memo-key-without-left-factor", IDS,
-           "key = (u[0], v[0])",
-           "key = v[0]",
+           "key = (u, v)",
+           "key = v",
            ("tests/test_axioms.py::test_failing_verdicts_carry_revalidating_witnesses",)),
+    Mutant("field-sides-words-not-scaled-to-the-top-degree", IDS,
+           "        c *= (s * view.scale) ** (plan.top - len(leaves))\n",
+           "",
+           (T_RV + "test_integer_sides_match_the_field_scalar_oracle[2-Q]",)),
     # The identity text parser.
     Mutant("parse-malformed-coefficient-unchecked", IDS,
            '        if tok.endswith("/"):\n'
@@ -166,13 +176,17 @@ MUTANTS = (
            (T_ID + "test_parse_rejects_malformed_input",)),
     # Products, derivations and the command line.
     Mutant("sparse-multiply-reads-e_j-e_i", "src/ujla/algebra.py",
-           "for k, c in plane[j]:",
-           "for k, c in products[j][i]:",
+           "plane = products[i]",
+           "plane = [row[i] for row in products]",
            ("tests/test_algebra.py::test_sparse_multiply_matches_dense_product[Q]",)),
     Mutant("leibniz-witness-over-s", "src/ujla/derivations.py",
-           "Fraction(x, s * t)",
-           "Fraction(x, s)",
+           "from_integers(field, acc, s * t)",
+           "from_integers(field, acc, s)",
            ("tests/test_derivations.py::test_leibniz_verdict_and_witness_match_basis_pair_oracle",)),
+    Mutant("leibniz-sides-scale-without-l", "src/ujla/derivations.py",
+           "scale = r * s * t * view.scale",
+           "scale = r * s * t",
+           (T_RV + "test_leibniz_sides_and_tampering_match_the_oracle[Q-2]",)),
     # The classification walk and its constant equations.
     Mutant("scan-subtree-count-not-clipped", "src/ujla/classify.py",
            "counts[names[0]] += min(b, stop) - max(a, start)",
@@ -190,6 +204,10 @@ MUTANTS = (
            r'r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$"',
            r'r"^-\d+(,-?\d+)*$|^-\d*\.\d+$"',
            ("tests/test_cli.py::test_negative_literal_is_a_separate_option_value[--alpha]",)),
+    Mutant("witness-lhs-printed-with-a-colon", "src/ujla/cli.py",
+           'print(f"  lhs = {format_vector(alg.field, w.lhs)}")',
+           'print(f"  lhs: {format_vector(alg.field, w.lhs)}")',
+           ("tests/test_cli.py::test_check_sweep_prints_the_frozen_digests",)),
     Mutant("classify-out-checked-after-the-scan", "src/ujla/cli.py",
            "        _require_writable(args.out)  # before a scan that may take minutes\n",
            "        pass\n",
@@ -209,7 +227,7 @@ def stale(mutants) -> list:
 
 def _copy_tree(dest: pathlib.Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "scripts", "algebras"):  # the sweep test runs scripts/
         shutil.copytree(ROOT / part, dest / part, ignore=skip)
 
 

@@ -4,12 +4,14 @@ An algebra is a field, a basis, and a tensor c[i][j][k] meaning
 e_i * e_j = sum_k c[i][j][k] e_k.  Vectors are plain tuples of scalars.
 The dataclass fields are immutable after construction; products are pure
 functions, so algebras are safe to share between threads.  Beside those
-fields an algebra keeps two caches, filled lazily per instance in its
+fields an algebra keeps three caches, filled lazily per instance in its
 __dict__ (the way functools.cached_property keeps a value): the nonzero
-terms of each basis product, which multiply reads, and the identity
-engine's integer slot tables (identities._row_source).  Both are pure
-functions of the tensor, so threads that race on an entry only build it
-twice; neither takes part in equality, hashing or replace().
+terms of each basis product, which multiply reads; the integer view, the
+tensor cleared once by the lcm of its denominators, which the identity
+engine's rows, the derivation kernels and witness revalidation read; and
+the identity engine's integer slot tables (identities._row_source).  All
+are pure functions of the tensor, so threads that race on an entry only
+build it twice; none takes part in equality, hashing or replace().
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
-from .fields import FieldSpec, Scalar, coerce
+from .fields import FieldSpec, Scalar, coerce, integral
 from .formal import Poly
 from . import linalg
 
@@ -45,6 +47,48 @@ def vec_is_zero(field: FieldSpec, u: Sequence) -> bool:
 
 def format_vector(field: FieldSpec, u: Sequence) -> str:
     return "(" + ", ".join(field.format(x) for x in u) + ")"
+
+
+class IntegerView:
+    """An algebra's structure tensor cleared once to integers, n = L *
+    c[i][j][k] with L the lcm of its denominators (1 over F_p, where the n
+    are the residues): flat in row-major order, and, each built on first
+    read, as the (i, j, k, n) of its nonzero n and as planes[i][j], the
+    nonzero (k, n) of e_i e_j.
+    """
+
+    def __init__(self, alg: "Algebra"):
+        self.d = alg.dim
+        flat, self.scale = integral(alg.tensor_flat())
+        self.p = alg.field.characteristic  # 0 over Q
+        self.flat = tuple(flat)
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        d = self.d
+        return tuple((f // (d * d), f // d % d, f % d, n) for f, n in enumerate(self.flat) if n)
+
+    @functools.cached_property
+    def planes(self) -> tuple:
+        d, flat = self.d, self.flat
+        rows = [tuple((k, n) for k, n in enumerate(flat[r:r + d]) if n)
+                for r in range(0, d ** 3, d)]
+        return tuple(tuple(rows[i * d:(i + 1) * d]) for i in range(d))
+
+    def multiply(self, u: Sequence[int], v: Sequence[int]) -> tuple:
+        """L times the product of the vectors that the integers u and v
+        stand for; residues over F_p, so that a coordinate that vanishes
+        there is skipped by the next product."""
+        acc = [0] * len(u)
+        vterms = [(j, y) for j, y in enumerate(v) if y]
+        for x, plane in zip(u, self.planes):
+            if x:
+                for j, y in vterms:
+                    s = x * y
+                    for k, c in plane[j]:
+                        acc[k] += s * c
+        p = self.p
+        return tuple([x % p for x in acc] if p else acc)
 
 
 @dataclass(frozen=True)
@@ -110,6 +154,10 @@ class Algebra:
         """The nonzero (k, c) terms of e_i e_j, at [i][j]."""
         return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
                      for plane in self.tensor)
+
+    @functools.cached_property
+    def integer_view(self) -> IntegerView:
+        return IntegerView(self)
 
     def multiply(self, u: Sequence, v: Sequence) -> Vector:
         """Bilinear product through the structure tensor, skipping zero

@@ -11,19 +11,10 @@ is normalised once.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import Algebra, Vector, vec_add
-from .fields import coerce, integral
+from .algebra import Algebra, Vector
+from .fields import coerce, from_integers, integral
 from .identities import AxiomReport, ConcreteWitness, Verdict
-from .linalg import Matrix, mat_vec
-
-
-def _nonzero_constants(alg: Algebra) -> tuple:
-    """(i, j, k, n) for each nonzero c[i][j][k] = n / scale, row-major; and the scale."""
-    d = alg.dim
-    ints, scale = integral(alg.tensor_flat())
-    return [(f // (d * d), f // d % d, f % d, n) for f, n in enumerate(ints) if n], scale
+from .linalg import Matrix
 
 
 def _left_right(d: int, nonzero: list, u: list) -> tuple:
@@ -44,7 +35,8 @@ def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
     if len(a) != d or len(b) != d:
         raise ValueError(f"{alg.name}: argument vectors must have length {d}")
     field = alg.field
-    nonzero, scale = _nonzero_constants(alg)
+    view = alg.integer_view
+    nonzero, scale = view.terms, view.scale
     a_ints, a_scale = integral([coerce(field, x) for x in a])
     b_ints, b_scale = integral([coerce(field, x) for x in b])
     acc = [[0] * d for _ in range(d)]
@@ -93,7 +85,8 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
     # every pair are s * t times their values.
     flat, s = integral([x for row in deriv.rows for x in row])
     m = [flat[r * d:(r + 1) * d] for r in range(d)]
-    nonzero, t = _nonzero_constants(alg)
+    view = alg.integer_view
+    nonzero, t = view.terms, view.scale
     lhs = [[[0] * d for _ in range(d)] for _ in range(d)]
     rhs = [[[0] * d for _ in range(d)] for _ in range(d)]
     for i, j, k, c in nonzero:
@@ -113,19 +106,31 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
     verdict = Verdict("leibniz", True, "polynomial")
     if failing is not None:
         i, j = failing
-        sides = (tuple(field.from_fraction(Fraction(x, s * t)) for x in acc)
-                 for acc in (lhs[i][j], rhs[i][j]))
+        sides = (from_integers(field, acc, s * t) for acc in (lhs[i][j], rhs[i][j]))
         witness = ConcreteWitness((("x", alg.basis_vector(i)), ("y", alg.basis_vector(j))), *sides)
         verdict = Verdict("leibniz", False, "polynomial", concrete_witness=witness)
     return AxiomReport(algebra=alg.name, semantics="polynomial", verdicts=(verdict,))
 
 
 def _leibniz_sides(alg: Algebra, deriv: Matrix, x: Vector, y: Vector) -> tuple:
-    """(D(xy), D(x)y + xD(y)) through the product, not the contraction:
-    the revalidation route."""
-    lhs = mat_vec(deriv, alg.multiply(x, y))
-    rhs = vec_add(alg.field, alg.multiply(mat_vec(deriv, x), y), alg.multiply(x, mat_vec(deriv, y)))
-    return lhs, rhs
+    """(D(xy), D(x)y + xD(y)) through the integer view's product, not the
+    contraction: the revalidation route.  With D cleared by r, x by s, y by
+    t and the tensor by L, both sides are r s t L times their values."""
+    d = alg.dim
+    if deriv.nrows != d or deriv.ncols != d or len(x) != d or len(y) != d:
+        raise ValueError(f"{alg.name}: linear map and vectors must have dimension {d}")
+    flat, r = integral([c for row in deriv.rows for c in row])
+    m = [flat[n:n + d] for n in range(0, d * d, d)]
+    (xs, s), (ys, t) = integral(x), integral(y)
+
+    def apply(v):
+        return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+    view = alg.integer_view
+    lhs = apply(view.multiply(xs, ys))
+    rhs = [a + b for a, b in zip(view.multiply(apply(xs), ys), view.multiply(xs, apply(ys)))]
+    scale = r * s * t * view.scale
+    return from_integers(alg.field, lhs, scale), from_integers(alg.field, rhs, scale)
 
 
 def revalidate_leibniz(alg: Algebra, deriv: Matrix, verdict: Verdict) -> bool:

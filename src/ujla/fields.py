@@ -10,8 +10,8 @@ or exponents, and int()'s digit limit applies); each computed result is
 brought back with ``normalize`` and printed with ``format``; ``inv`` is
 the one operation a field does itself.  Integer kernels take their
 inputs through ``integral`` and return each result x over its scale s as
-``field.from_fraction(Fraction(x, s))``.  Field objects are frozen and
-safe to share.
+``field.from_fraction(Fraction(x, s))``, a vector of them through
+``from_integers``.  Field objects are frozen and safe to share.
 """
 
 from __future__ import annotations
@@ -184,6 +184,14 @@ def integral(values) -> tuple:
     scalars of one field; s is 1 over F_p."""
     scale = lcm(*[x.denominator for x in values])
     return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def from_integers(field: FieldSpec, ints, scale: int) -> tuple:
+    """The field elements n / scale of integers n that share one scale."""
+    p = field.characteristic
+    if p and scale == 1:
+        return tuple([n % p for n in ints])
+    return tuple(field.from_fraction(Fraction(n, scale)) for n in ints)
 
 
 def parse_field(label: str) -> FieldSpec:

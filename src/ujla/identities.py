@@ -37,12 +37,12 @@ plan with the structure constants left symbolic, into polynomial
 equations in them.
 
 Failures always carry a witness that is re-validated independently:
-revalidate_verdict sums the plan's words through Algebra.multiply on
-field scalars, over one assignment (evaluate_sides, which only
-revalidation calls) or over the slot assignments of the witness
-monomial, sharing each sub-product within the call, and never reads the
-integer rows.  One word evaluator serves that route and the integer one;
-it is handed the product to use.
+revalidate_verdict sums the plan's words in integers through the
+algebra's integer view and its product, over one assignment
+(evaluate_sides, which only revalidation calls) or over the slot
+assignments of the witness monomial, sharing each sub-product within the
+call, and never reads the integer rows.  One word evaluator serves that
+route and the witness search; it is handed the product to use.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import Algebra, Vector
-from .fields import QQ, PrimeField, Scalar, integral
+from .fields import QQ, PrimeField, Scalar, from_integers, integral
 
 Word = Union[str, tuple]
 LinComb = tuple  # of (Fraction, Word) pairs
@@ -247,32 +247,48 @@ def _shape_value(multiply, shape, values):
 
 
 def _field_sides(alg: Algebra, spec: IdentitySpec, leaf_keys, vector) -> tuple:
-    """(lhs, rhs) vectors of the polynomial plan's words, each word evaluated
-    through Algebra.multiply on field scalars and summed over the tuples of
-    leaf keys that leaf_keys(leaves) yields, with vector(key) at each leaf.
+    """(lhs, rhs) vectors of the polynomial plan's words, each word summed
+    over the tuples of leaf keys that leaf_keys(leaves) yields, with
+    vector(key) at each leaf.
 
-    Each sub-product is computed once per call.  Its memo key is the word's
-    tree with every leaf replaced by its key (an int), which names both the
-    shape and the leaf keys; no vector of scalars is hashed."""
+    The words are evaluated in integers through the algebra's integer view
+    and its product, never the slot rows.  The leaf vectors are cleared
+    once, by one scale S (1 over F_p, whose residues are integers already),
+    so a word of degree m is S^m L^(m-1) times its value: its coefficient
+    is scaled by (S L)^(top - m), each side is D S^top L^(top-1) times its
+    value, and only the 2d sums are brought back to the field.  Each
+    product is formed once per call, keyed by its two integer factors."""
     plan = _plan(alg, spec, "polynomial")
+    view, d = alg.integer_view, alg.dim
+    tuples = [list(leaf_keys(leaves)) for *_, leaves in plan.words]
+    used = {key for keys_of_word in tuples for keys in keys_of_word for key in keys}
+    vectors = {key: tuple(vector(key)) for key in used}
+    if any(len(v) != d for v in vectors.values()):
+        raise ValueError(f"{alg.name}: vector length does not match dimension {d}")
+    ints, s = vectors, 1
+    if not view.p:
+        flat, s = integral([x for v in vectors.values() for x in v])
+        ints = {key: tuple(flat[n * d:(n + 1) * d]) for n, key in enumerate(vectors)}
     memo: dict = {}
 
-    def multiply(u, v):  # on (key, vector) pairs
-        key = (u[0], v[0])
+    def multiply(u, v):
+        key = (u, v)
         product = memo.get(key)
         if product is None:
-            product = memo[key] = alg.multiply(u[1], v[1])
-        return key, product
+            product = memo[key] = view.multiply(u, v)
+        return product
 
-    sides = ([0] * alg.dim, [0] * alg.dim)
-    for side, coef, _, t, leaves in plan.words:
+    sides = ([0] * d, [0] * d)
+    for (side, _, c, t, leaves), keys_of_word in zip(plan.words, tuples):
+        c *= (s * view.scale) ** (plan.top - len(leaves))
         acc = sides[side]
-        for keys in leaf_keys(leaves):
-            _, value = _shape_value(multiply, plan.shapes[t], ((key, vector(key)) for key in keys))
+        for keys in keys_of_word:
+            value = _shape_value(multiply, plan.shapes[t], map(ints.__getitem__, keys))
             for k, x in enumerate(value):
                 if x:
-                    acc[k] += coef * x
-    return tuple(tuple(map(alg.field.normalize, acc)) for acc in sides)
+                    acc[k] += c * x
+    scale = plan.scale * s ** plan.top * view.scale ** (plan.top - 1)
+    return tuple(from_integers(alg.field, acc, scale) for acc in sides)
 
 
 def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
@@ -324,6 +340,7 @@ def _monomial(leaves: Sequence[int], sigma: Sequence[int], size: int, d: int) ->
 @dataclass(frozen=True)
 class _Plan:
     scale: int  # D over Q, 1 over F_p
+    top: int  # the largest degree of a word
     # (side, field coefficient, int coefficient, table, leaf variable numbers),
     # the table an index into shapes
     words: tuple
@@ -352,7 +369,8 @@ def _compile(spec: IdentitySpec, d: int, field, reduce: bool) -> _Plan:
             if reduce:
                 mono = tuple(1 + (e - 1) % (field.p - 1) if e else 0 for e in mono)
             groups.setdefault(mono, ({}, {}))[side].setdefault((c, t), []).append(n)
-    return _Plan(scale, tuple(words), tuple(tables), tuple(
+    top = max((len(leaves) for *_, leaves in words), default=1)
+    return _Plan(scale, top, tuple(words), tuple(tables), tuple(
         (mono, *(tuple((c, t, tuple(ns)) for (c, t), ns in by_key.items()) for by_key in sides))
         for mono, sides in sorted(groups.items())
     ))
@@ -399,10 +417,9 @@ class _Rows:
     def __init__(self, alg: Algebra):
         d = self.d = alg.dim
         self.field, self.p = alg.field, alg.field.characteristic
-        ints, self.denom = integral(alg.tensor_flat())
-        products = [ints[n:n + d] for n in range(0, d ** 3, d)]  # e_i e_j at row i*d + j
-        nonzero = [[(k, c) for k, c in enumerate(row) if c] for row in products]
-        self.planes = [nonzero[i * d:(i + 1) * d] for i in range(d)]
+        view = alg.integer_view
+        self.denom, self.planes = view.scale, view.planes
+        products = [view.flat[n:n + d] for n in range(0, d ** 3, d)]  # e_i e_j at row i*d + j
         self.tables = {
             None: _Table(self, None, [[int(i == j) for j in range(d)] for i in range(d)]),
             (None, None): _Table(self, (None, None), products),
@@ -611,9 +628,8 @@ class _IntegerWords:
 
     def __init__(self, spec: IdentitySpec, plan: _Plan, rows: _Rows):
         self.spec, self.rows = spec, rows
-        top = max(len(leaves) for *_, leaves in plan.words)
-        self.scale = plan.scale * rows.denom ** (top - 1)
-        self.words = [(side, c * rows.denom ** (top - len(leaves)), plan.shapes[t],
+        self.scale = plan.scale * rows.denom ** (plan.top - 1)
+        self.words = [(side, c * rows.denom ** (plan.top - len(leaves)), plan.shapes[t],
                        rows.table(plan.shapes[t]), leaves)
                       for side, _, c, t, leaves in plan.words]
 
@@ -649,7 +665,7 @@ class _IntegerWords:
     def witness(self, vectors, sides: tuple) -> ConcreteWitness:
         """The witness at vectors, its sides brought back to the field."""
         field, scale = self.rows.field, self.scale
-        lhs, rhs = (tuple(field.from_fraction(Fraction(x, scale)) for x in acc) for acc in sides)
+        lhs, rhs = (from_integers(field, acc, scale) for acc in sides)
         return ConcreteWitness(tuple(zip(self.spec.variables, vectors)), lhs, rhs)
 
 

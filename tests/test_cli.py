@@ -1,8 +1,12 @@
 import importlib.util
 import json
+import os
 import pathlib
+import platform
 import re
 import shlex
+import subprocess
+import sys
 import time
 
 import pytest
@@ -402,6 +406,36 @@ def test_check_sweep_is_deterministic(capsys):
     assert [line.split("seed")[0] for line in lines] == ["", "yb ", "derivation "], lines
     for line in lines:
         assert sum(map(int, re.findall(r"exit \S+ (\d+)", line))) == 12, line
+
+
+# The byte contract: `scripts/check_sweep.py --seed 1 --runs 150`, frozen
+# before witness revalidation moved to integers.  The digests depend on
+# Python's random module and on Fraction formatting, so they hold for the
+# Python version they were recorded with; the hash seed does not move them.
+SWEEP_PYTHON = "3.11.7"
+SWEEP_LINES = [
+    "seed 1 runs 150: exit 0 42, exit 1 96, exit 2 12; "
+    "sha256 93daa114ef62d2762fecdd26f3a453c3a99deecceb46ea50d17f141db66665a1",
+    "yb seed 1 runs 150: exit 0 48, exit 1 67, exit 2 35; "
+    "sha256 87fbdf998a8fb710da821b09f07d802c398cbda9516e5da5177f3675e56601c9",
+    "derivation seed 1 runs 150: exit 0 93, exit 1 57; "
+    "sha256 ae1813d5d2c5fe1bf93c31f025cf8deb48e17d69850d28331ecd0ecc11c061f9",
+]
+
+
+def test_check_sweep_prints_the_frozen_digests():
+    """Every verdict, witness, mismatch and error byte of 450 seeded CLI runs
+    is the frozen one.  A change that must move a byte fails here."""
+    running = platform.python_version()
+    assert running == SWEEP_PYTHON, (
+        f"the sweep digests were frozen under Python {SWEEP_PYTHON}, "
+        f"but this is Python {running}")
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "check_sweep.py"), "--seed", "1", "--runs", "150"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == SWEEP_LINES
 
 
 def test_algebras_directory_is_the_exported_corpus():

@@ -13,7 +13,7 @@ from formal_oracle import formal_sides, formal_verdict
 from reference import ref_pointwise_holds
 from strategies import algebras
 from ujla import corpus
-from ujla.algebra import Algebra
+from ujla.algebra import Algebra, IntegerView
 from ujla.axioms import ALL_NAMED_IDENTITIES, ASSOC, JORDAN_COMM, UJLA_2A, check_ujla
 from ujla.classify import flat_to_tensor, tensor_algebra
 from ujla.fields import QQ, PrimeField
@@ -634,7 +634,8 @@ def test_threads_sharing_one_algebra_get_the_serial_verdicts():
 
 def test_revalidation_never_reads_the_integer_rows(monkeypatch):
     """Revalidating a failing verdict, polynomial or pointwise, evaluates
-    through Algebra.multiply and builds no row source and no integer row."""
+    through the integer view's product and builds no row source and no
+    integer row."""
     verdicts = [(alg, check_identity(alg, spec, "pointwise"))
                 for alg, spec in _seeded_pointwise_cases()]
     verdicts += [(alg, check_identity(alg, spec))
@@ -658,7 +659,7 @@ def test_revalidation_never_reads_the_integer_rows(monkeypatch):
     monkeypatch.setattr("ujla.identities._Rows", CountedRows)
     monkeypatch.setattr(_Rows, "multiply", counting("rows_multiply", _Rows.multiply))
     monkeypatch.setattr("ujla.identities._product", counting("product", _product))
-    monkeypatch.setattr(Algebra, "multiply", counting("multiply", Algebra.multiply))
+    monkeypatch.setattr(IntegerView, "multiply", counting("multiply", IntegerView.multiply))
     for alg, verdict in failing:
         calls.update(dict.fromkeys(calls, 0))
         assert revalidate_verdict(alg, verdict), (alg.tensor, verdict.name)
