@@ -18,8 +18,8 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 37 mutants, took 35-50 s for the mutants alone and
-44-59 s of wall time with the unmutated pass, on a 2-core box with
+The full table, 39 mutants, took 38-49 s for the mutants alone and
+49-61 s of wall time with the unmutated pass, on a 2-core box with
 Python 3.11.7; witness-lhs-printed-with-a-colon runs the 4-5 s sweep test.
 """
 
@@ -51,6 +51,8 @@ IDS = "src/ujla/identities.py"
 T_YB = "tests/test_yang_baxter.py::"
 T_ID = "tests/test_identities.py::"
 T_RV = "tests/test_revalidation.py::"
+CL = "src/ujla/classify.py"
+T_CL = "tests/test_classify.py::"
 
 MUTANTS = (
     # The sparse braid/QYBE kernel.
@@ -188,18 +190,29 @@ MUTANTS = (
            "scale = r * s * t",
            (T_RV + "test_leibniz_sides_and_tampering_match_the_oracle[Q-2]",)),
     # The classification walk and its constant equations.
-    Mutant("scan-subtree-count-not-clipped", "src/ujla/classify.py",
+    Mutant("scan-subtree-count-not-clipped", CL,
            "counts[names[0]] += min(b, stop) - max(a, start)",
            "counts[names[0]] += b - a",
-           ("tests/test_classify.py::test_split_scan_ranges_concatenate_to_the_serial_scan[polynomial]",)),
-    Mutant("scan-failed-not-lowered", "src/ujla/classify.py",
+           (T_CL + "test_split_scan_ranges_concatenate_to_the_serial_scan[polynomial]",)),
+    Mutant("scan-failed-not-lowered", CL,
            "                    failed = pos\n",
            "",
-           ("tests/test_classify.py::test_scan_builds_no_algebra_and_runs_no_identity_check[polynomial]",)),
+           (T_CL + "test_scan_builds_no_algebra_and_runs_no_identity_check[polynomial]",)),
     Mutant("constant-equations-lead-not-normalised", IDS,
            "equations.setdefault(tuple((mono, x * lead % p) for mono, x in eq))",
            "equations.setdefault(tuple(eq))",
-           ("tests/test_classify.py::test_constant_equations_are_monic_and_counted[5]",)),
+           (T_CL + "test_constant_equations_are_monic_and_counted[5]",)),
+    # The GL action of the orbit partition.
+    Mutant("gl-action-output-coordinate-through-g", CL,
+           "outs = [[(k, ginv_rows[k][m]) for k in range(d) if ginv_rows[k][m]] for m in range(d)]",
+           "outs = [[(k, g_rows[k][m]) for k in range(d) if g_rows[k][m]] for m in range(d)]",
+           (T_CL + "test_transform_tensor_is_a_group_action",
+            T_CL + "test_are_isomorphic_returns_the_first_witness_in_lex_order")),
+    Mutant("gl-action-image-without-mod-p", CL,
+           "return tuple([x % p for x in acc])",
+           "return tuple(acc)",
+           (T_CL + "test_transform_tensor_is_a_group_action",
+            T_CL + "test_burnside_and_orbit_stabiliser_counts[polynomial-2-3]")),
     Mutant("option-pattern-without-fractions", "src/ujla/cli.py",
            r'r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$"',
            r'r"^-\d+(,-?\d+)*$|^-\d*\.\d+$"',

@@ -3,8 +3,12 @@
 The scan covers every structure tensor of a given dimension over F_p in
 lexicographic order, keeps the ones passing the UJLA suite under the
 chosen semantics, and groups survivors into isomorphism classes by
-brute-force enumeration of GL_d(F_p) basis changes.  Canonical class
-representatives are the lexicographically least tensors of their orbits.
+brute-force enumeration of GL_d(F_p) basis changes.  Each basis change g
+acts on flat tensors as a linear map, precomputed once per orbit
+partition as sparse integer columns (`gl_action`), so an image is a sum
+of the columns that the tensor's nonzero constants select, reduced mod p.
+Canonical class representatives are the lexicographically least tensors
+of their orbits.
 
 It does not visit every tensor, and it builds none as an algebra.  On
 the basis, each UJLA identity is a set of polynomial equations in the
@@ -197,49 +201,63 @@ def gl_matrices(p: int, dim: int) -> list:
     return out
 
 
-def transform_tensor(p: int, dim: int, flat: tuple, g_rows: tuple, ginv_rows: tuple) -> tuple:
-    """Structure constants in the basis f_i = sum_r g[r][i] e_r."""
-    tensor = flat_to_tensor(flat, dim)
+def gl_action(p: int, dim: int, g_rows: tuple, ginv_rows: tuple) -> tuple:
+    """The basis change f_i = sum_r g[r][i] e_r as a linear map on flat tensors.
+
+    The new constants are c'[i][j][k] = sum_{r,s,m} g[r][i] g[s][j]
+    g^-1[k][m] c[r][s][m], so column (r, s, m), at flat index
+    (r d + s) d + m, lists the nonzero ((i d + j) d + k, g[r][i] g[s][j]
+    g^-1[k][m] mod p) terms: what one unit of c[r][s][m] adds to each
+    new constant.  The products of nonzero residues of a prime are nonzero.
+    """
     d = dim
-    out = []
-    for i in range(d):
-        for j in range(d):
-            # (f_i f_j)_m = sum_{r,s} g[r][i] g[s][j] c[r][s][m]
-            prod = [0] * d
-            for r in range(d):
-                gri = g_rows[r][i]
-                if gri == 0:
-                    continue
-                for s in range(d):
-                    gsj = g_rows[s][j]
-                    if gsj == 0:
-                        continue
-                    coeff = gri * gsj
-                    row = tensor[r][s]
-                    for m in range(d):
-                        prod[m] += coeff * row[m]
-            for k in range(d):
-                out.append(sum(ginv_rows[k][m] * prod[m] for m in range(d)) % p)
-    return tuple(out)
+    pairs = [
+        [(i * d + j, a * b) for i, a in enumerate(g_rows[r]) if a
+         for j, b in enumerate(g_rows[s]) if b]
+        for r in range(d) for s in range(d)
+    ]
+    outs = [[(k, ginv_rows[k][m]) for k in range(d) if ginv_rows[k][m]] for m in range(d)]
+    return tuple(
+        [(ij * d + k, a * b % p) for ij, a in pair for k, b in out]
+        for pair in pairs for out in outs
+    )
+
+
+def _image(action: tuple, terms: list, p: int) -> tuple:
+    """The flat tensor with nonzero (flat index, constant) `terms` moved by
+    `action`: the sum of the columns the terms select, times their
+    constants, reduced mod p."""
+    acc = [0] * len(action)
+    for t, c in terms:
+        for k, v in action[t]:
+            acc[k] += c * v
+    return tuple([x % p for x in acc])
+
+
+def _terms(flat: tuple) -> list:
+    return [(t, c) for t, c in enumerate(flat) if c]
 
 
 def orbit_partition(spec: SearchSpec, survivors: tuple) -> tuple:
     """Group survivors into GL-orbits; representatives are lex-least.
 
-    The survivor set must be closed under basis change (isomorphism
-    preserves every identity); a violation means the filter and the
-    transform disagree and is reported as an internal error.
+    Each g in GL_d(F_p) acts through its `gl_action` columns, built once
+    per call.  The survivor set must be closed under basis change
+    (isomorphism preserves every identity); a violation means the filter
+    and the action disagree and is reported as an internal error.
     """
-    gl = gl_matrices(spec.p, spec.dim)
+    actions = [gl_action(spec.p, spec.dim, g_rows, ginv_rows)
+               for g_rows, ginv_rows in gl_matrices(spec.p, spec.dim)]
     survivor_set = set(survivors)
     seen = set()
     classes = []
     for t in survivors:
         if t in seen:
             continue
+        terms = _terms(t)
         orbit = set()
-        for g_rows, ginv_rows in gl:
-            t2 = transform_tensor(spec.p, spec.dim, t, g_rows, ginv_rows)
+        for action in actions:
+            t2 = _image(action, terms, spec.p)
             if t2 not in survivor_set:
                 raise RuntimeError(
                     "internal inconsistency: a UJLA tensor left the survivor set "
@@ -265,6 +283,9 @@ def enumerate_ujla(spec: SearchSpec, workers: int = 1) -> ClassificationResult:
     """Scan all p^(d^3) tensors, filter by the UJLA suite, reduce to orbits.
 
     At most os.cpu_count() worker processes are started."""
+    # True == 1 would pass the bound below, and 1.5 or "2" fail deep inside.
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise ValueError(f"workers must be an int, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     total = spec.total
@@ -312,8 +333,8 @@ def are_isomorphic(a: Algebra, b: Algebra) -> Optional[Matrix]:
         raise ValueError("isomorphism test supports dimension at most 2")
     p = a.field.p
     flat_a = a.tensor_flat()
-    flat_b = b.tensor_flat()
+    terms_b = _terms(b.tensor_flat())
     for g_rows, ginv_rows in gl_matrices(p, a.dim):
-        if transform_tensor(p, a.dim, flat_b, g_rows, ginv_rows) == flat_a:
+        if _image(gl_action(p, a.dim, g_rows, ginv_rows), terms_b, p) == flat_a:
             return Matrix(a.field, g_rows)
     return None

@@ -190,6 +190,26 @@ def all_tensors(p, d):
         )
 
 
+def transform_tensor(p, d, flat, g_rows, ginv_rows):
+    """Flat structure constants in the basis f_i = sum_r g[r][i] e_r: each
+    product f_i f_j expanded in the e basis, then rewritten in the f basis
+    through g^-1."""
+    tensor = [[flat[(r * d + s) * d:(r * d + s + 1) * d] for s in range(d)] for r in range(d)]
+    out = []
+    for i in range(d):
+        for j in range(d):
+            # (f_i f_j)_m = sum_{r,s} g[r][i] g[s][j] c[r][s][m]
+            prod = [0] * d
+            for r in range(d):
+                for s in range(d):
+                    coeff = g_rows[r][i] * g_rows[s][j]
+                    for m in range(d):
+                        prod[m] += coeff * tensor[r][s][m]
+            for k in range(d):
+                out.append(sum(ginv_rows[k][m] * prod[m] for m in range(d)) % p)
+    return tuple(out)
+
+
 def sympy_polynomial_holds(name, tensor, p, d) -> bool:
     """Third route: expand formally with sympy and reduce coefficients mod p."""
     import sympy

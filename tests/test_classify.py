@@ -3,12 +3,13 @@ import itertools
 import math
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from reference import all_tensors, ref_is_ujla
+from reference import all_tensors, ref_is_ujla, transform_tensor
 from strategies import algebras
 from test_identities import F2_POINTWISE_ONLY
 from ujla import corpus
@@ -24,12 +25,15 @@ from ujla.axioms import (
 )
 from ujla.classify import (
     SearchSpec,
+    _image,
     _scan_range,
+    _terms,
     are_isomorphic,
     enumerate_ujla,
+    gl_action,
     gl_matrices,
+    orbit_partition,
     tensor_algebra,
-    transform_tensor,
 )
 from ujla.fields import PrimeField
 from ujla.identities import check_identity, constant_equations, holds
@@ -299,6 +303,21 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
         (serial.survivors, serial.classes, serial.failure_counts)
 
 
+@pytest.mark.parametrize("workers", [1.5, "2", True, None])
+def test_workers_must_be_an_int(workers, monkeypatch):
+    """1.5 and "2" would fail deep inside the scan and True would pass as
+    1; each is rejected before any scan starts."""
+    from ujla import classify
+
+    def never(*args):
+        raise AssertionError("no scan may start")
+
+    monkeypatch.setattr(classify, "Pool", never)
+    monkeypatch.setattr(classify, "_scan_range", never)
+    with pytest.raises(ValueError, match="workers must be an int"):
+        enumerate_ujla(SearchSpec(1, 3), workers=workers)
+
+
 def test_count_is_scan_order_invariant():
     """Re-filter the whole space in a shuffled order and compare counts."""
     spec = SearchSpec(2, 2)
@@ -356,16 +375,45 @@ def test_classical_passers_are_contained_in_survivors(golden):
     assert n_assoc > 0 and n_lie > 0 and n_jordan > 0
 
 
+def _moved(p, dim, flat, g_rows, ginv_rows):
+    return _image(gl_action(p, dim, g_rows, ginv_rows), _terms(flat), p)
+
+
 def test_transform_tensor_is_a_group_action():
-    p, dim = 3, 2
-    flat = (1, 2, 0, 1, 0, 2, 1, 1)
-    gl = gl_matrices(p, dim)
-    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-    assert transform_tensor(p, dim, flat, ident, ident) == flat
-    g_rows, ginv_rows = gl[17]
-    once = transform_tensor(p, dim, flat, g_rows, ginv_rows)
-    back = transform_tensor(p, dim, once, ginv_rows, g_rows)
-    assert back == flat
+    """The precomputed action of every g in GL_1(F_5), GL_2(F_2) and
+    GL_2(F_3) moves the zero tensor, the all-(p-1) tensor and seeded
+    tensors as the transform oracle does; the identity fixes each tensor
+    and g followed by g^-1 returns it."""
+    rng = random.Random(22)
+    for dim, p in [(1, 5), (2, 2), (2, 3)]:
+        n = dim ** 3
+        flats = [(0,) * n, (p - 1,) * n] + [
+            tuple(rng.randrange(p) for _ in range(n)) for _ in range(6)
+        ]
+        gl = gl_matrices(p, dim)
+        ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+        assert (ident, ident) in gl
+        for flat in flats:
+            assert _moved(p, dim, flat, ident, ident) == flat
+            for g_rows, ginv_rows in gl:
+                once = _moved(p, dim, flat, g_rows, ginv_rows)
+                assert once == transform_tensor(p, dim, flat, g_rows, ginv_rows)
+                assert _moved(p, dim, once, ginv_rows, g_rows) == flat
+
+
+def test_a_survivor_set_not_closed_under_basis_change_is_an_internal_error(golden):
+    """Dropping one member of a nontrivial orbit leaves its representative
+    with an image outside the survivors; the error names both."""
+    entry = _case(golden, 2, 2, "polynomial")
+    survivors = tuple(tuple(s) for s in entry["survivors"])
+    spec = SearchSpec(2, 2)
+    rep = tuple(entry["representatives"][1])
+    assert entry["orbit_sizes"][1] == 6
+    orbit = {transform_tensor(2, 2, rep, *g) for g in gl_matrices(2, 2)}
+    dropped = max(orbit)
+    assert dropped != rep
+    with pytest.raises(RuntimeError, match=re.escape(f"(tensor {rep}, image {dropped})")):
+        orbit_partition(spec, tuple(s for s in survivors if s != dropped))
 
 
 def test_are_isomorphic_self_and_scaling():
@@ -400,6 +448,24 @@ def test_are_isomorphic_witness_is_multiplicative():
             gi = tuple(g[k, i] for k in range(2))
             gj = tuple(g[k, j] for k in range(2))
             assert lhs == a.multiply(gi, gj)
+
+
+def test_are_isomorphic_returns_the_first_witness_in_lex_order(golden):
+    """The witness is the lex-first g whose transform oracle image of b is
+    a, and None when there is none: every class representative against
+    every d = 2, p = 2 survivor."""
+    entry = _case(golden, 2, 2, "polynomial")
+    F2 = PrimeField(2)
+    gl = gl_matrices(2, 2)
+    witnesses = 0
+    for rep in map(tuple, entry["representatives"]):
+        for flat in map(tuple, entry["survivors"]):
+            first = next((g for g, ginv in gl if transform_tensor(2, 2, flat, g, ginv) == rep),
+                         None)
+            got = are_isomorphic(tensor_algebra(2, 2, rep), tensor_algebra(2, 2, flat))
+            assert got == (None if first is None else Matrix(F2, first))
+            witnesses += first is not None
+    assert witnesses == entry["ujla_count"]
 
 
 def test_are_isomorphic_guards():
