@@ -18,9 +18,9 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 39 mutants, took 38-49 s for the mutants alone and
-49-61 s of wall time with the unmutated pass, on a 2-core box with
-Python 3.11.7; witness-lhs-printed-with-a-colon runs the 4-5 s sweep test.
+The full table, 40 mutants, took 45-48 s for the mutants alone and 54-60 s
+of wall time with the unmutated pass, on a 2-core box with Python
+3.11.7; witness-lhs-printed-with-a-colon runs the 4-5 s sweep test.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ T_YB = "tests/test_yang_baxter.py::"
 T_ID = "tests/test_identities.py::"
 T_RV = "tests/test_revalidation.py::"
 CL = "src/ujla/classify.py"
+AL = "src/ujla/algebra.py"
 T_CL = "tests/test_classify.py::"
 
 MUTANTS = (
@@ -120,16 +121,16 @@ MUTANTS = (
            "[field.normalize(-1), field.one, field.zero]",
            (T_ID + "test_polynomial_concrete_witness_matches_evaluate_sides_oracle",)),
     Mutant("witness-words-scaled-by-l-m-minus-1", IDS,
-           "c * rows.denom ** (plan.top - len(leaves))",
-           "c * rows.denom ** (len(leaves) - 1)",
+           "c * view.scale ** (plan.top - len(leaves))",
+           "c * view.scale ** (len(leaves) - 1)",
            (T_ID + "test_polynomial_concrete_witness_matches_evaluate_sides_oracle",)),
     Mutant("witness-sides-compared-without-mod-p", IDS,
            "return any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs",
            "return lhs != rhs",
            (T_ID + "test_polynomial_concrete_witness_matches_evaluate_sides_oracle",)),
     Mutant("pointwise-residual-from-first-group", IDS,
-           "for mono, lhs, rhs in _differences(plan, rows)}",
-           "for mono, lhs, rhs in itertools.islice(_differences(plan, rows), 1)}",
+           "for mono, lhs, rhs in _differences(plan, view)}",
+           "for mono, lhs, rhs in itertools.islice(_differences(plan, view), 1)}",
            (T_ID + "test_pointwise_verdict_and_witness_match_exhaustive_oracle[2-3-12]",)),
     Mutant("pointwise-witness-sides-at-all-e0", IDS,
            "concrete_witness=words.witness(combo, words.at(combo)))",
@@ -143,10 +144,16 @@ MUTANTS = (
            "return tuple(from_integers(alg.field, acc, scale) for acc in sides)",
            "return from_integers(alg.field, sides[0], scale), tuple(sides[1])",
            ("tests/test_axioms.py::test_failing_verdicts_carry_revalidating_witnesses",)),
-    Mutant("view-multiply-reads-left-coordinates-from-v", "src/ujla/algebra.py",
-           "for x, plane in zip(u, self.planes):",
-           "for x, plane in zip(v, self.planes):",
+    Mutant("view-multiply-reads-left-coordinates-from-v", AL,
+           "[(x, planes[i]) for i, x in enumerate(u) if x]",
+           "[(x, planes[i]) for i, x in enumerate(v) if x]",
            (T_RV + "test_integer_sides_match_the_field_scalar_oracle[2-Q]",)),
+    # The one integer kernel: slot-table rows, witnesses and revalidation.
+    Mutant("integer-kernel-drops-the-right-coordinate", AL,
+           "                acc[k] += s * c\n    return acc\n",
+           "                acc[k] += x * c\n    return acc\n",
+           (T_ID + "test_plan_verdict_and_witness_match_formal_oracle[0-3-4]",
+            T_RV + "test_integer_sides_match_the_field_scalar_oracle[2-Q]")),
     Mutant("field-sides-memo-key-without-left-factor", IDS,
            "key = (u, v)",
            "key = v",
@@ -177,7 +184,7 @@ MUTANTS = (
            "",
            (T_ID + "test_parse_rejects_malformed_input",)),
     # Products, derivations and the command line.
-    Mutant("sparse-multiply-reads-e_j-e_i", "src/ujla/algebra.py",
+    Mutant("sparse-multiply-reads-e_j-e_i", AL,
            "plane = products[i]",
            "plane = [row[i] for row in products]",
            ("tests/test_algebra.py::test_sparse_multiply_matches_dense_product[Q]",)),

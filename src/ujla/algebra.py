@@ -4,14 +4,15 @@ An algebra is a field, a basis, and a tensor c[i][j][k] meaning
 e_i * e_j = sum_k c[i][j][k] e_k.  Vectors are plain tuples of scalars.
 The dataclass fields are immutable after construction; products are pure
 functions, so algebras are safe to share between threads.  Beside those
-fields an algebra keeps three caches, filled lazily per instance in its
+fields an algebra keeps two caches, filled lazily per instance in its
 __dict__ (the way functools.cached_property keeps a value): the nonzero
-terms of each basis product, which multiply reads; the integer view, the
-tensor cleared once by the lcm of its denominators, which the identity
-engine's rows, the derivation kernels and witness revalidation read; and
-the identity engine's integer slot tables (identities._row_source).  All
-are pure functions of the tensor, so threads that race on an entry only
-build it twice; none takes part in equality, hashing or replace().
+terms of each basis product, which multiply reads; and the integer view,
+the tensor cleared once by the lcm of its denominators, the one integer
+form of the tensor, which the identity engine, the derivation kernels and
+witness revalidation read and which holds the identity engine's slot
+tables.  All are pure functions of the tensor, so threads that race on an
+entry only build it twice; none takes part in equality, hashing or
+replace().
 """
 
 from __future__ import annotations
@@ -49,12 +50,27 @@ def format_vector(field: FieldSpec, u: Sequence) -> str:
     return "(" + ", ".join(field.format(x) for x in u) + ")"
 
 
+def _bilinear(uterms: list, vterms: list, d: int) -> list:
+    """The integer bilinear product of the tensor: u and v given as their
+    nonzero (x, plane i of the integer view) and (j, y) terms, where
+    plane[j] lists the nonzero (k, n) of e_i e_j."""
+    acc = [0] * d
+    for x, plane in uterms:
+        for j, y in vterms:
+            s = x * y
+            for k, c in plane[j]:
+                acc[k] += s * c
+    return acc
+
+
 class IntegerView:
     """An algebra's structure tensor cleared once to integers, n = L *
     c[i][j][k] with L the lcm of its denominators (1 over F_p, where the n
     are the residues): flat in row-major order, and, each built on first
     read, as the (i, j, k, n) of its nonzero n and as planes[i][j], the
-    nonzero (k, n) of e_i e_j.
+    nonzero (k, n) of e_i e_j.  tables holds the identity engine's integer
+    slot tables, one per word shape, each added on first read by
+    identities._table.
     """
 
     def __init__(self, alg: "Algebra"):
@@ -62,6 +78,7 @@ class IntegerView:
         flat, self.scale = integral(alg.tensor_flat())
         self.p = alg.field.characteristic  # 0 over Q
         self.flat = tuple(flat)
+        self.tables: dict = {}
 
     @functools.cached_property
     def terms(self) -> tuple:
@@ -79,14 +96,9 @@ class IntegerView:
         """L times the product of the vectors that the integers u and v
         stand for; residues over F_p, so that a coordinate that vanishes
         there is skipped by the next product."""
-        acc = [0] * len(u)
-        vterms = [(j, y) for j, y in enumerate(v) if y]
-        for x, plane in zip(u, self.planes):
-            if x:
-                for j, y in vterms:
-                    s = x * y
-                    for k, c in plane[j]:
-                        acc[k] += s * c
+        planes = self.planes
+        acc = _bilinear([(x, planes[i]) for i, x in enumerate(u) if x],
+                        [(j, y) for j, y in enumerate(v) if y], self.d)
         p = self.p
         return tuple([x % p for x in acc] if p else acc)
 

@@ -48,9 +48,8 @@ def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
                     for col, y in enumerate(q[t]):
                         if y:
                             acc_row[col] += x * y
-    norm = field.normalize
-    inv = field.inv(norm(a_scale * b_scale * scale * scale))
-    return Matrix(field, tuple(tuple(norm(x * inv) for x in row) for row in acc))
+    denom = a_scale * b_scale * scale * scale
+    return Matrix(field, tuple(from_integers(field, row, denom) for row in acc))
 
 
 def derivation_six_term(alg: Algebra, a: Vector, b: Vector) -> Matrix:
@@ -83,7 +82,7 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
         raise ValueError(f"{alg.name}: linear map must be {d}x{d}")
     # With D scaled by s and the constants by t to integers, both sides of
     # every pair are s * t times their values.
-    flat, s = integral([x for row in deriv.rows for x in row])
+    flat, s = integral([coerce(alg.field, x) for row in deriv.rows for x in row])
     m = [flat[r * d:(r + 1) * d] for r in range(d)]
     view = alg.integer_view
     nonzero, t = view.terms, view.scale
@@ -119,7 +118,7 @@ def _leibniz_sides(alg: Algebra, deriv: Matrix, x: Vector, y: Vector) -> tuple:
     d = alg.dim
     if deriv.nrows != d or deriv.ncols != d or len(x) != d or len(y) != d:
         raise ValueError(f"{alg.name}: linear map and vectors must have dimension {d}")
-    flat, r = integral([c for row in deriv.rows for c in row])
+    flat, r = integral([coerce(alg.field, c) for row in deriv.rows for c in row])
     m = [flat[n:n + d] for n in range(0, d * d, d)]
     (xs, s), (ys, t) = integral(x), integral(y)
 

@@ -9,9 +9,9 @@ grammar in both fields, an integer or n/d of two integers (no decimals
 or exponents, and int()'s digit limit applies); each computed result is
 brought back with ``normalize`` and printed with ``format``; ``inv`` is
 the one operation a field does itself.  Integer kernels take their
-inputs through ``integral`` and return each result x over its scale s as
-``field.from_fraction(Fraction(x, s))``, a vector of them through
-``from_integers``.  Field objects are frozen and safe to share.
+inputs through ``integral`` and bring their results, integers x that
+share one scale s, back as the field elements x / s through
+``from_integers`` alone.  Field objects are frozen and safe to share.
 """
 
 from __future__ import annotations

@@ -27,22 +27,23 @@ built from the structure constants, with no formal polynomials.  One
 walk over the plan's groups yields, in order, each group whose sides
 differ, building a row the first time a group reads it: holds and a
 polynomial failure stop at the first, a pointwise failure takes them
-all.  An algebra keeps one row source for its lifetime, so every identity
-checked on it reads and fills the same tables.  The sides of a concrete
-witness are read off the same rows and the same integer tensor: a
-polynomial failure's at the first basis tuple or {0, 1, -1} grid point
-whose sides differ, a pointwise failure's at the point its residual
-names.  For the classification scan, constant_equations expands the same
-plan with the structure constants left symbolic, into polynomial
-equations in them.
+all.  The tables live on the algebra's integer view, its one integer
+form of the tensor, so every identity checked on it reads and fills the
+same tables.  The sides of a concrete witness are read off the same rows
+and the view's product: a polynomial failure's at the first basis tuple
+or {0, 1, -1} grid point whose sides differ, a pointwise failure's at
+the point its residual names.  For the classification scan,
+constant_equations expands the same plan with the structure constants
+left symbolic, into polynomial equations in them.
 
 Failures always carry a witness that is re-validated independently:
 revalidate_verdict sums the plan's words in integers through the
 algebra's integer view and its product, over one assignment
 (evaluate_sides, which only revalidation calls) or over the slot
 assignments of the witness monomial, sharing each sub-product within the
-call, and never reads the integer rows.  One word evaluator serves that
-route and the witness search; it is handed the product to use.
+call, and never reads the slot tables.  One word evaluator serves that
+route and the witness search, through the view's product; the tables
+build their rows with the same integer kernel.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algebra import Algebra, Vector
+from .algebra import Algebra, IntegerView, Vector, _bilinear
 from .fields import QQ, PrimeField, Scalar, from_integers, integral
 
 Word = Union[str, tuple]
@@ -316,8 +317,8 @@ def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
 # residues, reduced once per sum.  Over Q the tensor is scaled by the lcm L
 # of its denominators and the coefficients by the lcm D of theirs, so a sum
 # over a group of degree m is its coefficient times D * L^(m-1).  The rows
-# of one algebra live in its one _Rows, one lazily built _Table per shape,
-# which every identity checked on that algebra reads and fills.
+# of one algebra live on its integer view, one lazily built _Table per
+# shape, which every identity checked on that algebra reads and fills.
 
 def _leaves(word: Word) -> list:
     if isinstance(word, str):
@@ -392,65 +393,23 @@ def _plan(alg: Algebra, spec: IdentitySpec, semantics: str) -> _Plan:
     return _compile(spec, alg.dim, alg.field, reduce)
 
 
-def _product(uterms: list, vterms: list, d: int) -> list:
-    """Integer product of u and v, given as their nonzero (x, plane i of the
-    tensor) and (j, y) terms; plane[j] lists the nonzero (k, c) of e_i e_j."""
-    acc = [0] * d
-    for x, plane in uterms:
-        for j, y in vterms:
-            s = x * y
-            for k, c in plane[j]:
-                acc[k] += s * c
-    return acc
-
-
-class _Rows:
-    """The integer slot tables of one algebra, one per shape, each row built
-    the first time it is read.
-
-    Over Q the tensor is scaled by L, the lcm of its denominators, so a row
-    of a shape with m leaves is L^(m-1) times the word's value on the basis
-    vectors; over F_p, L is 1 and rows are reduced mod p only where they
-    are compared.  p is the characteristic, 0 over Q.
-    """
-
-    def __init__(self, alg: Algebra):
-        d = self.d = alg.dim
-        self.field, self.p = alg.field, alg.field.characteristic
-        view = alg.integer_view
-        self.denom, self.planes = view.scale, view.planes
-        products = [view.flat[n:n + d] for n in range(0, d ** 3, d)]  # e_i e_j at row i*d + j
-        self.tables = {
-            None: _Table(self, None, [[int(i == j) for j in range(d)] for i in range(d)]),
-            (None, None): _Table(self, (None, None), products),
-        }
-
-    def table(self, shape) -> "_Table":
-        table = self.tables.get(shape)
-        if table is None:
-            table = self.tables[shape] = _Table(self, shape)
-        return table
-
-    def multiply(self, u, v) -> list:
-        """Integer product of two integer vectors on the scaled tensor."""
-        planes = self.planes
-        return _product([(x, planes[i]) for i, x in enumerate(u) if x],
-                        [(j, y) for j, y in enumerate(v) if y], self.d)
-
-
 class _Table(dict):
-    """Row number -> integer vector of one shape, sigma read big-endian.  A
-    missing row is built when first read, as the product of one row of each
-    factor's table; the nonzero terms of each factor row are kept."""
+    """Row number -> integer vector of one shape, sigma read big-endian.
+    Over Q the tensor is scaled by L, so a row of a shape with m leaves is
+    L^(m-1) times the word's value on the basis vectors; over F_p rows are
+    reduced mod p only where they are compared.  A missing row is built
+    when first read, as the product of one row of each factor's table; the
+    nonzero terms of each factor row are kept."""
 
-    def __init__(self, rows: _Rows, shape, base: Optional[list] = None):
+    def __init__(self, view: IntegerView, shape):
         super().__init__()
-        self.planes, self.d = rows.planes, rows.d
-        if base is not None:
-            self.size = len(base)
-            self.update(enumerate(base))
+        d = self.d = view.d
+        self.planes = view.planes
+        if shape is None:
+            self.size = d
+            self.update(enumerate([[int(i == j) for j in range(d)] for i in range(d)]))
         else:
-            self.left, self.right = rows.table(shape[0]), rows.table(shape[1])
+            self.left, self.right = _table(view, shape[0]), _table(view, shape[1])
             self.size = self.left.size * self.right.size
             self.uterms = [None] * self.left.size  # nonzero (x, plane i) of each left row
             self.vterms = [None] * self.right.size  # nonzero (j, y) of each right row
@@ -463,19 +422,19 @@ class _Table(dict):
         v = self.vterms[r]
         if v is None:
             v = self.vterms[r] = [(j, y) for j, y in enumerate(self.right[r]) if y]
-        row = self[n] = _product(u, v, self.d)
+        row = self[n] = _bilinear(u, v, self.d)
         return row
 
 
-def _row_source(alg: Algebra) -> _Rows:
-    """The algebra's one row source, built on first use and kept in the
-    instance's __dict__ for its lifetime, as functools.cached_property keeps
-    a value.  The shape of (a*b)*c then serves assoc, lie.jacobi and ujla.1
-    alike, and each row is built at most once per algebra."""
-    rows = alg.__dict__.get("_rows")
-    if rows is None:
-        rows = alg.__dict__["_rows"] = _Rows(alg)
-    return rows
+def _table(view: IntegerView, shape) -> _Table:
+    """The view's slot table of the shape, added to view.tables on first
+    read and kept there for the algebra's lifetime.  The shape of (a*b)*c
+    then serves assoc, lie.jacobi and ujla.1 alike, and each row is built
+    at most once per algebra."""
+    table = view.tables.get(shape)
+    if table is None:
+        table = view.tables[shape] = _Table(view, shape)
+    return table
 
 
 def _symbolic_table(shape, memo: dict, d: int) -> list:
@@ -539,12 +498,12 @@ def constant_equations(spec: IdentitySpec, dim: int, p: int,
     return tuple(equations)
 
 
-def _differences(plan: _Plan, rows: _Rows):
+def _differences(plan: _Plan, view: IntegerView):
     """(monomial, lhs sums, rhs sums) of each plan group, in order, whose
     sides differ; over F_p the sums are residues mod p.  Only the rows of
     the groups read are built."""
-    tables = [rows.table(shape) for shape in plan.shapes]
-    d, p = rows.d, rows.p
+    tables = [_table(view, shape) for shape in plan.shapes]
+    d, p = view.d, view.p
     for mono, lterms, rterms in plan.groups:
         lhs, rhs = [0] * d, [0] * d
         for acc, terms in ((lhs, lterms), (rhs, rterms)):
@@ -574,7 +533,7 @@ def _slot_coefficients(alg: Algebra, spec: IdentitySpec, mono: tuple, k: int) ->
 
 def holds(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> bool:
     """Whether the identity holds, with no witness search."""
-    return next(_differences(_plan(alg, spec, semantics), _row_source(alg)), None) is None
+    return next(_differences(_plan(alg, spec, semantics), alg.integer_view), None) is None
 
 
 def _first_nonzero_point(residual: dict, p: int) -> list:
@@ -617,25 +576,26 @@ def _row_number(combo: Sequence[int], leaves: Sequence[int], d: int) -> int:
 
 
 class _IntegerWords:
-    """The plan's words on a row source, evaluated in integers at concrete
-    assignments.
+    """The plan's words on the algebra's integer view, evaluated in integers
+    at concrete assignments.
 
     A word of degree m on integer vectors is L^(m-1) times its value, so
     each word's coefficient is scaled by L^(top - m) and every side is
     D * L^(top - 1) times its value (1 over F_p).  On a basis tuple a
     word's value is its table row at the slot assignment; elsewhere it is
-    the word evaluated through the integer product."""
+    the word evaluated through the view's product."""
 
-    def __init__(self, spec: IdentitySpec, plan: _Plan, rows: _Rows):
-        self.spec, self.rows = spec, rows
-        self.scale = plan.scale * rows.denom ** (plan.top - 1)
-        self.words = [(side, c * rows.denom ** (plan.top - len(leaves)), plan.shapes[t],
-                       rows.table(plan.shapes[t]), leaves)
+    def __init__(self, alg: Algebra, spec: IdentitySpec, plan: _Plan):
+        view = self.view = alg.integer_view
+        self.field, self.spec = alg.field, spec
+        self.scale = plan.scale * view.scale ** (plan.top - 1)
+        self.words = [(side, c * view.scale ** (plan.top - len(leaves)), plan.shapes[t],
+                       _table(view, plan.shapes[t]), leaves)
                       for side, _, c, t, leaves in plan.words]
 
     def _sides(self, values) -> tuple:
         """Both sides' integer sums, from each word's integer value."""
-        d = self.rows.d
+        d = self.view.d
         sides = ([0] * d, [0] * d)
         for (side, c, *_), value in zip(self.words, values):
             acc = sides[side]
@@ -645,36 +605,35 @@ class _IntegerWords:
 
     def at_basis(self, combo: Sequence[int]) -> tuple:
         """Both sides when variable v is the basis vector e_combo[v]."""
-        d = self.rows.d
+        d = self.view.d
         return self._sides([table[_row_number(combo, leaves, d)]
                             for _, _, _, table, leaves in self.words])
 
     def at(self, vectors) -> tuple:
         """Both sides when the variables are vectors with integer coordinates."""
         env = [list(map(int, vector)) for vector in vectors]
-        multiply = self.rows.multiply
+        multiply = self.view.multiply
         return self._sides([_shape_value(multiply, shape, map(env.__getitem__, leaves))
                             for _, _, shape, _, leaves in self.words])
 
     def differ(self, sides: tuple) -> bool:
         """Whether the sides differ, mod p over F_p."""
         lhs, rhs = sides
-        p = self.rows.p
+        p = self.view.p
         return any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs
 
     def witness(self, vectors, sides: tuple) -> ConcreteWitness:
         """The witness at vectors, its sides brought back to the field."""
-        field, scale = self.rows.field, self.scale
-        lhs, rhs = (from_integers(field, acc, scale) for acc in sides)
+        lhs, rhs = (from_integers(self.field, acc, self.scale) for acc in sides)
         return ConcreteWitness(tuple(zip(self.spec.variables, vectors)), lhs, rhs)
 
 
-def _search_concrete_witness(alg: Algebra, spec: IdentitySpec, plan: _Plan,
-                             rows: _Rows) -> Optional[ConcreteWitness]:
+def _search_concrete_witness(alg: Algebra, spec: IdentitySpec,
+                             plan: _Plan) -> Optional[ConcreteWitness]:
     """First assignment among basis tuples, then the {0, 1, -1} grid, whose
     sides differ, evaluated in integers."""
-    nv, d, field = len(spec.variables), alg.dim, rows.field
-    words = _IntegerWords(spec, plan, rows)
+    nv, d, field = len(spec.variables), alg.dim, alg.field
+    words = _IntegerWords(alg, spec, plan)
     # Basis tuples first: they witness most failures and read well.
     for combo in itertools.product(range(d), repeat=nv):
         sides = words.at_basis(combo)
@@ -703,31 +662,31 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
     failing assignment (variables in declared order, each vector by its
     coordinates), read off the plan's residual; its sides are the words'
     integer values there, as in the polynomial witness search.  Both
-    semantics read the algebra's one row source."""
+    semantics read the slot tables on the algebra's integer view."""
     plan = _plan(alg, spec, semantics)
-    rows = _row_source(alg)
+    view = alg.integer_view
     if semantics == "pointwise":
         p = alg.field.p
         residual = {mono: [(x - y) % p for x, y in zip(lhs, rhs)]
-                    for mono, lhs, rhs in _differences(plan, rows)}
+                    for mono, lhs, rhs in _differences(plan, view)}
         if not residual:
             return Verdict(spec.name, True, semantics, identity=spec)
         point = _first_nonzero_point(residual, p)
         d = alg.dim
         combo = [tuple(point[v * d:(v + 1) * d]) for v in range(len(spec.variables))]
-        words = _IntegerWords(spec, plan, rows)
+        words = _IntegerWords(alg, spec, plan)
         return Verdict(spec.name, False, semantics, identity=spec,
                        concrete_witness=words.witness(combo, words.at(combo)))
-    failure = next(_differences(plan, rows), None)
+    failure = next(_differences(plan, view), None)
     if failure is None:
         return Verdict(spec.name, True, semantics, identity=spec)
     mono, lhs, rhs = failure
     k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-    scale = plan.scale * rows.denom ** (sum(mono) - 1)
-    lc, rc = (alg.field.from_fraction(Fraction(x[k], scale)) for x in (lhs, rhs))
+    scale = plan.scale * view.scale ** (sum(mono) - 1)
+    lc, rc = from_integers(alg.field, (lhs[k], rhs[k]), scale)
     text = _monomial_text(mono, spec.indeterminate_names(alg.dim))
     cw = CoefficientWitness(mono, text, k, lc, rc)
-    concrete = _search_concrete_witness(alg, spec, plan, rows)
+    concrete = _search_concrete_witness(alg, spec, plan)
     notes = ()
     if concrete is None:
         notes = ("no concrete counterexample among basis and {0,1,-1} assignments; "

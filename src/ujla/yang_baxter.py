@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, format_vector, vec_is_zero
 from .axioms import check_associative, check_lie
-from .fields import FieldSpec, Scalar, coerce, integral
-from .linalg import Matrix, mat_kernel, mat_mul, mat_rank, mat_vec
+from .fields import FieldSpec, Scalar, coerce, from_integers, integral
+from .linalg import Matrix, mat_kernel, mat_mul, mat_rank
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,6 @@ class TensorSquareOperator:
     @classmethod
     def from_columns(cls, field: FieldSpec, dim: int, columns: Sequence[Sequence[Scalar]]):
         return cls(field, dim, Matrix(field, tuple(zip(*columns, strict=True))))
-
-    def apply(self, coeffs: Sequence[Scalar]) -> tuple:
-        return mat_vec(self.matrix, coeffs)
 
 
 def identity_operator(field: FieldSpec, dim: int) -> TensorSquareOperator:
@@ -177,8 +173,7 @@ def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -
             ra, rb = dict(zip(*ra)), dict(zip(*rb))
             col = min(c for c in ra.keys() | rb.keys() if ra.get(c, 0) != rb.get(c, 0))
             cube = scale ** 3
-            return (row, col, field.from_fraction(Fraction(ra.get(col, 0), cube)),
-                    field.from_fraction(Fraction(rb.get(col, 0), cube)))
+            return (row, col, *from_integers(field, (ra.get(col, 0), rb.get(col, 0)), cube))
     return None
 
 

@@ -18,6 +18,11 @@ rationals = st.builds(
 
 prime_fields = st.sampled_from([PrimeField(2), PrimeField(3), PrimeField(5)])
 
+# This flat F_2 tensor (classify.tensor_algebra(2, 2, ...)) satisfies every
+# UJLA identity pointwise over F_2 but has a nonvanishing coefficient
+# polynomial (a0*a1^2*b1) in the degree-4 ones.
+F2_POINTWISE_ONLY = (1, 0, 1, 1, 1, 1, 0, 1)
+
 
 def scalars(field):
     if field == QQ:

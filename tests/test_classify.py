@@ -10,8 +10,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from reference import all_tensors, ref_is_ujla, transform_tensor
-from strategies import algebras
-from test_identities import F2_POINTWISE_ONLY
+from strategies import F2_POINTWISE_ONLY, algebras
 from ujla import corpus
 from ujla.axioms import (
     ALL_NAMED_IDENTITIES,

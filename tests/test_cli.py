@@ -51,15 +51,17 @@ def test_check_failure_names_identity_and_witness(files, capsys):
 
 @pytest.mark.parametrize("pointwise", [False, True])
 def test_check_reads_one_row_source_per_file(pointwise, tmp_path, monkeypatch, capsys):
-    """Every suite of one check command reads the algebra's one row source."""
-    sources = []
+    """Every suite of one check command reads one set of slot tables, kept
+    on the algebra's integer view: one view, and each shape's table built
+    once."""
+    built = []
 
-    class RecordedRows(identities._Rows):
-        def __init__(self, alg):
-            super().__init__(alg)
-            sources.append(self)
+    class RecordedTable(identities._Table):
+        def __init__(self, view, shape):
+            super().__init__(view, shape)
+            built.append((view, shape))
 
-    monkeypatch.setattr(identities, "_Rows", RecordedRows)
+    monkeypatch.setattr(identities, "_Table", RecordedTable)
     alg = corpus.heisenberg(PrimeField(3)) if pointwise else corpus.heisenberg()
     path = tmp_path / "heisenberg.alg"
     path.write_text(dumps_algebra(alg))
@@ -67,7 +69,8 @@ def test_check_reads_one_row_source_per_file(pointwise, tmp_path, monkeypatch, c
     assert run(argv + ["--pointwise"] * pointwise) == 1
     out = capsys.readouterr().out
     assert "ujla.2d: PASS" in out and "jordan.comm: FAIL" in out and "witness:" in out
-    assert len(sources) == 1
+    shapes = [shape for _, shape in built]
+    assert len({id(view) for view, _ in built}) == 1 and len(set(shapes)) == len(shapes), shapes
 
 
 # Each field-literal option, given a negative fraction or coordinate list as

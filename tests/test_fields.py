@@ -7,7 +7,12 @@ import hypothesis.strategies as st
 from strategies import prime_fields, rationals
 from ujla import corpus
 from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products
-from ujla.derivations import derivation_six_term, derivation_two_term
+from ujla.derivations import (
+    check_derivation,
+    derivation_six_term,
+    derivation_two_term,
+    revalidate_leibniz,
+)
 from ujla.fields import QQ, PrimeField, coerce, parse_field
 from ujla.linalg import Matrix, solve
 from ujla.transforms import deform
@@ -19,6 +24,9 @@ from ujla.yang_baxter import (
 )
 
 F5 = PrimeField(5)
+# e*e = e over F_5: the map e -> x e is a derivation only at x = 0, and its
+# Leibniz witness pair (e, e) has the sides x e and 2x e.
+IDEMPOTENT = Algebra("idempotent", F5, 1, ("e",), (((1,),),))
 
 
 def test_rational_arithmetic():
@@ -165,6 +173,11 @@ SCALAR_ENTRIES = {
         corpus.upper_triangular_2x2(F5), (x, 0, 0), (0, 1, 0))[1, 2],
     "derivation_two_term": lambda x: derivation_two_term(
         corpus.upper_triangular_2x2(F5), (1, 0, 0), (0, x, 0))[1, 2],
+    "check_derivation": lambda x: check_derivation(
+        IDEMPOTENT, Matrix(F5, ((x,),))).verdicts[0].concrete_witness.lhs[0],
+    "revalidate_leibniz": lambda x: revalidate_leibniz(
+        IDEMPOTENT, Matrix(F5, ((x,),)),
+        check_derivation(IDEMPOTENT, Matrix(F5, ((3,),))).verdicts[0]),
 }
 
 

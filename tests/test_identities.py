@@ -11,8 +11,8 @@ import hypothesis.strategies as st
 
 from formal_oracle import formal_sides, formal_verdict
 from reference import ref_pointwise_holds
-from strategies import algebras
-from ujla import corpus
+from strategies import F2_POINTWISE_ONLY, algebras
+from ujla import corpus, identities
 from ujla.algebra import Algebra, IntegerView
 from ujla.axioms import ALL_NAMED_IDENTITIES, ASSOC, JORDAN_COMM, UJLA_2A, check_ujla
 from ujla.classify import flat_to_tensor, tensor_algebra
@@ -22,9 +22,7 @@ from ujla.identities import (
     CoefficientWitness,
     ConcreteWitness,
     IdentitySpec,
-    _Rows,
     _field_sides,
-    _product,
     _slot_coefficients,
     check_identity,
     evaluate_sides,
@@ -151,11 +149,6 @@ def test_pointwise_witness_is_concrete(F2):
     v = report.verdicts[0]
     assert v.concrete_witness is not None
     assert revalidate_verdict(alg, v)
-
-
-# This tensor satisfies every UJLA identity pointwise over F_2 but has a
-# nonvanishing coefficient polynomial (a0*a1^2*b1) in the degree-4 ones.
-F2_POINTWISE_ONLY = (1, 0, 1, 1, 1, 1, 0, 1)
 
 
 def test_polynomial_strictly_stronger_over_f2():
@@ -519,16 +512,8 @@ def test_polynomial_failure_reads_its_witness_off_the_rows(monkeypatch):
         calls["multiply"] += 1
         return multiply(self, u, v)
 
-    sources = []
-
-    class RecordedRows(_Rows):
-        def __init__(self, alg):
-            super().__init__(alg)
-            sources.append(self)
-
     monkeypatch.setattr("ujla.identities.evaluate_sides", counting_sides)
     monkeypatch.setattr(Algebra, "multiply", counting_multiply)
-    monkeypatch.setattr("ujla.identities._Rows", RecordedRows)
     failures = 0
     for p, d in [(0, 2), (0, 3), (3, 2), (5, 3)]:
         for alg in _witness_algebras(p, d, 2):
@@ -547,39 +532,30 @@ def test_polynomial_failure_reads_its_witness_off_the_rows(monkeypatch):
     values = (1, -1, 2, Fraction(1, 2))
     alg = Algebra("dense", QQ, 4, ("e0", "e1", "e2", "e3"),
                   [[[rng.choice(values) for _ in range(4)] for _ in range(4)] for _ in range(4)])
-    sources.clear()
     verdict = check_identity(alg, ASSOC)
     assert not verdict.passed
-    (rows,) = sources
-    built = sum(len(table) for table in rows.tables.values())
-    full = sum(table.size for table in rows.tables.values())
+    tables = alg.integer_view.tables.values()
+    built = sum(len(table) for table in tables)
+    full = sum(table.size for table in tables)
     assert built < full // 4, (built, full)
 
 
 def test_each_slot_table_row_is_built_once(monkeypatch):
-    """Every row a slot table holds is one _product call, and no row is built
-    twice: on a passing check, a pointwise check that reads every group and
-    a failing check that stops early.  The five identities of one report
-    read one row source."""
-    calls = {"product": 0, "multiply": 0}
+    """Every row a slot table holds is one call of the integer kernel from a
+    table, and no row is built twice: on a passing check, a pointwise check
+    that reads every group and a failing check that stops early.  The five
+    identities of one report fill the tables on the algebra's one integer
+    view, so a row built anywhere else would leave a call unmatched."""
+    calls = {"kernel": 0}
+    kernel = identities._bilinear
 
-    def counting_product(*args):
-        calls["product"] += 1
-        return _product(*args)
+    def counting_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
 
-    sources = []
-
-    class RecordedRows(_Rows):
-        def __init__(self, alg):
-            super().__init__(alg)
-            sources.append(self)
-
-        def multiply(self, u, v):  # the grid witness search, not a table row
-            calls["multiply"] += 1
-            return super().multiply(u, v)
-
-    monkeypatch.setattr("ujla.identities._product", counting_product)
-    monkeypatch.setattr("ujla.identities._Rows", RecordedRows)
+    # The identity engine calls the kernel by this name only to build a table
+    # row; the view's product, which the witness search uses, does not.
+    monkeypatch.setattr(identities, "_bilinear", counting_kernel)
     rng = random.Random(5)
     values = (1, -1, 2, Fraction(1, 3))
     dense = Algebra("dense", QQ, 4, ("e0", "e1", "e2", "e3"),
@@ -589,17 +565,15 @@ def test_each_slot_table_row_is_built_once(monkeypatch):
              (tensor_algebra(2, 3, _seeded_tensors(2, 3, 3)[2]), "pointwise", False),
              (dense, "polynomial", False)]
     for alg, semantics, passed in cases:
-        calls.update(product=0, multiply=0)
-        sources.clear()
+        calls["kernel"] = 0
         assert check_ujla(alg, semantics).passed == passed, (alg.name, semantics)
-        assert len(sources) == 1, (alg.name, semantics)
-        held = sum(len(table) for rows in sources for shape, table in rows.tables.items()
-                   if shape not in (None, (None, None)))
-        assert held and calls["product"] - calls["multiply"] == held, (alg.name, calls, held)
+        held = sum(len(table) for shape, table in alg.integer_view.tables.items()
+                   if shape is not None)
+        assert held and calls["kernel"] == held, (alg.name, calls, held)
 
 
 def test_threads_sharing_one_algebra_get_the_serial_verdicts():
-    """An algebra's row source and product terms are filled lazily; threads
+    """An algebra's slot tables and product terms are filled lazily; threads
     that race on them still get the verdicts of a serial run."""
     rng = random.Random(6)
     values = (0, 1, -1, 2, Fraction(1, 2))
@@ -634,8 +608,8 @@ def test_threads_sharing_one_algebra_get_the_serial_verdicts():
 
 def test_revalidation_never_reads_the_integer_rows(monkeypatch):
     """Revalidating a failing verdict, polynomial or pointwise, evaluates
-    through the integer view's product and builds no row source and no
-    integer row."""
+    through the integer view's product and builds no slot table and no row:
+    on a fresh copy of the algebra, its view's tables stay empty."""
     verdicts = [(alg, check_identity(alg, spec, "pointwise"))
                 for alg, spec in _seeded_pointwise_cases()]
     verdicts += [(alg, check_identity(alg, spec))
@@ -643,12 +617,7 @@ def test_revalidation_never_reads_the_integer_rows(monkeypatch):
                  for spec in ALL_NAMED_IDENTITIES.values()]
     failing = [(alg, v) for alg, v in verdicts if not v.passed]
     assert {v.semantics for _, v in failing} == {"polynomial", "pointwise"}
-    calls = {"rows": 0, "rows_multiply": 0, "product": 0, "multiply": 0}
-
-    class CountedRows(_Rows):
-        def __init__(self, alg):
-            calls["rows"] += 1
-            super().__init__(alg)
+    calls = {"table": 0, "kernel": 0, "multiply": 0}
 
     def counting(key, original):
         def wrapper(*args):
@@ -656,12 +625,13 @@ def test_revalidation_never_reads_the_integer_rows(monkeypatch):
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr("ujla.identities._Rows", CountedRows)
-    monkeypatch.setattr(_Rows, "multiply", counting("rows_multiply", _Rows.multiply))
-    monkeypatch.setattr("ujla.identities._product", counting("product", _product))
+    monkeypatch.setattr(identities, "_table", counting("table", identities._table))
+    monkeypatch.setattr(identities, "_bilinear", counting("kernel", identities._bilinear))
     monkeypatch.setattr(IntegerView, "multiply", counting("multiply", IntegerView.multiply))
     for alg, verdict in failing:
         calls.update(dict.fromkeys(calls, 0))
-        assert revalidate_verdict(alg, verdict), (alg.tensor, verdict.name)
-        assert calls["rows"] == calls["rows_multiply"] == calls["product"] == 0, calls
+        fresh = replace(alg)
+        assert revalidate_verdict(fresh, verdict), (alg.tensor, verdict.name)
+        assert calls["table"] == calls["kernel"] == 0, calls
+        assert fresh.integer_view.tables == {}, (alg.tensor, verdict.name)
         assert calls["multiply"] > 0, (alg.tensor, verdict.name)
