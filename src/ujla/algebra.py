@@ -4,15 +4,15 @@ An algebra is a field, a basis, and a tensor c[i][j][k] meaning
 e_i * e_j = sum_k c[i][j][k] e_k.  Vectors are plain tuples of scalars.
 The dataclass fields are immutable after construction; products are pure
 functions, so algebras are safe to share between threads.  Beside those
-fields an algebra keeps two caches, filled lazily per instance in its
-__dict__ (the way functools.cached_property keeps a value): the nonzero
-terms of each basis product, which multiply reads; and the integer view,
-the tensor cleared once by the lcm of its denominators, the one integer
-form of the tensor, which the identity engine, the derivation kernels and
-witness revalidation read and which holds the identity engine's slot
-tables.  All are pure functions of the tensor, so threads that race on an
-entry only build it twice; none takes part in equality, hashing or
-replace().
+fields an algebra keeps one cache, filled lazily in its __dict__ (the
+way functools.cached_property keeps a value): the integer view, the
+tensor cleared once by the lcm of its denominators.  It is the one
+integer form of the tensor and the one route by which concrete vectors
+are multiplied: its clear is the scalar gate for vectors, and multiply,
+the identity engine, the derivation kernels and witness revalidation all
+read it; it also holds the identity engine's slot tables.  The view is a
+pure function of the tensor, so threads that race on it only build it
+twice; it takes no part in equality, hashing or replace().
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
-from .fields import FieldSpec, Scalar, coerce, integral
+from .fields import FieldSpec, Scalar, coerce, from_integers, integral
 from .formal import Poly
 from . import linalg
 
@@ -74,7 +74,7 @@ class IntegerView:
     """
 
     def __init__(self, alg: "Algebra"):
-        self.d = alg.dim
+        self.d, self.field = alg.dim, alg.field
         flat, self.scale = integral(alg.tensor_flat())
         self.p = alg.field.characteristic  # 0 over Q
         self.flat = tuple(flat)
@@ -91,6 +91,18 @@ class IntegerView:
         rows = [tuple((k, n) for k, n in enumerate(flat[r:r + d]) if n)
                 for r in range(0, d ** 3, d)]
         return tuple(tuple(rows[i * d:(i + 1) * d]) for i in range(d))
+
+    def clear(self, vectors: Sequence[Sequence]) -> tuple:
+        """The gated entry for concrete vectors of length d: each coordinate
+        taken through fields.coerce, then integer tuples n and one scale s
+        shared by all the vectors, each vector being n / s; over F_p the
+        residues, with s = 1."""
+        field, d = self.field, self.d
+        flat = [coerce(field, x) for v in vectors for x in v]
+        s = 1
+        if not self.p:
+            flat, s = integral(flat)
+        return [tuple(flat[n:n + d]) for n in range(0, len(flat), d)], s
 
     def multiply(self, u: Sequence[int], v: Sequence[int]) -> tuple:
         """L times the product of the vectors that the integers u and v
@@ -133,22 +145,13 @@ class Algebra:
 
     def _check_unit(self):
         u = self.unit
-        for i in range(self.dim):
+        for i, label in enumerate(self.basis):
             e = self.basis_vector(i)
-            left = self.multiply(u, e)
-            if left != e:
-                raise ValueError(
-                    f"{self.name}: declared unit is not a unit: "
-                    f"u*{self.basis[i]} = {format_vector(self.field, left)} "
-                    f"!= {self.basis[i]}"
-                )
-            right = self.multiply(e, u)
-            if right != e:
-                raise ValueError(
-                    f"{self.name}: declared unit is not a unit: "
-                    f"{self.basis[i]}*u = {format_vector(self.field, right)} "
-                    f"!= {self.basis[i]}"
-                )
+            for text, product in ((f"u*{label}", self.multiply(u, e)),
+                                  (f"{label}*u", self.multiply(e, u))):
+                if product != e:
+                    raise ValueError(f"{self.name}: declared unit is not a unit: "
+                                     f"{text} = {format_vector(self.field, product)} != {label}")
 
     def basis_vector(self, i: int) -> Vector:
         zero, one = self.field.zero, self.field.one
@@ -162,33 +165,18 @@ class Algebra:
         return tuple(zero for _ in range(self.dim))
 
     @functools.cached_property
-    def _products(self) -> tuple:
-        """The nonzero (k, c) terms of e_i e_j, at [i][j]."""
-        return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-                     for plane in self.tensor)
-
-    @functools.cached_property
     def integer_view(self) -> IntegerView:
         return IntegerView(self)
 
     def multiply(self, u: Sequence, v: Sequence) -> Vector:
-        """Bilinear product through the structure tensor, skipping zero
-        coordinates and constants; each coordinate is normalised once."""
+        """Bilinear product through the integer view: u and v cleared by one
+        scale s, multiplied there, and brought back by s^2 L."""
         d = self.dim
         if len(u) != d or len(v) != d:
             raise ValueError(f"{self.name}: vector length does not match dimension {d}")
-        acc = [0] * d
-        products = self._products
-        vterms = [(j, y) for j, y in enumerate(v) if y]
-        for i, x in enumerate(u):
-            if x:
-                plane = products[i]
-                for j, y in vterms:
-                    s = x * y
-                    for k, c in plane[j]:
-                        acc[k] += s * c
-        norm = self.field.normalize
-        return tuple(norm(x) for x in acc)
+        view = self.integer_view
+        (us, vs), s = view.clear((u, v))
+        return from_integers(self.field, view.multiply(us, vs), s * s * view.scale)
 
     def multiply_formal(self, u: Sequence[Poly], v: Sequence[Poly]) -> tuple:
         """Product of vectors whose coordinates are formal polynomials."""

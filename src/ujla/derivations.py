@@ -5,14 +5,16 @@ vectors.  Both builders are signed sums of products of the left and
 right multiplication matrices L_u: x -> ux and R_u: x -> xu, all taken
 from the algebra's single product (the bracket of a Lie algebra, the
 circle of a Jordan algebra); no hidden symmetrization happens here.
-Arithmetic runs on integers with denominators cleared, and each entry
-is normalised once.
+Arithmetic runs on integers: the argument vectors and the rows of a
+linear map enter through the integer view's gated entry, clear, which
+takes every coordinate through fields.coerce and clears denominators,
+and each entry is brought back to the field once.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, Vector
-from .fields import coerce, from_integers, integral
+from .fields import from_integers
 from .identities import AxiomReport, ConcreteWitness, Verdict
 from .linalg import Matrix
 
@@ -36,9 +38,8 @@ def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
         raise ValueError(f"{alg.name}: argument vectors must have length {d}")
     field = alg.field
     view = alg.integer_view
-    nonzero, scale = view.terms, view.scale
-    a_ints, a_scale = integral([coerce(field, x) for x in a])
-    b_ints, b_scale = integral([coerce(field, x) for x in b])
+    nonzero = view.terms
+    (a_ints, b_ints), s = view.clear((a, b))
     acc = [[0] * d for _ in range(d)]
     for sign, p, q in terms_of(*_left_right(d, nonzero, a_ints), *_left_right(d, nonzero, b_ints)):
         for acc_row, p_row in zip(acc, p):
@@ -48,7 +49,7 @@ def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
                     for col, y in enumerate(q[t]):
                         if y:
                             acc_row[col] += x * y
-    denom = a_scale * b_scale * scale * scale
+    denom = s * s * view.scale ** 2
     return Matrix(field, tuple(from_integers(field, row, denom) for row in acc))
 
 
@@ -82,9 +83,8 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
         raise ValueError(f"{alg.name}: linear map must be {d}x{d}")
     # With D scaled by s and the constants by t to integers, both sides of
     # every pair are s * t times their values.
-    flat, s = integral([coerce(alg.field, x) for row in deriv.rows for x in row])
-    m = [flat[r * d:(r + 1) * d] for r in range(d)]
     view = alg.integer_view
+    m, s = view.clear(deriv.rows)
     nonzero, t = view.terms, view.scale
     lhs = [[[0] * d for _ in range(d)] for _ in range(d)]
     rhs = [[[0] * d for _ in range(d)] for _ in range(d)]
@@ -113,22 +113,21 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
 
 def _leibniz_sides(alg: Algebra, deriv: Matrix, x: Vector, y: Vector) -> tuple:
     """(D(xy), D(x)y + xD(y)) through the integer view's product, not the
-    contraction: the revalidation route.  With D cleared by r, x by s, y by
-    t and the tensor by L, both sides are r s t L times their values."""
+    contraction: the revalidation route.  With D cleared by r, x and y by
+    one s and the tensor by L, both sides are r s^2 L times their values."""
     d = alg.dim
     if deriv.nrows != d or deriv.ncols != d or len(x) != d or len(y) != d:
         raise ValueError(f"{alg.name}: linear map and vectors must have dimension {d}")
-    flat, r = integral([coerce(alg.field, c) for row in deriv.rows for c in row])
-    m = [flat[n:n + d] for n in range(0, d * d, d)]
-    (xs, s), (ys, t) = integral(x), integral(y)
+    view = alg.integer_view
+    m, r = view.clear(deriv.rows)
+    (xs, ys), s = view.clear((x, y))
 
     def apply(v):
         return [sum(a * b for a, b in zip(row, v)) for row in m]
 
-    view = alg.integer_view
     lhs = apply(view.multiply(xs, ys))
     rhs = [a + b for a, b in zip(view.multiply(apply(xs), ys), view.multiply(xs, apply(ys)))]
-    scale = r * s * t * view.scale
+    scale = r * s * s * view.scale
     return from_integers(alg.field, lhs, scale), from_integers(alg.field, rhs, scale)
 
 
@@ -139,6 +138,8 @@ def revalidate_leibniz(alg: Algebra, deriv: Matrix, verdict: Verdict) -> bool:
     w = verdict.concrete_witness
     if w is None:
         return False
-    env = dict(w.assignment)
-    lhs, rhs = _leibniz_sides(alg, deriv, env["x"], env["y"])
+    if tuple(name for name, _ in w.assignment) != ("x", "y"):
+        return False
+    (_, x), (_, y) = w.assignment
+    lhs, rhs = _leibniz_sides(alg, deriv, x, y)
     return lhs == w.lhs and rhs == w.rhs and lhs != rhs

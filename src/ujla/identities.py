@@ -29,21 +29,22 @@ differ, building a row the first time a group reads it: holds and a
 polynomial failure stop at the first, a pointwise failure takes them
 all.  The tables live on the algebra's integer view, its one integer
 form of the tensor, so every identity checked on it reads and fills the
-same tables.  The sides of a concrete witness are read off the same rows
-and the view's product: a polynomial failure's at the first basis tuple
-or {0, 1, -1} grid point whose sides differ, a pointwise failure's at
-the point its residual names.  For the classification scan,
-constant_equations expands the same plan with the structure constants
-left symbolic, into polynomial equations in them.
+same tables.  A polynomial failure's concrete witness is the first basis
+tuple whose sides, read off the same rows, differ, else the first such
+{0, 1, -1} grid point; a pointwise failure's is the point its residual
+names.  For the classification scan, constant_equations expands the same
+plan with the structure constants left symbolic, into polynomial
+equations in them.
 
-Failures always carry a witness that is re-validated independently:
-revalidate_verdict sums the plan's words in integers through the
-algebra's integer view and its product, over one assignment
-(evaluate_sides, which only revalidation calls) or over the slot
-assignments of the witness monomial, sharing each sub-product within the
-call, and never reads the slot tables.  One word evaluator serves that
-route and the witness search, through the view's product; the tables
-build their rows with the same integer kernel.
+One word evaluator, _word_sides, sums the plan's words in integers
+through the integer view's product, on vectors that enter through the
+view's gated entry, clear, sharing each sub-product within the call (and
+_scaled is the one place a word is scaled to the top degree).  It gives
+the grid points' and the pointwise witness's sides, and revalidate_verdict
+re-checks every failure's witness through it, over one assignment
+(evaluate_sides, which only revalidation calls) or the slot assignments
+of the witness monomial, never reading the slot tables; a witness whose
+names are not the identity's variables in declared order is rejected.
 """
 
 from __future__ import annotations
@@ -239,57 +240,63 @@ class AxiomReport:
 # concrete evaluation
 # ---------------------------------------------------------------------------
 
-def _shape_value(multiply, shape, values):
-    """The shape evaluated by multiply, with the next of values at each leaf."""
-    if shape is None:
-        return next(values)
-    left = _shape_value(multiply, shape[0], values)
-    return multiply(left, _shape_value(multiply, shape[1], values))
+def _scaled(plan: _Plan, view: IntegerView, s: int) -> tuple:
+    """Each word's integer coefficient scaled to the top degree, and the
+    scale of the sides.  On vectors cleared by s (1 for basis vectors and
+    slot-table rows) a word of degree m is s^m L^(m-1) times its value, so
+    its coefficient is scaled by (s L)^(top - m), and each side's integer
+    sum is D s^top L^(top-1) times its value."""
+    f, top = s * view.scale, plan.top
+    return ([c * f ** (top - len(leaves)) for _, _, c, _, leaves in plan.words],
+            plan.scale * s ** top * view.scale ** (top - 1))
 
 
-def _field_sides(alg: Algebra, spec: IdentitySpec, leaf_keys, vector) -> tuple:
-    """(lhs, rhs) vectors of the polynomial plan's words, each word summed
-    over the tuples of leaf keys that leaf_keys(leaves) yields, with
-    vector(key) at each leaf.
+def _word_sides(alg: Algebra, plan: _Plan, leaf_keys, vector) -> tuple:
+    """(lhs, rhs, scale), the plan's sides being lhs / scale and rhs / scale,
+    each word summed over the tuples of leaf keys that leaf_keys(leaves)
+    yields, with vector(key) at each leaf.
 
-    The words are evaluated in integers through the algebra's integer view
-    and its product, never the slot rows.  The leaf vectors are cleared
-    once, by one scale S (1 over F_p, whose residues are integers already),
-    so a word of degree m is S^m L^(m-1) times its value: its coefficient
-    is scaled by (S L)^(top - m), each side is D S^top L^(top-1) times its
-    value, and only the 2d sums are brought back to the field.  Each
-    product is formed once per call, keyed by its two integer factors."""
-    plan = _plan(alg, spec, "polynomial")
+    The words are evaluated in integers through the view's product, never
+    the slot rows, on leaf vectors cleared once through the view's gated
+    entry by one shared scale; each product is formed once per call."""
     view, d = alg.integer_view, alg.dim
     tuples = [list(leaf_keys(leaves)) for *_, leaves in plan.words]
     used = {key for keys_of_word in tuples for keys in keys_of_word for key in keys}
-    vectors = {key: tuple(vector(key)) for key in used}
+    vectors = {key: vector(key) for key in used}
     if any(len(v) != d for v in vectors.values()):
         raise ValueError(f"{alg.name}: vector length does not match dimension {d}")
-    ints, s = vectors, 1
-    if not view.p:
-        flat, s = integral([x for v in vectors.values() for x in v])
-        ints = {key: tuple(flat[n * d:(n + 1) * d]) for n, key in enumerate(vectors)}
+    cleared, s = view.clear(vectors.values())
+    ints = dict(zip(vectors, cleared))
     memo: dict = {}
-
-    def multiply(u, v):
-        key = (u, v)
-        product = memo.get(key)
-        if product is None:
-            product = memo[key] = view.multiply(u, v)
-        return product
-
+    coefficients, scale = _scaled(plan, view, s)
     sides = ([0] * d, [0] * d)
-    for (side, _, c, t, leaves), keys_of_word in zip(plan.words, tuples):
-        c *= (s * view.scale) ** (plan.top - len(leaves))
+    for (side, _, _, t, _), c, keys_of_word in zip(plan.words, coefficients, tuples):
         acc = sides[side]
         for keys in keys_of_word:
-            value = _shape_value(multiply, plan.shapes[t], map(ints.__getitem__, keys))
+            value = _shape_value(plan.shapes[t], map(ints.__getitem__, keys), view, memo)
             for k, x in enumerate(value):
                 if x:
                     acc[k] += c * x
-    scale = plan.scale * s ** plan.top * view.scale ** (plan.top - 1)
-    return tuple(from_integers(alg.field, acc, scale) for acc in sides)
+    return (*sides, scale)
+
+
+def _shape_value(shape, leaves, view: IntegerView, memo: dict) -> tuple:
+    """The shape evaluated through the view's product, with the next of
+    leaves at each leaf; memo keeps each product by its two factors."""
+    if shape is None:
+        return next(leaves)
+    key = (_shape_value(shape[0], leaves, view, memo), _shape_value(shape[1], leaves, view, memo))
+    product = memo.get(key)
+    if product is None:
+        product = memo[key] = view.multiply(*key)
+    return product
+
+
+def _field_sides(alg: Algebra, spec: IdentitySpec, leaf_keys, vector) -> tuple:
+    """(lhs, rhs) vectors of the polynomial plan's words, evaluated by
+    _word_sides and brought back to the field."""
+    lhs, rhs, scale = _word_sides(alg, _plan(alg, spec, "polynomial"), leaf_keys, vector)
+    return from_integers(alg.field, lhs, scale), from_integers(alg.field, rhs, scale)
 
 
 def evaluate_sides(alg: Algebra, spec: IdentitySpec, assignment: dict) -> tuple:
@@ -575,78 +582,48 @@ def _row_number(combo: Sequence[int], leaves: Sequence[int], d: int) -> int:
     return n
 
 
-class _IntegerWords:
-    """The plan's words on the algebra's integer view, evaluated in integers
-    at concrete assignments.
-
-    A word of degree m on integer vectors is L^(m-1) times its value, so
-    each word's coefficient is scaled by L^(top - m) and every side is
-    D * L^(top - 1) times its value (1 over F_p).  On a basis tuple a
-    word's value is its table row at the slot assignment; elsewhere it is
-    the word evaluated through the view's product."""
-
-    def __init__(self, alg: Algebra, spec: IdentitySpec, plan: _Plan):
-        view = self.view = alg.integer_view
-        self.field, self.spec = alg.field, spec
-        self.scale = plan.scale * view.scale ** (plan.top - 1)
-        self.words = [(side, c * view.scale ** (plan.top - len(leaves)), plan.shapes[t],
-                       _table(view, plan.shapes[t]), leaves)
-                      for side, _, c, t, leaves in plan.words]
-
-    def _sides(self, values) -> tuple:
-        """Both sides' integer sums, from each word's integer value."""
-        d = self.view.d
-        sides = ([0] * d, [0] * d)
-        for (side, c, *_), value in zip(self.words, values):
-            acc = sides[side]
-            for k, x in enumerate(value):
-                acc[k] += c * x
-        return sides
-
-    def at_basis(self, combo: Sequence[int]) -> tuple:
-        """Both sides when variable v is the basis vector e_combo[v]."""
-        d = self.view.d
-        return self._sides([table[_row_number(combo, leaves, d)]
-                            for _, _, _, table, leaves in self.words])
-
-    def at(self, vectors) -> tuple:
-        """Both sides when the variables are vectors with integer coordinates."""
-        env = [list(map(int, vector)) for vector in vectors]
-        multiply = self.view.multiply
-        return self._sides([_shape_value(multiply, shape, map(env.__getitem__, leaves))
-                            for _, _, shape, _, leaves in self.words])
-
-    def differ(self, sides: tuple) -> bool:
-        """Whether the sides differ, mod p over F_p."""
-        lhs, rhs = sides
-        p = self.view.p
-        return any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs
-
-    def witness(self, vectors, sides: tuple) -> ConcreteWitness:
-        """The witness at vectors, its sides brought back to the field."""
-        lhs, rhs = (from_integers(self.field, acc, self.scale) for acc in sides)
-        return ConcreteWitness(tuple(zip(self.spec.variables, vectors)), lhs, rhs)
+def _witness(alg: Algebra, spec: IdentitySpec, vectors, sides: tuple) -> ConcreteWitness:
+    """The witness at vectors, its integer sides (lhs, rhs, scale) brought
+    back to the field."""
+    lhs, rhs, scale = sides
+    field = alg.field
+    return ConcreteWitness(tuple(zip(spec.variables, vectors)),
+                           from_integers(field, lhs, scale), from_integers(field, rhs, scale))
 
 
 def _search_concrete_witness(alg: Algebra, spec: IdentitySpec,
                              plan: _Plan) -> Optional[ConcreteWitness]:
     """First assignment among basis tuples, then the {0, 1, -1} grid, whose
-    sides differ, evaluated in integers."""
+    sides differ, evaluated in integers: at a basis tuple each word's value
+    is its slot-table row, on the grid _word_sides evaluates it."""
     nv, d, field = len(spec.variables), alg.dim, alg.field
-    words = _IntegerWords(alg, spec, plan)
+    view = alg.integer_view
+    p = view.p
+
+    def differ(sides) -> bool:
+        lhs, rhs, _ = sides
+        return any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs
+
+    coefficients, scale = _scaled(plan, view, 1)
+    words = [(side, c, _table(view, plan.shapes[t]), leaves)
+             for (side, _, _, t, leaves), c in zip(plan.words, coefficients)]
     # Basis tuples first: they witness most failures and read well.
     for combo in itertools.product(range(d), repeat=nv):
-        sides = words.at_basis(combo)
-        if words.differ(sides):
-            return words.witness([alg.basis_vector(i) for i in combo], sides)
+        sides = ([0] * d, [0] * d, scale)
+        for side, c, table, leaves in words:
+            acc = sides[side]
+            for k, x in enumerate(table[_row_number(combo, leaves, d)]):
+                acc[k] += c * x
+        if differ(sides):
+            return _witness(alg, spec, [alg.basis_vector(i) for i in combo], sides)
     # dict.fromkeys dedupes while keeping order (0 = 1 = -1 collapses mod 2)
     pool = list(dict.fromkeys([field.zero, field.one, field.normalize(-1)]))
     grid = itertools.product(pool, repeat=nv * d)
     for coords in itertools.islice(grid, WITNESS_SEARCH_CAP):
         combo = [coords[v * d:(v + 1) * d] for v in range(nv)]
-        sides = words.at(combo)
-        if words.differ(sides):
-            return words.witness(combo, sides)
+        sides = _word_sides(alg, plan, lambda leaves: [leaves], combo.__getitem__)
+        if differ(sides):
+            return _witness(alg, spec, combo, sides)
     return None
 
 
@@ -660,8 +637,8 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
     """Single-identity verdict under the chosen semantics, decided by the
     compiled plan.  A pointwise failure names the lexicographically least
     failing assignment (variables in declared order, each vector by its
-    coordinates), read off the plan's residual; its sides are the words'
-    integer values there, as in the polynomial witness search.  Both
+    coordinates), read off the plan's residual; its sides are evaluated
+    there by _word_sides, as on the witness search's grid.  Both
     semantics read the slot tables on the algebra's integer view."""
     plan = _plan(alg, spec, semantics)
     view = alg.integer_view
@@ -674,9 +651,9 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
         point = _first_nonzero_point(residual, p)
         d = alg.dim
         combo = [tuple(point[v * d:(v + 1) * d]) for v in range(len(spec.variables))]
-        words = _IntegerWords(alg, spec, plan)
+        sides = _word_sides(alg, plan, lambda leaves: [leaves], combo.__getitem__)
         return Verdict(spec.name, False, semantics, identity=spec,
-                       concrete_witness=words.witness(combo, words.at(combo)))
+                       concrete_witness=_witness(alg, spec, combo, sides))
     failure = next(_differences(plan, view), None)
     if failure is None:
         return Verdict(spec.name, True, semantics, identity=spec)
@@ -727,6 +704,8 @@ def revalidate_verdict(alg: Algebra, verdict: Verdict) -> bool:
         ok = True
     xw = verdict.concrete_witness
     if xw is not None:
+        if tuple(name for name, _ in xw.assignment) != tuple(spec.variables):
+            return False
         lhs, rhs = evaluate_sides(alg, spec, dict(xw.assignment))
         if lhs != xw.lhs or rhs != xw.rhs or lhs == rhs:
             return False

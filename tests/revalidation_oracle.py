@@ -1,8 +1,10 @@
 """Field-scalar oracle for witness revalidation.
 
 The identity's words and the two sides of the Leibniz rule, evaluated
-through Algebra.multiply, linalg.mat_vec and the vector helpers on field
-scalars: the route revalidation took before it ran on integers.  The
+through a product of its own on field scalars, linalg.mat_vec and the
+vector helpers: the route revalidation took before it ran on integers.
+The product is the field-scalar loop Algebra.multiply ran before it went
+through the integer view, so the oracle never reads that view.  The
 words are read off the spec itself, not off a compiled plan, and every
 sub-product is formed again where it occurs.
 """
@@ -17,12 +19,28 @@ def _leaves(word) -> list:
     return [word] if isinstance(word, str) else _leaves(word[0]) + _leaves(word[1])
 
 
+def multiply(alg, u, v) -> tuple:
+    """The product on field scalars through the structure tensor, skipping
+    zero coordinates and constants; each coordinate is normalised once."""
+    acc = [0] * alg.dim
+    vterms = [(j, y) for j, y in enumerate(v) if y]
+    for i, x in enumerate(u):
+        if x:
+            plane = alg.tensor[i]
+            for j, y in vterms:
+                s = x * y
+                for k, c in enumerate(plane[j]):
+                    if c:
+                        acc[k] += s * c
+    return tuple(alg.field.normalize(x) for x in acc)
+
+
 def _value(alg, word, keys, vector):
-    """The word through Algebra.multiply, with vector(next key) at each leaf."""
+    """The word through multiply, with vector(next key) at each leaf."""
     if isinstance(word, str):
         return tuple(vector(next(keys)))
     left = _value(alg, word[0], keys, vector)
-    return alg.multiply(left, _value(alg, word[1], keys, vector))
+    return multiply(alg, left, _value(alg, word[1], keys, vector))
 
 
 def field_sides(alg, spec, leaf_keys, vector) -> tuple:
@@ -69,6 +87,7 @@ def slot_coefficients(alg, spec, mono: tuple, k: int) -> tuple:
 
 def leibniz_sides(alg, deriv, x, y) -> tuple:
     """(D(xy), D(x)y + xD(y)) on field scalars."""
-    lhs = mat_vec(deriv, alg.multiply(x, y))
-    rhs = vec_add(alg.field, alg.multiply(mat_vec(deriv, x), y), alg.multiply(x, mat_vec(deriv, y)))
+    lhs = mat_vec(deriv, multiply(alg, x, y))
+    rhs = vec_add(alg.field, multiply(alg, mat_vec(deriv, x), y),
+                  multiply(alg, x, mat_vec(deriv, y)))
     return lhs, rhs

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from strategies import prime_fields, rationals
 from ujla import corpus
 from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products
+from ujla.axioms import ASSOC, LIE_ALT
 from ujla.derivations import (
     check_derivation,
     derivation_six_term,
@@ -14,6 +15,7 @@ from ujla.derivations import (
     revalidate_leibniz,
 )
 from ujla.fields import QQ, PrimeField, coerce, parse_field
+from ujla.identities import ConcreteWitness, Verdict, evaluate_sides, revalidate_verdict
 from ujla.linalg import Matrix, solve
 from ujla.transforms import deform
 from ujla.yang_baxter import (
@@ -178,6 +180,15 @@ SCALAR_ENTRIES = {
     "revalidate_leibniz": lambda x: revalidate_leibniz(
         IDEMPOTENT, Matrix(F5, ((x,),)),
         check_derivation(IDEMPOTENT, Matrix(F5, ((3,),))).verdicts[0]),
+    "revalidate_leibniz.x": lambda x: revalidate_leibniz(  # D = 3: 3x e against 6x e
+        IDEMPOTENT, Matrix(F5, ((3,),)), Verdict("leibniz", False, "polynomial", concrete_witness=(
+            ConcreteWitness((("x", (x,)), ("y", (1,))), (4,), (3,))))),
+    "Algebra.multiply": lambda x: corpus.dual_numbers(F5).multiply((x, 0), (1, 0))[0],
+    "evaluate_sides": lambda x: evaluate_sides(
+        corpus.dual_numbers(F5), ASSOC, {"a": (x, 0), "b": (1, 0), "c": (1, 0)})[0][0],
+    "revalidate_verdict": lambda x: revalidate_verdict(  # a*a = 0 at a = x e: x^2 e against 0
+        IDEMPOTENT, Verdict("lie.alt", False, "polynomial", identity=LIE_ALT,
+                            concrete_witness=ConcreteWitness((("a", (x,)),), (4,), (0,)))),
 }
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import revalidation_oracle
 from formal_oracle import formal_sides, formal_verdict
 from reference import ref_pointwise_holds
 from strategies import F2_POINTWISE_ONLY, algebras
@@ -422,7 +423,7 @@ def test_plan_verdict_and_witness_match_formal_oracle(p, d, count):
     assert {passed for _, passed in outcomes} == {True, False}
 
 
-# --- polynomial concrete witnesses against evaluate_sides -------------------
+# --- polynomial concrete witnesses against the field-scalar oracle ----------
 
 NO_WITNESS_NOTE = ("no concrete counterexample among basis and {0,1,-1} assignments; "
                    "the discrepancy is visible only at the coefficient level")
@@ -431,7 +432,7 @@ NO_WITNESS_NOTE = ("no concrete counterexample among basis and {0,1,-1} assignme
 def concrete_witness_oracle(alg, spec):
     """The first assignment among basis tuples, then the first
     WITNESS_SEARCH_CAP points of the {0, 1, -1} grid, whose sides differ
-    under evaluate_sides (Algebra.multiply on field scalars), or None."""
+    on field scalars (tests/revalidation_oracle.py), or None."""
     nv, d, field = len(spec.variables), alg.dim, alg.field
     pool = list(dict.fromkeys([field.zero, field.one, field.normalize(-1)]))
     grid = itertools.islice(itertools.product(pool, repeat=nv * d), WITNESS_SEARCH_CAP)
@@ -439,7 +440,7 @@ def concrete_witness_oracle(alg, spec):
         itertools.product(alg.basis_vectors(), repeat=nv),
         (tuple(coords[i * d:(i + 1) * d] for i in range(nv)) for coords in grid),
     ):
-        lhs, rhs = evaluate_sides(alg, spec, dict(zip(spec.variables, combo)))
+        lhs, rhs = revalidation_oracle.evaluate_sides(alg, spec, dict(zip(spec.variables, combo)))
         if lhs != rhs:
             return ConcreteWitness(tuple(zip(spec.variables, combo)), lhs, rhs)
     return None

@@ -2,7 +2,8 @@
 
 revalidate_verdict and revalidate_leibniz recompute a witness through the
 algebra's integer view; tests/revalidation_oracle.py recomputes it
-through Algebra.multiply on field scalars.  The cases are seeded: Q
+through a product of its own on field scalars, against which
+Algebra.multiply, now on the integer view too, is also checked.  The cases are seeded: Q
 tensors with entries 1/2, -3/2 and 2 (so that the tensor's scale L is 2)
 and tensors over F_2, F_3 and F_5, at d = 1-4, every named identity,
 COMPAT, and MIXED, a non-homogeneous identity parsed here.  Over Q the
@@ -87,6 +88,23 @@ def _monomials(rng, alg, spec, count: int) -> list:
         monos.append(oracle.monomial(leaves, [rng.randrange(d) for _ in leaves], size, d))
     monos.append(tuple(rng.randrange(2) for _ in range(size)))
     return monos
+
+
+@pytest.mark.parametrize("label", FIELDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_multiply_matches_the_field_scalar_product(label, d):
+    """Algebra.multiply, which runs on the integer view, gives the oracle's
+    field-scalar product, of the field's scalar type, on vectors with
+    denominators over Q."""
+    rng = random.Random(f"multiply:{label}:{d}")
+    scalar = Fraction if label == "Q" else int
+    for alg in _algebras(label, d, 4):
+        vectors = [alg.zero_vector(), *alg.basis_vectors()]
+        vectors += [_vector(rng, alg.field, d) for _ in range(4)]
+        for u, v in itertools.product(vectors, repeat=2):
+            product = alg.multiply(u, v)
+            assert product == oracle.multiply(alg, u, v), (alg.tensor, u, v)
+            assert all(type(x) is scalar for x in product)
 
 
 @pytest.mark.parametrize("label", FIELDS)
@@ -220,3 +238,45 @@ def test_leibniz_sides_and_tampering_match_the_oracle(label, d):
                 rejected += not expected
             checked += 1
     assert checked >= 5 and rejected, (checked, rejected)
+
+
+def _misnamed(assignment: tuple) -> dict:
+    """The assignment with its last name left out, with an extra name, and
+    with its names reordered (when it has two or more)."""
+    cases = {"missing": assignment[:-1], "extra": assignment + (("z", assignment[0][1]),)}
+    if len(assignment) > 1:
+        cases["reordered"] = assignment[::-1]
+    return cases
+
+
+@pytest.mark.parametrize("label, d", [("Q", 2), ("F3", 2), ("F5", 3)])
+def test_witness_names_must_be_the_declared_variables_in_order(label, d):
+    """A hand-built witness is rejected, not read through a KeyError or past
+    an extra or swapped name, unless its assignment names exactly the
+    identity's variables in declared order, or x and y for Leibniz."""
+    field = FIELDS[label]
+    reordered = 0
+    for alg, verdict in _concrete_cases(label, d):
+        w = verdict.concrete_witness
+        assert revalidate_verdict(alg, verdict)
+        for case, assignment in _misnamed(w.assignment).items():
+            moved = replace(verdict, concrete_witness=replace(w, assignment=assignment))
+            assert not revalidate_verdict(alg, moved), (verdict.name, case)
+            reordered += case == "reordered"
+    assert reordered
+    rng = random.Random(f"names:{label}:{d}")
+    deriv = Matrix.from_rows(field, [_vector(rng, field, d) for _ in range(d)])
+    checked = 0
+    for alg in _algebras(label, d, 4):
+        x, y = _vector(rng, field, d), _vector(rng, field, d)
+        lhs, rhs = oracle.leibniz_sides(alg, deriv, x, y)
+        if lhs == rhs:
+            continue
+        w = ConcreteWitness((("x", x), ("y", y)), lhs, rhs)
+        verdict = Verdict("leibniz", False, "polynomial", concrete_witness=w)
+        assert revalidate_leibniz(alg, deriv, verdict)
+        for case, assignment in _misnamed(w.assignment).items():
+            moved = replace(verdict, concrete_witness=replace(w, assignment=assignment))
+            assert not revalidate_leibniz(alg, deriv, moved), case
+        checked += 1
+    assert checked
