@@ -18,9 +18,8 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 42 mutants, took 84 s for the mutants alone and 97 s of
-wall time with the unmutated pass, on a 2-core box with Python 3.11.7,
-where the 40-mutant table before it took 76 s and 90 s at the same time;
+The full table, 46 mutants, took 78 s for the mutants alone and 88 s of
+wall time with the unmutated pass, on a 2-core box with Python 3.11.7;
 witness-lhs-printed-with-a-colon runs the 4-5 s sweep test.
 """
 
@@ -55,19 +54,31 @@ T_RV = "tests/test_revalidation.py::"
 CL = "src/ujla/classify.py"
 AL = "src/ujla/algebra.py"
 T_CL = "tests/test_classify.py::"
+LA = "src/ujla/linalg.py"
+T_LA = "tests/test_linalg.py::"
 
 MUTANTS = (
     # The sparse braid/QYBE kernel.
     Mutant("product-no-mod-p", YB,
-           "            acc = [x % p for x in acc]\n",
-           "            pass\n",
+           "        acc = [x % p for x in acc]\n",
+           "        pass\n",
            (T_YB + "test_slot_application_matches_dense_oracle_lifts[2-F5]",)),
     Mutant("product-keeps-a-reduced-zero-in-a-row", YB,
-           "        if p:\n"
-           "            acc = [x % p for x in acc]\n"
-           "        out.append((list(compress(columns, acc)), list(filter(None, acc))))\n",
-           "        out.append((list(compress(columns, acc)), [x % p if p else x for x in filter(None, acc)]))\n",
+           "    if p:\n"
+           "        acc = [x % p for x in acc]\n"
+           "    return list(compress(range(len(acc)), acc)), list(filter(None, acc))\n",
+           "    return list(compress(range(len(acc)), acc)), [x % p if p else x for x in filter(None, acc)]\n",
            (T_YB + "test_sparse_kernel_matches_dense_oracle_on_edge_operators[3-F5]",)),
+    Mutant("pair-memo-keyed-by-the-unordered-pair", YB,
+           "    pairs = {key: _Product(lifts[key[0]], lifts[key[1]], p) for key in ((b, c), (a2, b2))}\n"
+           "    inner, outer = pairs[b, c], pairs[a2, b2]\n",
+           "    pairs = {frozenset(key): _Product(lifts[key[0]], lifts[key[1]], p) for key in ((b, c), (a2, b2))}\n"
+           "    inner, outer = pairs[frozenset((b, c))], pairs[frozenset((a2, b2))]\n",
+           (T_YB + "test_sparse_kernel_matches_dense_oracle_on_edge_operators[2-F5]",)),
+    Mutant("stop-skips-rows-that-differ-in-values-only", YB,
+           "if ra != rb:",
+           "if ra[0] != rb[0]:",
+           (T_YB + "test_sparse_kernel_matches_dense_oracle_on_edge_operators[2-F5]",)),
     Mutant("product-accumulates-the-coefficient-alone", YB,
            "acc[col] += c * x",
            "acc[col] += c",
@@ -100,6 +111,15 @@ MUTANTS = (
            "13: (0, 2, 1)}",
            "13: (1, 2, 0)}",
            (T_YB + "test_sparse_kernel_matches_dense_oracle_on_edge_operators[2-F5]",)),
+    # Integer elimination in linear algebra.
+    Mutant("bareiss-step-divides-by-the-new-pivot", LA,
+           "rows[i] = [(piv * x - f * y) // den for x, y in zip(rows[i], top)]",
+           "rows[i] = [(piv * x - f * y) // piv for x, y in zip(rows[i], top)]",
+           (T_LA + "test_elimination_matches_the_field_scalar_oracle[Q]",)),
+    Mutant("pivot-search-restarts-at-row-0", LA,
+           "pr = next((i for i in range(r, nrows) if rows[i][c]), None)",
+           "pr = next((i for i in range(nrows) if rows[i][c]), None)",
+           (T_LA + "test_elimination_matches_the_field_scalar_oracle[F3]",)),
     # The identity engine.
     Mutant("differences-without-mod-p", IDS,
            "lhs, rhs = [x % p for x in lhs], [x % p for x in rhs]",

@@ -187,18 +187,23 @@ def _scan_range(args) -> tuple:
     return survivors, counts
 
 
-def gl_matrices(p: int, dim: int) -> list:
-    """All invertible dim x dim matrices over F_p with their inverses,
-    in lexicographic order of the flattened matrix."""
+def _gl_pairs(p: int, dim: int):
+    """Each invertible dim x dim matrix over F_p with its inverse, as row
+    tuples, in lexicographic order of the flattened matrix, one at a time."""
     field = PrimeField(p)
-    out = []
     for entries in itertools.product(range(p), repeat=dim * dim):
         m = Matrix(field, tuple(entries[r * dim:(r + 1) * dim] for r in range(dim)))
         try:
-            out.append((m.rows, mat_inverse(m).rows))
+            inverse = mat_inverse(m)
         except NotInvertibleError:
-            pass
-    return out
+            continue
+        yield m.rows, inverse.rows
+
+
+def gl_matrices(p: int, dim: int) -> list:
+    """All invertible dim x dim matrices over F_p with their inverses,
+    in lexicographic order of the flattened matrix."""
+    return list(_gl_pairs(p, dim))
 
 
 def gl_action(p: int, dim: int, g_rows: tuple, ginv_rows: tuple) -> tuple:
@@ -320,8 +325,10 @@ def enumerate_ujla(spec: SearchSpec, workers: int = 1) -> ClassificationResult:
 def are_isomorphic(a: Algebra, b: Algebra) -> Optional[Matrix]:
     """A basis-change matrix g with g(uv) = g(u)g(v), or None.
 
-    Found by exhausting GL_d(F_p); supported for finite fields and
-    dimension at most 2 (beyond that the enumeration is not desk scale).
+    The first g of GL_d(F_p), in the lexicographic order of gl_matrices,
+    that maps b onto a; the candidates are built one at a time and the
+    walk stops at the witness.  Supported for finite fields and dimension
+    at most 2 (beyond that the enumeration is not desk scale).
     """
     if a.field != b.field:
         raise ValueError("isomorphism test requires a common field")
@@ -334,7 +341,7 @@ def are_isomorphic(a: Algebra, b: Algebra) -> Optional[Matrix]:
     p = a.field.p
     flat_a = a.tensor_flat()
     terms_b = _terms(b.tensor_flat())
-    for g_rows, ginv_rows in gl_matrices(p, a.dim):
+    for g_rows, ginv_rows in _gl_pairs(p, a.dim):
         if _image(gl_action(p, a.dim, g_rows, ginv_rows), terms_b, p) == flat_a:
             return Matrix(a.field, g_rows)
     return None

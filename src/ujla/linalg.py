@@ -1,16 +1,24 @@
 """Exact dense linear algebra over a ground field.
 
-Matrices are immutable grids of field scalars.  Elimination uses the
-first-nonzero pivot rule so every routine is deterministic; there is no
-magnitude pivoting because arithmetic is exact.
+Matrices are immutable grids of field scalars; the routines compute on
+integers and convert back only at the end.  Over F_p the integers are
+the residues and a pivot is inverted with pow(x, -1, p).  Over Q each
+row is cleared once by `fields.integral` before elimination, which is
+fraction-free (Bareiss): every update is an exact integer division by the
+previous pivot, so the entries stay minors of the cleared matrix; the
+product clears each matrix over one scale.  The reduced row echelon form
+is unique, so the results are those of a field-scalar elimination.
+Elimination uses the first-nonzero pivot rule so every routine is
+deterministic; there is no magnitude pivoting because arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .fields import FieldSpec, Scalar, coerce
+from .fields import FieldSpec, Scalar, coerce, from_integers, integral
 
 
 class NotInvertibleError(ValueError):
@@ -64,18 +72,31 @@ class Matrix:
         return cls(field, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
 
 
+def _integer_grid(a: Matrix) -> tuple[list, int]:
+    """Integer rows n and one scale s with the entries of a = n / s: over Q
+    s is the lcm of all the entries' denominators, over F_p the residues
+    themselves with s = 1."""
+    if a.field.characteristic:
+        return a.rows, 1
+    flat, scale = integral([x for row in a.rows for x in row])
+    k = a.ncols
+    return [flat[i * k:i * k + k] for i in range(a.nrows)], scale
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a times b through integer dot products on the two integer grids,
+    each entry brought back as n / (scale_a * scale_b)."""
     if a.field != b.field:
         raise ValueError("matrix product across different fields")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
-    bt = tuple(zip(*b.rows))
-    norm = a.field.normalize
-    rows = tuple(
-        tuple(norm(sum(x * y for x, y in zip(row, col))) for col in bt)
-        for row in a.rows
-    )
-    return Matrix(a.field, rows)
+    rows_a, scale_a = _integer_grid(a)
+    rows_b, scale_b = _integer_grid(b)
+    cols = tuple(zip(*rows_b))
+    scale = scale_a * scale_b
+    return Matrix(a.field, tuple(
+        from_integers(a.field, [sum(map(mul, row, col)) for col in cols], scale) for row in rows_a
+    ))
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> tuple:
@@ -85,48 +106,73 @@ def mat_vec(a: Matrix, v: Sequence[Scalar]) -> tuple:
     return tuple(norm(sum(x * y for x, y in zip(row, v))) for row in a.rows)
 
 
-def _echelon(field: FieldSpec, rows: list) -> tuple[list, list]:
-    """In-place forward elimination to row echelon form.
+def _integer_rows(field: FieldSpec, rows) -> list:
+    """The rows as integer lists: residues over F_p, and over Q each row
+    times the lcm of its denominators, which leaves its span unchanged."""
+    p = field.characteristic
+    if p:
+        return [[x % p for x in row] for row in rows]
+    return [integral(row)[0] for row in rows]
 
-    Returns (rows, pivot column list).  First nonzero entry in the
-    current column is the pivot.
+
+def _echelon(rows: list, p: int, width: int, reduce: bool) -> tuple[list, int]:
+    """Eliminate integer rows in place, pivots sought in the first width
+    columns; returns (pivot columns, den).
+
+    The pivot is the first nonzero entry of the current column at or
+    below the current row.  Over F_p (p > 0) the rows are residues, each
+    pivot row is scaled by pow(pivot, -1, p) and den is 1.  Over Q (p = 0)
+    the elimination is fraction-free (Bareiss): with piv the new pivot and
+    den the previous one (1 at first), every other row x becomes
+    (piv * x - x[c] * pivot row) / den, an exact integer division, and den
+    becomes piv.  With reduce, rows above the pivot are eliminated too,
+    and the result is the reduced row echelon form times den: over Q each
+    earlier pivot entry has grown to the last pivot.  Without it, only the
+    rows below are, which is enough for the rank.
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    zero, norm = field.zero, field.normalize
     pivots = []
+    den = 1
     r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    for c in range(width):
+        if r == nrows:
             break
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != zero:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv_p = field.inv(rows[r][c])
-        rows[r] = [norm(inv_p * x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != zero:
+        piv = rows[r][c]
+        others = range(nrows) if reduce else range(r + 1, nrows)
+        if p:
+            inv = pow(piv, -1, p)
+            top = rows[r] = [x * inv % p for x in rows[r]]
+            for i in others:
                 f = rows[i][c]
-                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], rows[r])]
+                if f and i != r:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
+        else:
+            top = rows[r]
+            for i in others:
+                f = rows[i][c]
+                if i != r and (f or piv != den):
+                    rows[i] = [(piv * x - f * y) // den for x, y in zip(rows[i], top)]
+            den = piv
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return pivots, den
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    rows = [list(r) for r in a.rows]
-    rows, pivots = _echelon(a.field, rows)
-    return Matrix(a.field, tuple(tuple(r) for r in rows)), tuple(pivots)
+    field = a.field
+    rows = _integer_rows(field, a.rows)
+    pivots, den = _echelon(rows, field.characteristic, a.ncols, True)
+    return Matrix(field, tuple(from_integers(field, row, den) for row in rows)), tuple(pivots)
 
 
 def mat_rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+    rows = _integer_rows(a.field, a.rows)
+    return len(_echelon(rows, a.field.characteristic, a.ncols, False)[0])
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -135,14 +181,12 @@ def mat_inverse(a: Matrix) -> Matrix:
     n = a.nrows
     field = a.field
     ident = Matrix.identity(field, n)
-    aug = [list(r) + list(e) for r, e in zip(a.rows, ident.rows)]
-    aug, pivots = _echelon(field, aug)
-    # Elimination runs over the full augmented width, so only pivots in the
-    # left block count toward the rank of A.
-    left_pivots = [c for c in pivots if c < n]
-    if left_pivots != list(range(n)):
-        raise NotInvertibleError(rank=len(left_pivots), size=n)
-    return Matrix(field, tuple(tuple(row[n:]) for row in aug))
+    aug = _integer_rows(field, ((*r, *e) for r, e in zip(a.rows, ident.rows)))
+    # Pivots are sought in the left block only, so they count the rank of A.
+    pivots, den = _echelon(aug, field.characteristic, n, True)
+    if len(pivots) != n:
+        raise NotInvertibleError(rank=len(pivots), size=n)
+    return Matrix(field, tuple(from_integers(field, row[n:], den) for row in aug))
 
 
 def mat_kernel(a: Matrix) -> list[tuple]:
@@ -153,21 +197,18 @@ def mat_kernel(a: Matrix) -> list[tuple]:
     is [(1, -1)].
     """
     field = a.field
-    reduced, pivots = rref(a)
+    rows = _integer_rows(field, a.rows)
+    pivots, den = _echelon(rows, field.characteristic, a.ncols, True)
     n = a.ncols
     free = [c for c in range(n) if c not in pivots]
-    zero, one = field.zero, field.one
     basis = []
     for f in free:
-        v = [zero] * n
-        v[f] = one
+        # den times the vector with 1 at f and minus the reduced column f at the pivots.
+        v = [0] * n
+        v[f] = den
         for r, pc in enumerate(pivots):
-            v[pc] = field.normalize(-reduced.rows[r][f])
-        lead = next(x for x in v if x != zero)
-        if lead != one:
-            inv_lead = field.inv(lead)
-            v = [field.normalize(inv_lead * x) for x in v]
-        basis.append(tuple(v))
+            v[pc] = -rows[r][f]
+        basis.append(from_integers(field, v, next(x for x in v if x)))
     return basis
 
 
@@ -180,15 +221,14 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
         raise ValueError("right-hand side length mismatch")
     field = a.field
     n = a.ncols
-    aug = [list(r) + [coerce(field, x)] for r, x in zip(a.rows, b)]
-    aug, pivots = _echelon(field, aug)
+    aug = _integer_rows(field, ((*r, coerce(field, x)) for r, x in zip(a.rows, b)))
+    pivots, den = _echelon(aug, field.characteristic, n + 1, True)
     if n in pivots:
         return None
-    zero = field.zero
-    x = [zero] * n
+    x = [0] * n
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][n]
-    return tuple(x)
+    return from_integers(field, x, den)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -11,14 +11,21 @@ The braid and QYBE checks run on integers: R is scaled once by L, the
 lcm of its entries' denominators (L = 1 over F_p).  The lifts of the
 integer R, built by the same slot rule as `lift`, are sparse grids: each
 row holds the columns of its nonzero entries, increasing, and their values.
-Each triple product is the lift of its last factor multiplied on the
-left by the lifts of the other two, in Python ints (reduced mod p over
-F_p), and each intermediate row keeps only its nonzero entries.  An
-output row is formed from the nonzero entries of the rows that its own
-nonzero entries select (Gustavson's row-by-row product), so a step costs
-the sum of those rows' entry counts, at most nnz(R)*d^4 multiplications
-where a dense lift product takes d^9.  Only the first mismatching entry
-is converted back, as x / L^3, to a field scalar.
+A relation compares its left triple product, formed as a * (b * c), with
+its right one, formed as (a' * b') * c', in Python ints (reduced mod p
+over F_p), one output row at a time in row-major order, and stops at the
+first row that differs.  Each two-factor product is kept in one memo
+keyed by its pair of lift positions and forms each of its rows once, on
+first use: the braid relation R12 R23 R12 = R23 R12 R23 forms R23 R12
+once for both sides, three sparse products where two separate sides take
+four, and QYBE forms R13 R23 and R23 R13.  An output row is formed from
+the nonzero entries of the rows that its own nonzero entries select
+(Gustavson's row-by-row product), so a product whose left factor is a
+lift costs at most nnz(R)*d^4 multiplications, and one whose right
+factor is a lift at most d^2 per nonzero entry of the left factor, where
+a dense lift product takes d^9.  Only the first mismatching entry is
+converted back, as x / L^3, to a field scalar; invertibility comes from
+the rank, which `linalg` takes on integers.
 """
 
 from __future__ import annotations
@@ -120,55 +127,72 @@ def lift(r: TensorSquareOperator, position: int) -> Matrix:
     return Matrix(r.field, tuple(grid))
 
 
-def _product(left: Sequence, right: Sequence, p: int) -> list:
-    """left * right for two d^3 x d^3 integer grids given by their sparse
-    rows (see _lift_rows), reduced mod p when p > 0, in the same form.
+def _row(selected: Sequence, coeffs: Sequence, right, p: int) -> tuple:
+    """One row of left * right, for a row of left given as the columns and
+    values of its nonzero entries and right as sparse rows of the same
+    form (see _lift_rows), reduced mod p when p > 0, in the same form.
 
-    Gustavson's row-by-row product: output row u accumulates, into one
-    dense row, each nonzero entry of each row v of right that a nonzero
-    entry c at column v of left's row u selects, times c; then it keeps the
-    nonzero entries, after reduction mod p over F_p and dropping exact
-    zeros over Q.  The cost is the sum, over output rows, of the selected
-    rows' entry counts; with left a lift of R that is at most nnz(R)*d^4
-    multiplications, where the dense product takes d^9.
+    Gustavson's row-by-row product: each nonzero entry c at column v of
+    the left row selects row v of right, whose nonzero entries are added,
+    times c, into one dense row; then the row keeps its nonzero entries,
+    after reduction mod p over F_p and dropping exact zeros over Q.  The
+    cost is the selected rows' entry counts.
     """
-    columns = range(len(right))
-    out = []
-    for selected, coeffs in left:
-        acc = [0] * len(right)
-        for v, c in zip(selected, coeffs):
-            cols, vals = right[v]
-            for col, x in zip(cols, vals):
-                acc[col] += c * x
-        if p:
-            acc = [x % p for x in acc]
-        out.append((list(compress(columns, acc)), list(filter(None, acc))))
-    return out
+    acc = [0] * len(right)
+    for v, c in zip(selected, coeffs):
+        cols, vals = right[v]
+        for col, x in zip(cols, vals):
+            acc[col] += c * x
+    if p:
+        acc = [x % p for x in acc]
+    return list(compress(range(len(acc)), acc)), list(filter(None, acc))
+
+
+class _Product:
+    """The sparse rows of left * right, each formed on first use (see _row)."""
+
+    def __init__(self, left: Sequence, right: Sequence, p: int):
+        self.left, self.right, self.p = left, right, p
+        self.rows = [None] * len(left)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, u: int) -> tuple:
+        row = self.rows[u]
+        if row is None:
+            row = self.rows[u] = _row(*self.left[u], self.right, self.p)
+        return row
 
 
 def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -> Optional[tuple]:
     """Row-major first (row, col, lhs, rhs) where the two lift products differ, else None.
 
     R is scaled once by L, the lcm of its entries' denominators (L = 1
-    over F_p), so its lifts are sparse integer grids.  Each triple product
-    (a, b, c) is the lift of c multiplied on the left by the lift of b,
-    then of a (see _product), reduced mod p after each step over F_p:
-    L^3 times the true product.  Sparse rows hold no zero entry, so two
-    rows are equal exactly when their columns and values are; in the
-    first row that differs, the column is the least one, over both rows'
-    entries, where the values differ.  Only that mismatch is brought back
-    to field scalars, as x / L^3 through the field.
+    over F_p), so its lifts are sparse integer grids.  The triple product
+    (a, b, c) of lhs_word is formed as a * (b * c), that of rhs_word as
+    (a' * b') * c', one row at a time in row-major order (see _row),
+    reduced mod p after each step over F_p: L^3 times the true product.
+    Each two-factor product lives in one memo keyed by its pair of lift
+    positions and forms each of its rows once, on first use: the braid
+    relation forms R23 * R12 once for both sides, and a pair product forms
+    only the rows that the output rows compared so far read.  Sparse rows
+    hold no zero entry, so two rows are equal exactly when their columns
+    and values are; at the first row that differs the check stops, and
+    the column is the least one, over both rows' entries, where the
+    values differ.  Only that mismatch is brought back to field scalars,
+    as x / L^3 through the field.
     """
     field, d, n = r.field, r.dim, r.dim * r.dim
     flat, scale = integral([x for row in r.matrix.rows for x in row])
     ints = [flat[i:i + n] for i in range(0, n * n, n)]
     lifts = {position: _lift_rows(ints, d, position) for position in {*lhs_word, *rhs_word}}
     p = field.characteristic
-    lhs, rhs = (
-        _product(lifts[a], _product(lifts[b], lifts[c], p), p)
-        for a, b, c in (lhs_word, rhs_word)
-    )
-    for row, (ra, rb) in enumerate(zip(lhs, rhs)):
+    (a, b, c), (a2, b2, c2) = lhs_word, rhs_word
+    pairs = {key: _Product(lifts[key[0]], lifts[key[1]], p) for key in ((b, c), (a2, b2))}
+    inner, outer = pairs[b, c], pairs[a2, b2]
+    for row in range(d ** 3):
+        ra, rb = _row(*lifts[a][row], inner, p), _row(*outer[row], lifts[c2], p)
         if ra != rb:
             ra, rb = dict(zip(*ra)), dict(zip(*rb))
             col = min(c for c in ra.keys() | rb.keys() if ra.get(c, 0) != rb.get(c, 0))

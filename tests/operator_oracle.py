@@ -3,8 +3,9 @@ mismatches, kept as a test oracle.
 
 R12 and R23 are the Kronecker paddings R (x) I and I (x) R, R13 is the
 twist conjugation (I (x) tau)(R (x) I)(I (x) tau), and every product is
-`linalg.mat_mul` on field scalars.  It shares no code with the slot rule
-or the integer products of `ujla.yang_baxter`.
+the dense `linalg.mat_mul`, which `tests/test_linalg.py` checks against
+the field-scalar product of `tests/linalg_oracle.py`.  It shares no code
+with the slot rule or the sparse integer products of `ujla.yang_baxter`.
 """
 
 from __future__ import annotations

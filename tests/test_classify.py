@@ -36,7 +36,7 @@ from ujla.classify import (
 )
 from ujla.fields import PrimeField
 from ujla.identities import check_identity, constant_equations, holds
-from ujla.linalg import Matrix
+from ujla.linalg import Matrix, mat_inverse
 
 
 def _case(golden, dim, p, semantics):
@@ -465,6 +465,31 @@ def test_are_isomorphic_returns_the_first_witness_in_lex_order(golden):
             assert got == (None if first is None else Matrix(F2, first))
             witnesses += first is not None
     assert witnesses == entry["ujla_count"]
+
+
+def test_are_isomorphic_stops_at_the_first_witness(golden, monkeypatch):
+    """are_isomorphic inverts the candidates one at a time, in lex order
+    of the flattened matrix, up to the witness: as many inversions as the
+    witness's place among all p^(d^2) matrices, and all of them when
+    there is none."""
+    calls = [0]
+
+    def counting(m):
+        calls[0] += 1
+        return mat_inverse(m)
+
+    monkeypatch.setattr("ujla.classify.mat_inverse", counting)
+    entry = _case(golden, 2, 2, "polynomial")
+    candidates = list(itertools.product(range(2), repeat=4))
+    places = set()
+    for rep in map(tuple, entry["representatives"]):
+        for flat in map(tuple, entry["survivors"]):
+            calls[0] = 0
+            g = are_isomorphic(tensor_algebra(2, 2, rep), tensor_algebra(2, 2, flat))
+            place = len(candidates) if g is None else candidates.index(sum(g.rows, ())) + 1
+            assert calls[0] == place, (rep, flat)
+            places.add(place)
+    assert min(places) < len(candidates) in places
 
 
 def test_are_isomorphic_guards():

@@ -239,6 +239,10 @@ def test_pointwise_verdict_and_witness_match_exhaustive_oracle(d, p, count):
             if expected is not None:
                 w = verdict.concrete_witness
                 assert (w.assignment, w.lhs, w.rhs) == expected, (flat, spec.name)
+                # The sides once more through the field-scalar oracle, which
+                # shares no evaluator with check_identity.
+                sides = revalidation_oracle.evaluate_sides(alg, spec, dict(w.assignment))
+                assert (w.lhs, w.rhs) == sides, (flat, spec.name)
                 assert verdict.coefficient_witness is None
             outcomes.add(verdict.passed)
     assert outcomes == ({False} if dense else {True, False})

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import linalg_oracle as oracle
 from reference import ref_rational_kernel
 from strategies import matrices, prime_fields, vectors
-from ujla.fields import QQ
+from ujla.fields import QQ, PrimeField
 from ujla.linalg import (
     Matrix,
     NotInvertibleError,
@@ -16,6 +18,7 @@ from ujla.linalg import (
     mat_mul,
     mat_rank,
     mat_vec,
+    rref,
     solve,
 )
 
@@ -112,3 +115,89 @@ def test_matmul_associates_with_vector_action(field, data):
     b = data.draw(matrices(field, 3, 2))
     v = data.draw(vectors(field, 2))
     assert mat_vec(mat_mul(a, b), v) == mat_vec(a, mat_vec(b, v))
+
+
+def _scalar(field, rng, big=False):
+    if field != QQ:
+        return rng.randrange(field.p)
+    if big:
+        return Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 9))
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def _grid(field, rng, n, m, density=1.0, big=False):
+    return Matrix.from_rows(field, [[_scalar(field, rng, big) if rng.random() < density else 0
+                                     for _ in range(m)] for _ in range(n)])
+
+
+def seeded_matrices(field) -> dict:
+    """Seeded matrices by name: empty, zero, singular, rank-deficient, wide,
+    tall, sparse (so that some columns have no pivot), square, a few of
+    random shape and, over Q, dense ones with denominators up to 10^9."""
+    rng = random.Random(f"linalg:{field.label}")
+    singular = [list(row) for row in _grid(field, rng, 3, 4).rows]
+    singular.append([x + 2 * y for x, y in zip(singular[0], singular[1])])
+    cases = {
+        "empty": Matrix(field, ()),
+        "zero": Matrix.zero(field, 3, 4),
+        "singular": Matrix.from_rows(field, singular),
+        "rank-deficient": oracle.mat_mul(_grid(field, rng, 5, 2), _grid(field, rng, 2, 6)),
+        "wide": _grid(field, rng, 3, 6),
+        "tall": _grid(field, rng, 6, 3),
+        "sparse": _grid(field, rng, 6, 6, 0.3),
+        "square": _grid(field, rng, 5, 5),
+    }
+    if field == QQ:
+        cases["large denominators"] = _grid(field, rng, 6, 6, big=True)
+        cases["large denominators, wide"] = _grid(field, rng, 4, 7, big=True)
+    for n in range(8):
+        shape = rng.randint(1, 6), rng.randint(1, 6)
+        cases[f"random {n}"] = _grid(field, rng, *shape, rng.choice((0.3, 1.0)))
+    return cases
+
+
+def _in_field(field, values) -> bool:
+    if field == QQ:
+        return all(type(x) is Fraction for x in values)
+    return all(type(x) is int and 0 <= x < field.p for x in values)
+
+
+def _inverse_or_rank(inverse, m):
+    try:
+        return inverse(m)
+    except NotInvertibleError as exc:
+        return ("not invertible", exc.rank, exc.size)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=str)
+def test_elimination_matches_the_field_scalar_oracle(field):
+    """rref, mat_rank, mat_kernel, mat_inverse (with the rank a singular
+    matrix reports), solve (None when inconsistent) and mat_mul equal the
+    field-scalar oracle's on every seeded matrix, in field scalars."""
+    rng = random.Random(f"right sides:{field.label}")
+    outcomes = set()
+    for name, m in seeded_matrices(field).items():
+        reduced, pivots = rref(m)
+        assert (reduced, pivots) == oracle.rref(m), name
+        assert mat_rank(m) == oracle.mat_rank(m) == len(pivots), name
+        kernel = mat_kernel(m)
+        assert kernel == oracle.mat_kernel(m), name
+        assert _in_field(field, [x for row in reduced.rows + tuple(kernel) for x in row]), name
+        if m.nrows == m.ncols:
+            inverse = _inverse_or_rank(mat_inverse, m)
+            assert inverse == _inverse_or_rank(oracle.mat_inverse, m), name
+            invertible = isinstance(inverse, Matrix)
+            assert not invertible or _in_field(field, [x for row in inverse.rows for x in row])
+            outcomes.add(("invertible", invertible))
+        image = mat_vec(m, [_scalar(field, rng) for _ in range(m.ncols)])
+        for b in (image, [_scalar(field, rng) for _ in range(m.nrows)]):
+            x = solve(m, b)
+            assert x == oracle.solve(m, b), name
+            assert x is not None or b is not image, name
+            assert x is None or _in_field(field, x) and mat_vec(m, x) == tuple(b), name
+            outcomes.add(("solvable", x is not None))
+        other = _grid(field, rng, m.ncols, 3) if m.ncols else Matrix(field, ())
+        product = mat_mul(m, other)
+        assert product == oracle.mat_mul(m, other), name
+        assert _in_field(field, [x for row in product.rows for x in row]), name
+    assert outcomes == {(k, v) for k in ("invertible", "solvable") for v in (True, False)}

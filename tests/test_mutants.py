@@ -34,13 +34,14 @@ def test_harness_kills_a_mutant_and_reports_a_survivor(capsys):
     script = _script()
     assert script.main(["classify-out-checked-after-the-scan"]) == 0
     assert "killed   classify-out-checked-after-the-scan" in capsys.readouterr().out
-    # Dropping the inner step's reduction mod p changes no residue: the
-    # outer step reduces again, so no verdict or mismatch can kill this
-    # mutant (only the count of products formed moves).
+    # Dropping the reduction mod p from the rows of the pair products
+    # changes no residue: the step that reads them reduces again, so no
+    # verdict or mismatch can kill this mutant (only the count of products
+    # formed moves).
     equivalent = script.Mutant(
-        "inner-step-unreduced", "src/ujla/yang_baxter.py",
-        "_product(lifts[b], lifts[c], p)",
-        "_product(lifts[b], lifts[c], 0)",
+        "pair-rows-unreduced", "src/ujla/yang_baxter.py",
+        "_Product(lifts[key[0]], lifts[key[1]], p)",
+        "_Product(lifts[key[0]], lifts[key[1]], 0)",
         ("tests/test_yang_baxter.py::test_sparse_kernel_matches_dense_oracle_on_edge_operators[2-F5]",))
     assert script.main([], mutants=(equivalent,)) == 1
-    assert "SURVIVED inner-step-unreduced" in capsys.readouterr().out
+    assert "SURVIVED pair-rows-unreduced" in capsys.readouterr().out

@@ -15,7 +15,7 @@ from ujla.linalg import Matrix, mat_mul
 from ujla.yang_baxter import (
     TensorSquareOperator,
     _lift_rows,
-    _product,
+    _row,
     build_assoc_yb,
     build_lie_yb,
     center,
@@ -164,6 +164,11 @@ def _dense_int_product(a, b, p):
     return [[x % p for x in row] for row in rows] if p else rows
 
 
+def _product(left, right, p):
+    """Every row of left * right through the kernel's row step."""
+    return [_row(*row, right, p) for row in left]
+
+
 def _sparse(rows):
     """The kernel's row form of a dense grid: each row's columns of its
     nonzero entries, increasing, and their values."""
@@ -246,10 +251,9 @@ def test_integer_kernel_matches_dense_oracle_on_fractional_operators():
     and first mismatches, with Fraction scalars over Q and residues over F_p."""
     member = (Fraction(2, 3), Fraction(-7, 4), Fraction(2, 3))  # case (i)
     non_member = (Fraction(1, 2), Fraction(5, 6), Fraction(-3, 2))
-    # One d = 4 operator, the dense one: the Fraction oracle takes about 10 s per operator there.
     cases = {
         QQ: fractional_operators(QQ, 2, 8) + fractional_operators(QQ, 3, 4)
-        + fractional_operators(QQ, 4, 4)[3:] + family_operators(QQ, (member, non_member)),
+        + fractional_operators(QQ, 4, 4) + family_operators(QQ, (member, non_member)),
         PrimeField(3): fractional_operators(PrimeField(3), 2, 8)
         + fractional_operators(PrimeField(3), 3, 4),
         F5: fractional_operators(F5, 2, 8) + family_operators(F5, (member, non_member)),
@@ -307,14 +311,11 @@ def edge_operators(field, dim):
 def test_sparse_kernel_matches_dense_oracle_on_edge_operators(field, dim):
     """lift at all three positions, and the verdicts and exact first
     mismatches of check_braid and check_qybe, equal the dense oracle's on
-    every edge operator; over Q at d = 4 only on the zero-row operator,
-    since the Fraction oracle takes about 10 s per operator there.  On the
-    cancelling operator braid holds, so a zero entry kept in a sparse row
-    of one product and not of the other shows as a false mismatch; from
-    d = 3 on QYBE fails where the right-hand product is 0."""
+    every edge operator.  On the cancelling operator braid holds, so a
+    zero entry kept in a sparse row of one product and not of the other
+    shows as a false mismatch; from d = 3 on QYBE fails where the
+    right-hand product is 0."""
     ops = edge_operators(field, dim)
-    if field == QQ and dim == 4:
-        ops = {"zero row": ops["zero row"]}
     for name, op in ops.items():
         lifts, braid, qybe = dense_oracle(op)
         for pos, expected in lifts.items():
@@ -332,33 +333,49 @@ def test_sparse_kernel_matches_dense_oracle_on_edge_operators(field, dim):
                 assert not q.qybe_ok and q.first_mismatch[3] == 0, name
 
 
-def _gustavson_products(op, word):
-    """Products the row-by-row kernel forms for the triple product (a, b, c)
-    of word, counted on the oracle's lifts: over each step's output rows,
-    the nonzero entries of the grid rows that the row's nonzero entries
-    select; the grid is the lift of c, then the lift of b times it."""
+def _kernel_products(op, lhs_word, rhs_word, stop):
+    """Products the row-by-row kernel forms for lhs_word as a*(b*c) and
+    rhs_word as (a'*b')*c' through output row stop, counted on the
+    oracle's lifts.  A row of a product costs the nonzero entries of the
+    right factor's rows that its left row's nonzero entries select; the
+    rows of b*c that the rows of a read and the rows of a'*b' that the
+    right side reads are each formed once, in one set when the two pairs
+    are the same."""
     lifts = oracle_lifts(op)
-    a, b, c = word
-    total = 0
-    for left, grid in ((lifts[b], lifts[c]), (lifts[a], mat_mul(lifts[b], lifts[c]))):
-        nnz = [sum(1 for x in row if x) for row in grid.rows]
-        total += sum(nnz[v] for row in left.rows for v, x in enumerate(row) if x)
-    return total
+    (a, b, c), (a2, b2, c2) = lhs_word, rhs_word
+    grids = {**lifts, **{key: mat_mul(lifts[key[0]], lifts[key[1]]) for key in ((b, c), (a2, b2))}}
+    nnz = {key: [sum(1 for x in row if x) for row in m.rows] for key, m in grids.items()}
+
+    def support(key, u):
+        return [v for v, x in enumerate(grids[key].rows[u]) if x]
+
+    def cost(left, right, u):
+        return sum(nnz[right][v] for v in support(left, u))
+
+    rows = range(stop + 1)
+    formed = {((b, c), v) for u in rows for v in support(a, u)} | {((a2, b2), u) for u in rows}
+    return (sum(cost(a, (b, c), u) + cost((a2, b2), c2, u) for u in rows)
+            + sum(cost(key[0], key[1], v) for key, v in formed))
 
 
 def test_kernel_forms_one_product_per_selected_nonzero(monkeypatch):
-    """Each relation's two triple products cost, per step, the nonzero
-    entries of the grid rows that R's nonzero entries select, counted here
-    on the oracle's lifts; that is at most 4 * d^4 * nnz(R) per check, and
-    strictly less on the twist, single-entry, zero-row and cancelling
-    operators.  The kernel's products are counted through R's integer
-    entries, which are the left factor of every product it forms."""
+    """Where braid holds the kernel forms R23*R12 once, then R12 times it
+    and it times R23; QYBE forms R13*R23 and R23*R13.  A failing relation
+    forms only the rows up to its first differing row and the rows of the
+    pair products that they read.  Each row costs the nonzero entries of
+    the rows its nonzero entries select, counted here on the oracle's
+    lifts; that is at most 4 * d^4 * nnz(R) per check, and strictly less on
+    the twist, single-entry, zero-row and cancelling operators.  The
+    kernel's products are counted through R's integer entries, a factor
+    of every product it forms."""
     count = [0]
 
     class Counted(int):
         def __mul__(self, other):
             count[0] += 1
             return int.__mul__(self, other)
+
+        __rmul__ = __mul__
 
     def counted_integral(values):
         ints, scale = integral(values)
@@ -371,14 +388,22 @@ def test_kernel_forms_one_product_per_selected_nonzero(monkeypatch):
     ops = [(name, ops[name]) for ops, names in cases for name in names]
     ops.append(("dense", fractional_operators(QQ, 2, 4)[3]))
     words = {check_braid: ((12, 23, 12), (23, 12, 23)), check_qybe: ((12, 13, 23), (23, 13, 12))}
+    stops = set()
     for name, op in ops:
+        last = op.dim ** 3 - 1
         bound = 4 * op.dim ** 4 * sum(1 for row in op.matrix.rows for x in row if x)
-        for check, pair in words.items():
+        _, *mismatches = dense_oracle(op)
+        for (check, pair), mismatch in zip(words.items(), mismatches):
             count[0] = 0
             check(op)
-            expected = sum(_gustavson_products(op, word) for word in pair)
+            stop = last if mismatch is None else mismatch[0]
+            expected = _kernel_products(op, *pair, stop)
             assert count[0] == expected <= bound, (name, check.__name__)
             assert expected < bound or name in ("zero", "dense"), (name, check.__name__)
+            if stop < last:
+                assert expected < _kernel_products(op, *pair, last), (name, check.__name__)
+            stops.add(stop < last)
+    assert stops == {True, False}
 
 
 # --- the associative family ---------------------------------------------------
