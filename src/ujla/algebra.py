@@ -24,6 +24,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .fields import FieldSpec, Scalar, coerce, from_integers, integral
 from .formal import Poly
 from . import linalg
+from .linalg import accumulate, sparse_row
 
 Vector = tuple
 ScalarLike = Union[Scalar, int, str]
@@ -50,27 +51,15 @@ def format_vector(field: FieldSpec, u: Sequence) -> str:
     return "(" + ", ".join(field.format(x) for x in u) + ")"
 
 
-def _bilinear(uterms: list, vterms: list, d: int) -> list:
-    """The integer bilinear product of the tensor: u and v given as their
-    nonzero (x, plane i of the integer view) and (j, y) terms, where
-    plane[j] lists the nonzero (k, n) of e_i e_j."""
-    acc = [0] * d
-    for x, plane in uterms:
-        for j, y in vterms:
-            s = x * y
-            for k, c in plane[j]:
-                acc[k] += s * c
-    return acc
-
-
 class IntegerView:
     """An algebra's structure tensor cleared once to integers, n = L *
     c[i][j][k] with L the lcm of its denominators (1 over F_p, where the n
     are the residues): flat in row-major order, and, each built on first
     read, as the (i, j, k, n) of its nonzero n and as planes[i][j], the
-    nonzero (k, n) of e_i e_j.  tables holds the identity engine's integer
-    slot tables, one per word shape, each added on first read by
-    identities._table.
+    sparse integer row of e_i e_j (its nonzero (k, n) pairs), which is the
+    right factor of every product linalg.accumulate forms on the view.
+    tables holds the identity engine's integer slot tables, one per word
+    shape, each added on first read by identities._table.
     """
 
     def __init__(self, alg: "Algebra"):
@@ -88,8 +77,7 @@ class IntegerView:
     @functools.cached_property
     def planes(self) -> tuple:
         d, flat = self.d, self.flat
-        rows = [tuple((k, n) for k, n in enumerate(flat[r:r + d]) if n)
-                for r in range(0, d ** 3, d)]
+        rows = [sparse_row(flat[r:r + d]) for r in range(0, d ** 3, d)]
         return tuple(tuple(rows[i * d:(i + 1) * d]) for i in range(d))
 
     def clear(self, vectors: Sequence[Sequence]) -> tuple:
@@ -106,11 +94,14 @@ class IntegerView:
 
     def multiply(self, u: Sequence[int], v: Sequence[int]) -> tuple:
         """L times the product of the vectors that the integers u and v
-        stand for; residues over F_p, so that a coordinate that vanishes
-        there is skipped by the next product."""
-        planes = self.planes
-        acc = _bilinear([(x, planes[i]) for i, x in enumerate(u) if x],
-                        [(j, y) for j, y in enumerate(v) if y], self.d)
+        stand for: each nonzero u_i adds u_i times the rows planes[i][j]
+        that v's nonzero entries select.  Residues over F_p, so that a
+        coordinate that vanishes there is skipped by the next product."""
+        planes, terms = self.planes, sparse_row(v)
+        acc = [0] * self.d
+        for i, x in enumerate(u):
+            if x:
+                accumulate(acc, terms, planes[i], x)
         p = self.p
         return tuple([x % p for x in acc] if p else acc)
 

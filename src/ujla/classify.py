@@ -5,8 +5,9 @@ lexicographic order, keeps the ones passing the UJLA suite under the
 chosen semantics, and groups survivors into isomorphism classes by
 brute-force enumeration of GL_d(F_p) basis changes.  Each basis change g
 acts on flat tensors as a linear map, precomputed once per orbit
-partition as sparse integer columns (`gl_action`), so an image is a sum
-of the columns that the tensor's nonzero constants select, reduced mod p.
+partition as sparse integer columns (`gl_action`), so an image is the
+sum, by `linalg.accumulate`, of the columns that the tensor's nonzero
+constants select, reduced mod p.
 Canonical class representatives are the lexicographically least tensors
 of their orbits.
 
@@ -40,7 +41,7 @@ from .algebra import Algebra
 from .axioms import UJLA_SPECS
 from .fields import PrimeField
 from .identities import constant_equations
-from .linalg import Matrix, NotInvertibleError, mat_inverse
+from .linalg import Matrix, NotInvertibleError, accumulate, mat_inverse, sparse_row
 
 SUPPORTED_DIMS = (1, 2)
 SUPPORTED_PRIMES = (2, 3, 5)
@@ -211,9 +212,10 @@ def gl_action(p: int, dim: int, g_rows: tuple, ginv_rows: tuple) -> tuple:
 
     The new constants are c'[i][j][k] = sum_{r,s,m} g[r][i] g[s][j]
     g^-1[k][m] c[r][s][m], so column (r, s, m), at flat index
-    (r d + s) d + m, lists the nonzero ((i d + j) d + k, g[r][i] g[s][j]
-    g^-1[k][m] mod p) terms: what one unit of c[r][s][m] adds to each
-    new constant.  The products of nonzero residues of a prime are nonzero.
+    (r d + s) d + m, is the sparse integer row (see linalg.accumulate) of
+    the nonzero ((i d + j) d + k, g[r][i] g[s][j] g^-1[k][m] mod p) pairs:
+    what one unit of c[r][s][m] adds to each new constant.  The products
+    of nonzero residues of a prime are nonzero.
     """
     d = dim
     pairs = [
@@ -228,21 +230,6 @@ def gl_action(p: int, dim: int, g_rows: tuple, ginv_rows: tuple) -> tuple:
     )
 
 
-def _image(action: tuple, terms: list, p: int) -> tuple:
-    """The flat tensor with nonzero (flat index, constant) `terms` moved by
-    `action`: the sum of the columns the terms select, times their
-    constants, reduced mod p."""
-    acc = [0] * len(action)
-    for t, c in terms:
-        for k, v in action[t]:
-            acc[k] += c * v
-    return tuple([x % p for x in acc])
-
-
-def _terms(flat: tuple) -> list:
-    return [(t, c) for t, c in enumerate(flat) if c]
-
-
 def orbit_partition(spec: SearchSpec, survivors: tuple) -> tuple:
     """Group survivors into GL-orbits; representatives are lex-least.
 
@@ -251,18 +238,19 @@ def orbit_partition(spec: SearchSpec, survivors: tuple) -> tuple:
     (isomorphism preserves every identity); a violation means the filter
     and the action disagree and is reported as an internal error.
     """
-    actions = [gl_action(spec.p, spec.dim, g_rows, ginv_rows)
-               for g_rows, ginv_rows in gl_matrices(spec.p, spec.dim)]
+    p, n = spec.p, spec.dim ** 3
+    actions = [gl_action(p, spec.dim, g_rows, ginv_rows)
+               for g_rows, ginv_rows in gl_matrices(p, spec.dim)]
     survivor_set = set(survivors)
     seen = set()
     classes = []
     for t in survivors:
         if t in seen:
             continue
-        terms = _terms(t)
+        terms = sparse_row(t)
         orbit = set()
         for action in actions:
-            t2 = _image(action, terms, spec.p)
+            t2 = tuple([x % p for x in accumulate([0] * n, terms, action)])
             if t2 not in survivor_set:
                 raise RuntimeError(
                     "internal inconsistency: a UJLA tensor left the survivor set "
@@ -338,10 +326,11 @@ def are_isomorphic(a: Algebra, b: Algebra) -> Optional[Matrix]:
         return None
     if a.dim > 2:
         raise ValueError("isomorphism test supports dimension at most 2")
-    p = a.field.p
-    flat_a = a.tensor_flat()
-    terms_b = _terms(b.tensor_flat())
+    p, n = a.field.p, a.dim ** 3
+    flat_a = list(a.tensor_flat())
+    terms_b = sparse_row(b.tensor_flat())
     for g_rows, ginv_rows in _gl_pairs(p, a.dim):
-        if _image(gl_action(p, a.dim, g_rows, ginv_rows), terms_b, p) == flat_a:
+        image = accumulate([0] * n, terms_b, gl_action(p, a.dim, g_rows, ginv_rows))
+        if [x % p for x in image] == flat_a:
             return Matrix(a.field, g_rows)
     return None

@@ -16,41 +16,36 @@ from __future__ import annotations
 from .algebra import Algebra, Vector
 from .fields import from_integers
 from .identities import AxiomReport, ConcreteWitness, Verdict
-from .linalg import Matrix
-
-
-def _left_right(d: int, nonzero: list, u: list) -> tuple:
-    """Rows of L_u and R_u from integer constants and coordinates."""
-    left = [[0] * d for _ in range(d)]
-    right = [[0] * d for _ in range(d)]
-    for i, j, k, c in nonzero:
-        if u[i]:
-            left[k][j] += u[i] * c
-        if u[j]:
-            right[k][i] += u[j] * c
-    return left, right
+from .linalg import Matrix, accumulate, sparse_row
 
 
 def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
-    """Sum of sign * P Q over the (sign, P, Q) in terms_of(L_a, R_a, L_b, R_b)."""
+    """Sum of sign * P Q over the (sign, P, Q) in terms_of(L_a, R_a, L_b, R_b).
+
+    Each map is the list of its columns as sparse integer rows: column j
+    of L_u is u e_j, the sum of u_i times the rows planes[i][j], and
+    column i of R_u is e_i u, the sum of u_j times planes[i][j].  Column x
+    of P Q is the sum of Q[t][x] times column t of P."""
     d = alg.dim
     if len(a) != d or len(b) != d:
         raise ValueError(f"{alg.name}: argument vectors must have length {d}")
     field = alg.field
     view = alg.integer_view
-    nonzero = view.terms
+    planes = view.planes
+    by_j = [[plane[j] for plane in planes] for j in range(d)]
     (a_ints, b_ints), s = view.clear((a, b))
-    acc = [[0] * d for _ in range(d)]
-    for sign, p, q in terms_of(*_left_right(d, nonzero, a_ints), *_left_right(d, nonzero, b_ints)):
-        for acc_row, p_row in zip(acc, p):
-            for t, x in enumerate(p_row):
-                if x:
-                    x *= sign
-                    for col, y in enumerate(q[t]):
-                        if y:
-                            acc_row[col] += x * y
+
+    def maps(u):
+        terms = sparse_row(u)
+        return ([sparse_row(accumulate([0] * d, terms, by_j[j])) for j in range(d)],
+                [sparse_row(accumulate([0] * d, terms, planes[i])) for i in range(d)])
+
+    columns = [[0] * d for _ in range(d)]
+    for sign, p, q in terms_of(*maps(a_ints), *maps(b_ints)):
+        for acc, q_column in zip(columns, q):
+            accumulate(acc, q_column, p, sign)
     denom = s * s * view.scale ** 2
-    return Matrix(field, tuple(from_integers(field, row, denom) for row in acc))
+    return Matrix(field, tuple(from_integers(field, row, denom) for row in zip(*columns)))
 
 
 def derivation_six_term(alg: Algebra, a: Vector, b: Vector) -> Matrix:
@@ -73,10 +68,11 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
     The rule is linear in D and bilinear in (x, y), so it is checked
     exactly on basis pairs: one contraction of D with the structure
     tensor gives both sides, D(e_i e_j) and D(e_i)e_j + e_i D(e_j), of
-    every pair as integer sums.  A failure reports the first failing pair
-    (i, j) in row-major order, with its two sides read off those sums;
-    revalidate_leibniz recomputes them through the product.  The verdict
-    keeps the label "polynomial" that exact verdicts carry.
+    every pair as integer sums.  A failure reports the first pair (i, j)
+    in row-major order whose sums differ (mod p over F_p), with its two
+    sides read off those sums; revalidate_leibniz recomputes them through
+    the product.  The verdict keeps the label "polynomial" that exact
+    verdicts carry.
     """
     d = alg.dim
     if deriv.nrows != d or deriv.ncols != d:
@@ -98,10 +94,14 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
                 rhs[r][j][k] += m[i][r] * c
             if m[j][r]:
                 rhs[i][r][k] += m[j][r] * c
-    field = alg.field
-    norm = field.normalize
+    p = view.p
+
+    def differ(u, v) -> bool:
+        return any((x - y) % p for x, y in zip(u, v)) if p else u != v
+
     failing = next(((i, j) for i in range(d) for j in range(d)
-                    if any(norm(x - y) for x, y in zip(lhs[i][j], rhs[i][j]))), None)
+                    if differ(lhs[i][j], rhs[i][j])), None)
+    field = alg.field
     verdict = Verdict("leibniz", True, "polynomial")
     if failing is not None:
         i, j = failing
@@ -113,17 +113,20 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
 
 def _leibniz_sides(alg: Algebra, deriv: Matrix, x: Vector, y: Vector) -> tuple:
     """(D(xy), D(x)y + xD(y)) through the integer view's product, not the
-    contraction: the revalidation route.  With D cleared by r, x and y by
-    one s and the tensor by L, both sides are r s^2 L times their values."""
+    contraction: the revalidation route.  D v is the sum of v_t times
+    column t of D, formed by linalg.accumulate.  With D cleared by r, x and
+    y by one s and the tensor by L, both sides are r s^2 L times their
+    values."""
     d = alg.dim
     if deriv.nrows != d or deriv.ncols != d or len(x) != d or len(y) != d:
         raise ValueError(f"{alg.name}: linear map and vectors must have dimension {d}")
     view = alg.integer_view
     m, r = view.clear(deriv.rows)
     (xs, ys), s = view.clear((x, y))
+    columns = [sparse_row(column) for column in zip(*m)]
 
     def apply(v):
-        return [sum(a * b for a, b in zip(row, v)) for row in m]
+        return accumulate([0] * d, sparse_row(v), columns)
 
     lhs = apply(view.multiply(xs, ys))
     rhs = [a + b for a, b in zip(view.multiply(apply(xs), ys), view.multiply(xs, apply(ys)))]

@@ -56,8 +56,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .algebra import Algebra, IntegerView, Vector, _bilinear
+from .algebra import Algebra, IntegerView, Vector
 from .fields import QQ, PrimeField, Scalar, from_integers, integral
+from .linalg import accumulate, sparse_row
 
 Word = Union[str, tuple]
 LinComb = tuple  # of (Fraction, Word) pairs
@@ -401,12 +402,14 @@ def _plan(alg: Algebra, spec: IdentitySpec, semantics: str) -> _Plan:
 
 
 class _Table(dict):
-    """Row number -> integer vector of one shape, sigma read big-endian.
-    Over Q the tensor is scaled by L, so a row of a shape with m leaves is
-    L^(m-1) times the word's value on the basis vectors; over F_p rows are
-    reduced mod p only where they are compared.  A missing row is built
-    when first read, as the product of one row of each factor's table; the
-    nonzero terms of each factor row are kept."""
+    """Row number -> sparse integer row (see linalg.accumulate) of one
+    shape, sigma read big-endian.  Over Q the tensor is scaled by L, so a
+    row of a shape with m leaves is L^(m-1) times the word's value on the
+    basis vectors; over F_p rows are reduced mod p only where they are
+    compared.  A missing row is built when first read, as the view's
+    product of one row of each factor's table: each entry (i, x) of the
+    left row adds x times the rows planes[i][j] that the right row's
+    entries select."""
 
     def __init__(self, view: IntegerView, shape):
         super().__init__()
@@ -414,22 +417,18 @@ class _Table(dict):
         self.planes = view.planes
         if shape is None:
             self.size = d
-            self.update(enumerate([[int(i == j) for j in range(d)] for i in range(d)]))
+            self.update((i, [(i, 1)]) for i in range(d))
         else:
             self.left, self.right = _table(view, shape[0]), _table(view, shape[1])
             self.size = self.left.size * self.right.size
-            self.uterms = [None] * self.left.size  # nonzero (x, plane i) of each left row
-            self.vterms = [None] * self.right.size  # nonzero (j, y) of each right row
 
     def __missing__(self, n: int) -> list:
         q, r = divmod(n, self.right.size)
-        u = self.uterms[q]
-        if u is None:
-            u = self.uterms[q] = [(x, self.planes[i]) for i, x in enumerate(self.left[q]) if x]
-        v = self.vterms[r]
-        if v is None:
-            v = self.vterms[r] = [(j, y) for j, y in enumerate(self.right[r]) if y]
-        row = self[n] = _bilinear(u, v, self.d)
+        terms, planes = self.right[r], self.planes
+        acc = [0] * self.d
+        for i, x in self.left[q]:
+            accumulate(acc, terms, planes[i], x)
+        row = self[n] = sparse_row(acc)
         return row
 
 
@@ -507,17 +506,16 @@ def constant_equations(spec: IdentitySpec, dim: int, p: int,
 
 def _differences(plan: _Plan, view: IntegerView):
     """(monomial, lhs sums, rhs sums) of each plan group, in order, whose
-    sides differ; over F_p the sums are residues mod p.  Only the rows of
-    the groups read are built."""
+    sides differ; over F_p the sums are residues mod p.  Each side sums
+    its table rows through linalg.accumulate, and only the rows of the
+    groups read are built."""
     tables = [_table(view, shape) for shape in plan.shapes]
     d, p = view.d, view.p
     for mono, lterms, rterms in plan.groups:
         lhs, rhs = [0] * d, [0] * d
         for acc, terms in ((lhs, lterms), (rhs, rterms)):
             for c, t, ns in terms:
-                for row in map(tables[t].__getitem__, ns):
-                    for k, x in enumerate(row):
-                        acc[k] += c * x
+                accumulate(acc, zip(ns, itertools.repeat(c)), tables[t])
         if p:
             lhs, rhs = [x % p for x in lhs], [x % p for x in rhs]
         if lhs != rhs:
@@ -611,9 +609,7 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec,
     for combo in itertools.product(range(d), repeat=nv):
         sides = ([0] * d, [0] * d, scale)
         for side, c, table, leaves in words:
-            acc = sides[side]
-            for k, x in enumerate(table[_row_number(combo, leaves, d)]):
-                acc[k] += c * x
+            accumulate(sides[side], [(_row_number(combo, leaves, d), c)], table)
         if differ(sides):
             return _witness(alg, spec, [alg.basis_vector(i) for i in combo], sides)
     # dict.fromkeys dedupes while keeping order (0 = 1 = -1 collapses mod 2)

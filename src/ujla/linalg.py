@@ -10,12 +10,15 @@ product clears each matrix over one scale.  The reduced row echelon form
 is unique, so the results are those of a field-scalar elimination.
 Elimination uses the first-nonzero pivot rule so every routine is
 deterministic; there is no magnitude pivoting because arithmetic is exact.
+
+A sparse integer row is the list of the (column, value) pairs of its
+nonzero entries (`sparse_row`).  `accumulate` sums such rows, Gustavson's
+row-by-row product (ACM TOMS 4, 1978), for every product in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .fields import FieldSpec, Scalar, coerce, from_integers, integral
@@ -83,27 +86,42 @@ def _integer_grid(a: Matrix) -> tuple[list, int]:
     return [flat[i * k:i * k + k] for i in range(a.nrows)], scale
 
 
+def sparse_row(values: Sequence[int]) -> list:
+    """The (column, value) pairs of the nonzero entries of a dense row."""
+    return [(k, x) for k, x in enumerate(values) if x]
+
+
+def accumulate(acc: list, terms: Iterable, rows, scale: int = 1) -> list:
+    """Add scale * c * rows[r] into the dense integer list acc for each
+    (r, c) in terms, and return acc.
+
+    Each rows[r] is a sparse integer row, so the cost is the number of
+    entries of the rows that terms select.  Reducing mod p and dropping
+    zeros are left to the caller.
+    """
+    for r, c in terms:
+        if scale != 1:
+            c *= scale
+        for k, x in rows[r]:
+            acc[k] += c * x
+    return acc
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a times b through integer dot products on the two integer grids,
-    each entry brought back as n / (scale_a * scale_b)."""
+    """a times b on the two integer grids as sparse rows, each row of a
+    selecting rows of b (see accumulate), each entry brought back as
+    n / (scale_a * scale_b)."""
     if a.field != b.field:
         raise ValueError("matrix product across different fields")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
     rows_a, scale_a = _integer_grid(a)
     rows_b, scale_b = _integer_grid(b)
-    cols = tuple(zip(*rows_b))
-    scale = scale_a * scale_b
+    right = [sparse_row(row) for row in rows_b]
+    n, scale = b.ncols, scale_a * scale_b
     return Matrix(a.field, tuple(
-        from_integers(a.field, [sum(map(mul, row, col)) for col in cols], scale) for row in rows_a
+        from_integers(a.field, accumulate([0] * n, sparse_row(row), right), scale) for row in rows_a
     ))
-
-
-def mat_vec(a: Matrix, v: Sequence[Scalar]) -> tuple:
-    if a.ncols != len(v):
-        raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times vector of length {len(v)}")
-    norm = a.field.normalize
-    return tuple(norm(sum(x * y for x, y in zip(row, v))) for row in a.rows)
 
 
 def _integer_rows(field: FieldSpec, rows) -> list:

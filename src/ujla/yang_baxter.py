@@ -10,7 +10,8 @@ index i*d^2 + j*d + k for e_i (x) e_j (x) e_k.
 The braid and QYBE checks run on integers: R is scaled once by L, the
 lcm of its entries' denominators (L = 1 over F_p).  The lifts of the
 integer R, built by the same slot rule as `lift`, are sparse grids: each
-row holds the columns of its nonzero entries, increasing, and their values.
+row is the sparse integer row of `linalg.accumulate`, the (column, value)
+pairs of its nonzero entries, columns increasing.
 A relation compares its left triple product, formed as a * (b * c), with
 its right one, formed as (a' * b') * c', in Python ints (reduced mod p
 over F_p), one output row at a time in row-major order, and stops at the
@@ -18,9 +19,9 @@ first row that differs.  Each two-factor product is kept in one memo
 keyed by its pair of lift positions and forms each of its rows once, on
 first use: the braid relation R12 R23 R12 = R23 R12 R23 forms R23 R12
 once for both sides, three sparse products where two separate sides take
-four, and QYBE forms R13 R23 and R23 R13.  An output row is formed from
-the nonzero entries of the rows that its own nonzero entries select
-(Gustavson's row-by-row product), so a product whose left factor is a
+four, and QYBE forms R13 R23 and R23 R13.  An output row is formed by
+linalg.accumulate from the nonzero entries of the rows that its own
+nonzero entries select, so a product whose left factor is a
 lift costs at most nnz(R)*d^4 multiplications, and one whose right
 factor is a lift at most d^2 per nonzero entry of the left factor, where
 a dense lift product takes d^9.  Only the first mismatching entry is
@@ -32,13 +33,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, format_vector, vec_is_zero
 from .axioms import check_associative, check_lie
 from .fields import FieldSpec, Scalar, coerce, from_integers, integral
-from .linalg import Matrix, mat_kernel, mat_mul, mat_rank
+from .linalg import Matrix, accumulate, mat_kernel, mat_mul, mat_rank, sparse_row
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,9 @@ _SLOTS = {12: (0, 1, 2), 23: (1, 2, 0), 13: (0, 2, 1)}
 
 
 def _lift_rows(rows: Sequence[Sequence], d: int, position: int) -> list:
-    """Sparse rows of the lift of the d^2 x d^2 grid rows to the slots named
-    by position (see lift): row k is the pair (columns, values) of its
-    nonzero entries, columns increasing.
+    """Sparse integer rows of the lift of the d^2 x d^2 grid rows to the
+    slots named by position (see lift): row k is the list of the (column,
+    value) pairs of its nonzero entries, columns increasing.
 
     With (s, t) the slots R acts on and o the other, pair[a*d + b] is the
     index offset of e_a and e_b in slots s and t, and w runs over the
@@ -101,11 +101,11 @@ def _lift_rows(rows: Sequence[Sequence], d: int, position: int) -> list:
     s, t, o = _SLOTS[position]
     stride = (d * d, d, 1)
     pair = [a * stride[s] + b * stride[t] for a in range(d) for b in range(d)]
-    entries = [([pair[j] for j, x in enumerate(row) if x], [x for x in row if x]) for row in rows]
+    entries = [[(pair[j], x) for j, x in enumerate(row) if x] for row in rows]
     out = [None] * d ** 3
     for w in range(0, d * stride[o], stride[o]):
-        for u, (cols, vals) in zip(pair, entries):
-            out[u + w] = ([v + w for v in cols], vals)
+        for u, entry in zip(pair, entries):
+            out[u + w] = [(v + w, x) for v, x in entry]
     return out
 
 
@@ -119,33 +119,25 @@ def lift(r: TensorSquareOperator, position: int) -> Matrix:
     if position not in _SLOTS:
         raise ValueError(f"lift position must be 12, 23, or 13, got {position}")
     grid = []
-    for cols, vals in _lift_rows(r.matrix.rows, r.dim, position):
+    for entries in _lift_rows(r.matrix.rows, r.dim, position):
         row = [r.field.zero] * r.dim ** 3
-        for col, x in zip(cols, vals):
+        for col, x in entries:
             row[col] = x
         grid.append(tuple(row))
     return Matrix(r.field, tuple(grid))
 
 
-def _row(selected: Sequence, coeffs: Sequence, right, p: int) -> tuple:
-    """One row of left * right, for a row of left given as the columns and
-    values of its nonzero entries and right as sparse rows of the same
-    form (see _lift_rows), reduced mod p when p > 0, in the same form.
-
-    Gustavson's row-by-row product: each nonzero entry c at column v of
-    the left row selects row v of right, whose nonzero entries are added,
-    times c, into one dense row; then the row keeps its nonzero entries,
-    after reduction mod p over F_p and dropping exact zeros over Q.  The
-    cost is the selected rows' entry counts.
+def _row(left: list, right, p: int) -> list:
+    """One row of left * right, for a sparse integer row of left and the
+    sparse rows of right (see _lift_rows), summed by linalg.accumulate,
+    reduced mod p when p > 0 and, as a sparse row again, without the
+    entries that vanish there (or are exactly 0 over Q).  The cost is the
+    selected rows' entry counts.
     """
-    acc = [0] * len(right)
-    for v, c in zip(selected, coeffs):
-        cols, vals = right[v]
-        for col, x in zip(cols, vals):
-            acc[col] += c * x
+    acc = accumulate([0] * len(right), left, right)
     if p:
         acc = [x % p for x in acc]
-    return list(compress(range(len(acc)), acc)), list(filter(None, acc))
+    return sparse_row(acc)
 
 
 class _Product:
@@ -158,10 +150,10 @@ class _Product:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, u: int) -> tuple:
+    def __getitem__(self, u: int) -> list:
         row = self.rows[u]
         if row is None:
-            row = self.rows[u] = _row(*self.left[u], self.right, self.p)
+            row = self.rows[u] = _row(self.left[u], self.right, self.p)
         return row
 
 
@@ -177,8 +169,8 @@ def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -
     positions and forms each of its rows once, on first use: the braid
     relation forms R23 * R12 once for both sides, and a pair product forms
     only the rows that the output rows compared so far read.  Sparse rows
-    hold no zero entry, so two rows are equal exactly when their columns
-    and values are; at the first row that differs the check stops, and
+    hold no zero entry, so two rows are equal exactly when their (column,
+    value) pairs are; at the first row that differs the check stops, and
     the column is the least one, over both rows' entries, where the
     values differ.  Only that mismatch is brought back to field scalars,
     as x / L^3 through the field.
@@ -192,9 +184,9 @@ def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -
     pairs = {key: _Product(lifts[key[0]], lifts[key[1]], p) for key in ((b, c), (a2, b2))}
     inner, outer = pairs[b, c], pairs[a2, b2]
     for row in range(d ** 3):
-        ra, rb = _row(*lifts[a][row], inner, p), _row(*outer[row], lifts[c2], p)
+        ra, rb = _row(lifts[a][row], inner, p), _row(outer[row], lifts[c2], p)
         if ra != rb:
-            ra, rb = dict(zip(*ra)), dict(zip(*rb))
+            ra, rb = dict(ra), dict(rb)
             col = min(c for c in ra.keys() | rb.keys() if ra.get(c, 0) != rb.get(c, 0))
             cube = scale ** 3
             return (row, col, *from_integers(field, (ra.get(col, 0), rb.get(col, 0)), cube))

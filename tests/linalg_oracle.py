@@ -1,5 +1,5 @@
-"""Field-scalar Gauss-Jordan elimination, kept as the oracle for
-`ujla.linalg`.
+"""Field-scalar Gauss-Jordan elimination and products, kept as the
+oracle for `ujla.linalg`.
 
 Every step is a field operation on the matrix's own scalars (`Fraction`
 over Q, residues through `field.normalize` over F_p): each pivot row is
@@ -97,3 +97,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(norm(sum((x * y for x, y in zip(row, col)), a.field.zero)) for col in cols)
         for row in a.rows
     ))
+
+
+def mat_vec(a: Matrix, v) -> tuple:
+    """Row-by-vector sums of field-scalar products, each normalised once."""
+    if a.ncols != len(v):
+        raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times vector of length {len(v)}")
+    norm = a.field.normalize
+    return tuple(norm(sum(x * y for x, y in zip(row, v))) for row in a.rows)

@@ -1,18 +1,19 @@
 """Field-scalar oracle for witness revalidation.
 
 The identity's words and the two sides of the Leibniz rule, evaluated
-through a product of its own on field scalars, linalg.mat_vec and the
-vector helpers: the route revalidation took before it ran on integers.
-The product is the field-scalar loop Algebra.multiply ran before it went
-through the integer view, so the oracle never reads that view.  The
-words are read off the spec itself, not off a compiled plan, and every
-sub-product is formed again where it occurs.
+through a product of its own on field scalars, the field-scalar mat_vec
+of linalg_oracle and the vector helpers: the route revalidation took
+before it ran on integers.  The product is the field-scalar loop
+Algebra.multiply ran before it went through the integer view, so the
+oracle never reads that view.  The words are read off the spec itself,
+not off a compiled plan, and every sub-product is formed again where it
+occurs.
 """
 
 import itertools
 
+from linalg_oracle import mat_vec
 from ujla.algebra import vec_add, vec_scale
-from ujla.linalg import mat_vec
 
 
 def _leaves(word) -> list:

@@ -24,9 +24,7 @@ from ujla.axioms import (
 )
 from ujla.classify import (
     SearchSpec,
-    _image,
     _scan_range,
-    _terms,
     are_isomorphic,
     enumerate_ujla,
     gl_action,
@@ -36,7 +34,7 @@ from ujla.classify import (
 )
 from ujla.fields import PrimeField
 from ujla.identities import check_identity, constant_equations, holds
-from ujla.linalg import Matrix, mat_inverse
+from ujla.linalg import Matrix, accumulate, mat_inverse, sparse_row
 
 
 def _case(golden, dim, p, semantics):
@@ -375,7 +373,10 @@ def test_classical_passers_are_contained_in_survivors(golden):
 
 
 def _moved(p, dim, flat, g_rows, ginv_rows):
-    return _image(gl_action(p, dim, g_rows, ginv_rows), _terms(flat), p)
+    """The flat tensor moved by g's action columns, as the orbit partition
+    moves it: accumulate over its sparse row, then mod p."""
+    image = accumulate([0] * dim ** 3, sparse_row(flat), gl_action(p, dim, g_rows, ginv_rows))
+    return tuple(x % p for x in image)
 
 
 def test_transform_tensor_is_a_group_action():

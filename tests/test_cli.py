@@ -188,6 +188,19 @@ def test_derive_deform_requires_parameters(files, capsys):
     assert status == 0
 
 
+def test_derive_deform_prints_alpha_then_beta(files, capsys):
+    """The bytes of a deform with alpha != beta.  On the commutative dual
+    numbers its constants are (alpha + beta) times the product's, so only
+    the name, which lists alpha and then beta, shows their order; their
+    sum is not 1, so no unit is printed."""
+    status = run(["derive", files["dual-numbers"], "--via", "deform",
+                  "--alpha", "2", "--beta", "-1/3"])
+    expected = {"name": "dual-numbers/deform(2,-1/3)", "field": "Q", "dim": 2, "basis": ["1", "x"],
+                "constants": [[["5/3", "0"], ["0", "5/3"]], [["0", "5/3"], ["0", "0"]]]}
+    assert status == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_derive_symmetrize_char2_is_an_error(tmp_path, capsys):
     from ujla.fields import PrimeField
 

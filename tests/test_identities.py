@@ -546,21 +546,22 @@ def test_polynomial_failure_reads_its_witness_off_the_rows(monkeypatch):
 
 
 def test_each_slot_table_row_is_built_once(monkeypatch):
-    """Every row a slot table holds is one call of the integer kernel from a
-    table, and no row is built twice: on a passing check, a pointwise check
-    that reads every group and a failing check that stops early.  The five
-    identities of one report fill the tables on the algebra's one integer
-    view, so a row built anywhere else would leave a call unmatched."""
-    calls = {"kernel": 0}
-    kernel = identities._bilinear
+    """Every row a slot table holds is one call of the table-row builder,
+    _Table.__missing__, and no row is built twice: on a passing check, a
+    pointwise check that reads every group and a failing check that stops
+    early.  The five identities of one report fill the tables on the
+    algebra's one integer view, so a row built anywhere else would leave a
+    call unmatched."""
+    calls = {"row": 0}
+    build = identities._Table.__missing__
 
-    def counting_kernel(*args):
-        calls["kernel"] += 1
-        return kernel(*args)
+    def counting_build(table, n):
+        calls["row"] += 1
+        return build(table, n)
 
-    # The identity engine calls the kernel by this name only to build a table
-    # row; the view's product, which the witness search uses, does not.
-    monkeypatch.setattr(identities, "_bilinear", counting_kernel)
+    # A table row is built only when a read misses it; the view's product,
+    # which the witness search uses, builds none.
+    monkeypatch.setattr(identities._Table, "__missing__", counting_build)
     rng = random.Random(5)
     values = (1, -1, 2, Fraction(1, 3))
     dense = Algebra("dense", QQ, 4, ("e0", "e1", "e2", "e3"),
@@ -570,11 +571,11 @@ def test_each_slot_table_row_is_built_once(monkeypatch):
              (tensor_algebra(2, 3, _seeded_tensors(2, 3, 3)[2]), "pointwise", False),
              (dense, "polynomial", False)]
     for alg, semantics, passed in cases:
-        calls["kernel"] = 0
+        calls["row"] = 0
         assert check_ujla(alg, semantics).passed == passed, (alg.name, semantics)
         held = sum(len(table) for shape, table in alg.integer_view.tables.items()
                    if shape is not None)
-        assert held and calls["kernel"] == held, (alg.name, calls, held)
+        assert held and calls["row"] == held, (alg.name, calls, held)
 
 
 def test_threads_sharing_one_algebra_get_the_serial_verdicts():
@@ -622,7 +623,7 @@ def test_revalidation_never_reads_the_integer_rows(monkeypatch):
                  for spec in ALL_NAMED_IDENTITIES.values()]
     failing = [(alg, v) for alg, v in verdicts if not v.passed]
     assert {v.semantics for _, v in failing} == {"polynomial", "pointwise"}
-    calls = {"table": 0, "kernel": 0, "multiply": 0}
+    calls = {"table": 0, "row": 0, "multiply": 0}
 
     def counting(key, original):
         def wrapper(*args):
@@ -631,12 +632,13 @@ def test_revalidation_never_reads_the_integer_rows(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(identities, "_table", counting("table", identities._table))
-    monkeypatch.setattr(identities, "_bilinear", counting("kernel", identities._bilinear))
+    monkeypatch.setattr(identities._Table, "__missing__",
+                        counting("row", identities._Table.__missing__))
     monkeypatch.setattr(IntegerView, "multiply", counting("multiply", IntegerView.multiply))
     for alg, verdict in failing:
         calls.update(dict.fromkeys(calls, 0))
         fresh = replace(alg)
         assert revalidate_verdict(fresh, verdict), (alg.tensor, verdict.name)
-        assert calls["table"] == calls["kernel"] == 0, calls
+        assert calls["table"] == calls["row"] == 0, calls
         assert fresh.integer_view.tables == {}, (alg.tensor, verdict.name)
         assert calls["multiply"] > 0, (alg.tensor, verdict.name)

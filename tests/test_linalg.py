@@ -12,14 +12,15 @@ from ujla.fields import QQ, PrimeField
 from ujla.linalg import (
     Matrix,
     NotInvertibleError,
+    accumulate,
     kron,
     mat_inverse,
     mat_kernel,
     mat_mul,
     mat_rank,
-    mat_vec,
     rref,
     solve,
+    sparse_row,
 )
 
 
@@ -55,8 +56,6 @@ def test_shape_mismatch_errors():
     a = Matrix.from_rows(QQ, [[1, 2]])
     with pytest.raises(ValueError):
         mat_mul(a, a)
-    with pytest.raises(ValueError):
-        mat_vec(a, (1, 2, 3))
 
 
 def test_solve():
@@ -86,7 +85,7 @@ def test_kernel_vectors_are_in_kernel(field, data):
     m = data.draw(matrices(field, 3, 3))
     zero = tuple(field.zero for _ in range(3))
     for v in mat_kernel(m):
-        assert mat_vec(m, v) == zero
+        assert oracle.mat_vec(m, v) == zero
 
 
 @given(prime_fields, st.data())
@@ -114,7 +113,56 @@ def test_matmul_associates_with_vector_action(field, data):
     a = data.draw(matrices(field, 2, 3))
     b = data.draw(matrices(field, 3, 2))
     v = data.draw(vectors(field, 2))
-    assert mat_vec(mat_mul(a, b), v) == mat_vec(a, mat_vec(b, v))
+    assert oracle.mat_vec(mat_mul(a, b), v) == oracle.mat_vec(a, oracle.mat_vec(b, v))
+
+
+def _dense_sum(start, terms, grid, scale):
+    """start plus scale * c * grid[r] for each (r, c) of terms, entry by
+    entry over the dense integer grid."""
+    acc = list(start)
+    for r, c in terms:
+        for k, x in enumerate(grid[r]):
+            acc[k] += scale * c * x
+    return acc
+
+
+@pytest.mark.parametrize("p", [0, 2, 5], ids=["Q", "F2", "F5"])
+def test_accumulate_matches_a_dense_integer_oracle(p):
+    """accumulate adds scale * c * rows[r] into the caller's list for each
+    (r, c) of terms, rows being the sparse rows of a dense integer grid
+    (signed integers over Q, residues over F_p), as the dense oracle does,
+    and returns that list.  It neither reduces nor drops anything: a sum
+    that vanishes only mod p stays a nonzero multiple of p until the
+    caller reduces it.  Covered: no terms, rows that cancel to exactly 0,
+    an all-zero row, a sum that vanishes only mod p (mod 7 over Q), scales
+    1, -3 and 10, and random terms."""
+    rng = random.Random(f"accumulate:{p}")
+    q, width = p or 7, 6
+    values = range(p) if p else (0, 0, 1, -1, 2, 3, -7)
+    grid = [[rng.choice(values) for _ in range(width)] for _ in range(5)]
+    grid[1][0] = 1
+    grid.append([-x for x in grid[0]])
+    grid.append([0] * width)
+    rows = [sparse_row(row) for row in grid]
+    assert rows[-1] == [] and all(x for row in rows for _, x in row)
+    cases = {
+        "empty": [],
+        "cancel": [(0, 3), (5, 3)],
+        "zero row": [(6, 4), (6, -1)],
+        "only mod p": [(1, 1), (1, q - 1)],
+        "random": [(rng.randrange(len(grid)), rng.choice((1, -1, 2, -5, 9))) for _ in range(8)],
+    }
+    for name, terms in cases.items():
+        for scale in (1, -3, 10):
+            start = [rng.randint(-4, 4) for _ in range(width)]
+            acc = list(start)
+            assert accumulate(acc, terms, rows, scale) is acc, name
+            assert acc == _dense_sum(start, terms, grid, scale), (name, scale)
+            added = [x - y for x, y in zip(acc, start)]
+            if name != "random":
+                assert all(x % q == 0 for x in added), (name, scale)
+                assert any(added) == (name == "only mod p"), (name, scale)
+    assert sparse_row((0, 3, 0, -1, 0)) == [(1, 3), (3, -1)] and sparse_row(()) == []
 
 
 def _scalar(field, rng, big=False):
@@ -189,12 +237,12 @@ def test_elimination_matches_the_field_scalar_oracle(field):
             invertible = isinstance(inverse, Matrix)
             assert not invertible or _in_field(field, [x for row in inverse.rows for x in row])
             outcomes.add(("invertible", invertible))
-        image = mat_vec(m, [_scalar(field, rng) for _ in range(m.ncols)])
+        image = oracle.mat_vec(m, [_scalar(field, rng) for _ in range(m.ncols)])
         for b in (image, [_scalar(field, rng) for _ in range(m.nrows)]):
             x = solve(m, b)
             assert x == oracle.solve(m, b), name
             assert x is not None or b is not image, name
-            assert x is None or _in_field(field, x) and mat_vec(m, x) == tuple(b), name
+            assert x is None or _in_field(field, x) and oracle.mat_vec(m, x) == tuple(b), name
             outcomes.add(("solvable", x is not None))
         other = _grid(field, rng, m.ncols, 3) if m.ncols else Matrix(field, ())
         product = mat_mul(m, other)

@@ -166,13 +166,13 @@ def _dense_int_product(a, b, p):
 
 def _product(left, right, p):
     """Every row of left * right through the kernel's row step."""
-    return [_row(*row, right, p) for row in left]
+    return [_row(row, right, p) for row in left]
 
 
 def _sparse(rows):
-    """The kernel's row form of a dense grid: each row's columns of its
-    nonzero entries, increasing, and their values."""
-    return [([j for j, x in enumerate(row) if x], [x for x in row if x]) for row in rows]
+    """The kernel's row form of a dense grid: each row's (column, value)
+    pairs of its nonzero entries, columns increasing."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=str)
