@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Seeded byte-identity sweep of `ujla check` and `ujla compat`, of the
-`ujla yb` commands and of `ujla derivation`.
+`ujla yb` commands, of `ujla derivation`, and of `ujla derive`, `ujla
+center`, `ujla yb params` and the `ujla classify` reports.
 
 The check line: seeded algebra files are written into a temporary
 directory: random tensors over Q (entries 0, 1, -1, 2, 1/2, -3/2) and
@@ -29,11 +30,22 @@ and `--formula two`, once with a and b seeded basis vectors and once
 with seeded vectors of any coordinates, until --runs runs are done.
 About half of these runs fail the Leibniz rule and print a witness.
 
+The derive line: first `classify --dim 1|2 --prime 2`, under both
+semantics, each writing its report with `--out`.  Then the corpus files,
+each followed by one seeded random algebra file (from a seed of its own),
+then random files only.  Each file is run through `derive --via
+commutator`, whose output file is then run through `center`; through
+`derive --via symmetrize` and `derive --via deform` with seeded (alpha,
+beta), half of them summing to 1 so that a unit survives; through
+`center` itself; and through `yb params` over its field with seeded
+(alpha, beta, gamma), until --runs runs are done.
+
 Each line gives the number of runs per exit code and a SHA-256 over
 every run's argv (which names its case file), exit code, stdout and
-stderr.  Two checkouts that print the same lines for one seed gave the
-same verdicts, witnesses, mismatches and errors on these inputs, byte
-for byte.
+stderr, and the text of the file that a run names with `--out`.  Two
+checkouts that print the same lines for one seed gave the same verdicts,
+witnesses, mismatches, reports and errors on these inputs, byte for
+byte.
 
     PYTHONPATH=src python3 scripts/check_sweep.py --seed 1 --runs 1000
 """
@@ -51,6 +63,7 @@ import pathlib
 import random
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -193,6 +206,32 @@ def derivation_runs(seed: int):
                 yield ["derivation", fname, f"--a={a}", f"--b={b}", "--formula", formula]
 
 
+def derive_runs(seed: int):
+    """The derive line's argvs.  Each run's (exit code, stdout) is sent
+    back, so that the commutator algebra `derive` prints can be given to
+    `center`."""
+    for d in (1, 2):
+        for semantics in ("polynomial", "pointwise"):
+            flag = ["--pointwise"] if semantics == "pointwise" else []
+            yield ["classify", "--dim", str(d), "--prime", "2", *flag,
+                   "--out", f"classify-d{d}-p2-{semantics}.json"]
+    rng = random.Random(f"derive:{seed}")
+    for fname, text in cases(f"derive-files:{seed}"):
+        pathlib.Path(fname).write_text(text)
+        label = json.loads(text)["field"]
+        code, out = yield ["derive", fname, "--via", "commutator"]
+        if code == 0:
+            lie = fname.replace(".alg", "-lie.alg")
+            pathlib.Path(lie).write_text(out)
+            yield ["center", lie]
+        yield ["derive", fname, "--via", "symmetrize"]
+        alpha = yb_params(rng, label, 0.0)[0]
+        beta = str(1 - Fraction(alpha)) if rng.random() < 0.5 else yb_params(rng, label, 0.0)[1]
+        yield ["derive", fname, "--via", "deform", *param_args((alpha, beta))]
+        yield ["center", fname]
+        yield ["yb", "params", *param_args(yb_params(rng, label, 0.5)), f"--field={label}"]
+
+
 def run_cli(argv: list) -> tuple:
     """(exit code, stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
@@ -208,7 +247,8 @@ def sweep(label: str, runs_of, seed: int, runs: int, errors_only: bool = False) 
     """The summary line of the first `runs` runs that runs_of(seed) yields,
     run in a fresh temporary directory; each run's (exit code, stdout) is
     sent back to the generator.  With errors_only, only the `error:` lines
-    of stderr are digested."""
+    of stderr are digested.  The text of the file that a successful run
+    names with --out is digested with that run."""
     digest = hashlib.sha256()
     counts: dict = {}
     cwd = os.getcwd()
@@ -222,7 +262,10 @@ def sweep(label: str, runs_of, seed: int, runs: int, errors_only: bool = False) 
                 if errors_only:
                     err = "".join(line for line in err.splitlines(True) if line.startswith("error: "))
                 counts[code] = counts.get(code, 0) + 1
-                digest.update(json.dumps([argv, code, out, err]).encode())
+                record = [argv, code, out, err]
+                if "--out" in argv and code == 0:
+                    record.append(pathlib.Path(argv[argv.index("--out") + 1]).read_text())
+                digest.update(json.dumps(record).encode())
                 if done < runs:
                     argv = gen.send((code, out))
         finally:
@@ -241,6 +284,7 @@ def main(argv=None) -> None:
     print(sweep("", check_runs, args.seed, args.runs))
     print(sweep("yb ", yb_runs, args.seed, args.runs, errors_only=True))
     print(sweep("derivation ", derivation_runs, args.seed, args.runs))
+    print(sweep("derive ", derive_runs, args.seed, args.runs))
 
 
 if __name__ == "__main__":

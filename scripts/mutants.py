@@ -18,9 +18,9 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 51 mutants, took 65 s for the mutants alone and 74 s of
+The full table, 55 mutants, took 84 s for the mutants alone and 92 s of
 wall time with the unmutated pass, on a 2-core box with Python 3.11.7;
-witness-lhs-printed-with-a-colon runs the 4-5 s sweep test.
+witness-lhs-printed-with-a-colon runs the 2-3 s sweep test.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ MUTANTS = (
            "for i, x in self.left[r]:",
            (T_ID + "test_each_slot_table_row_is_built_once",)),
     Mutant("witness-grid-pool-reversed", IDS,
-           "[field.zero, field.one, field.normalize(-1)]",
-           "[field.normalize(-1), field.one, field.zero]",
+           "[0, 1, p - 1] if p else [0, 1, -1]",
+           "[p - 1, 1, 0] if p else [-1, 1, 0]",
            (T_ID + "test_polynomial_concrete_witness_matches_evaluate_sides_oracle",)),
     Mutant("witness-words-scaled-by-l-m-minus-1", IDS,
            "c * f ** (top - len(leaves))",
@@ -224,13 +224,28 @@ MUTANTS = (
            "s * s * view.scale)",
            "s * view.scale)",
            (T_RV + "test_multiply_matches_the_field_scalar_product[2-Q]",)),
+    Mutant("unit-check-ignores-the-vector-scale", AL,
+           "target = tuple(s * view.scale * x for x in e)",
+           "target = tuple(view.scale * x for x in e)",
+           ("tests/test_algebra.py::test_unit_check_reads_the_scales_of_unit_and_tensor",)),
+    # One scalar gate per value type, where the value is built.
+    Mutant("matrix-skips-the-scalar-gate", LA,
+           "rows = tuple(tuple(coerce(field, x) for x in row) for row in self.rows)",
+           "rows = tuple(tuple(x for x in row) for row in self.rows)",
+           ("tests/test_fields.py::test_api_entries_share_one_scalar_gate[Matrix]",
+            "tests/test_fields.py::test_api_entries_share_one_scalar_gate[lift]")),
+    Mutant("operator-accepts-a-matrix-of-another-field", YB,
+           "        if self.matrix.field != self.field:\n"
+           "            raise ValueError(f\"operator over {self.field} given a matrix over {self.matrix.field}\")\n",
+           "",
+           ("tests/test_fields.py::test_a_matrix_over_another_field_is_rejected",)),
     Mutant("clear-skips-the-scalar-gate", AL,
            "flat = [coerce(field, x) for v in vectors for x in v]",
            "flat = [x for v in vectors for x in v]",
            ("tests/test_fields.py::test_api_entries_share_one_scalar_gate[Algebra.multiply]",)),
     Mutant("derivation-left-map-columns-read-as-right", "src/ujla/derivations.py",
-           "accumulate([0] * d, terms, by_j[j])",
-           "accumulate([0] * d, terms, planes[j])",
+           "[sparse_row(view.multiply(u, e)) for e in view.basis_vectors]",
+           "[sparse_row(view.multiply(e, u)) for e in view.basis_vectors]",
            ("tests/test_derivations.py::test_builders_match_column_construction_over_q_and_fp",)),
     Mutant("leibniz-witness-over-s", "src/ujla/derivations.py",
            "from_integers(field, acc, s * t)",
@@ -240,6 +255,10 @@ MUTANTS = (
            "return any((x - y) % p for x, y in zip(u, v)) if p else u != v",
            "return u != v",
            ("tests/test_derivations.py::test_leibniz_verdict_and_witness_match_basis_pair_oracle",)),
+    Mutant("leibniz-first-pair-in-column-major-order", "src/ujla/derivations.py",
+           "for i in range(d) for j in range(d)",
+           "for j in range(d) for i in range(d)",
+           ("tests/test_derivations.py::test_first_failing_leibniz_pair_is_taken_in_row_major_order",)),
     Mutant("leibniz-sides-scale-without-l", "src/ujla/derivations.py",
            "scale = r * s * s * view.scale",
            "scale = r * s * s",

@@ -8,11 +8,13 @@ fields an algebra keeps one cache, filled lazily in its __dict__ (the
 way functools.cached_property keeps a value): the integer view, the
 tensor cleared once by the lcm of its denominators.  It is the one
 integer form of the tensor and the one route by which concrete vectors
-are multiplied: its clear is the scalar gate for vectors, and multiply,
-the identity engine, the derivation kernels and witness revalidation all
-read it; it also holds the identity engine's slot tables.  The view is a
-pure function of the tensor, so threads that race on it only build it
-twice; it takes no part in equality, hashing or replace().
+are multiplied: its clear gates the vectors a caller hands in, and the
+vectors the library builds enter as integers with scale 1; multiply, the
+unit check, the identity engine, the derivation kernels and witness
+revalidation all read it; it also holds the identity engine's slot
+tables.  The view is a pure function of the tensor, so threads that race
+on it only build it twice; it takes no part in equality, hashing or
+replace().
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ def vec_sub(field: FieldSpec, u: Sequence, v: Sequence) -> Vector:
 
 def vec_scale(field: FieldSpec, c: Scalar, u: Sequence) -> Vector:
     return tuple(field.normalize(c * x) for x in u)
-
-
-def vec_is_zero(field: FieldSpec, u: Sequence) -> bool:
-    zero = field.zero
-    return all(x == zero for x in u)
 
 
 def format_vector(field: FieldSpec, u: Sequence) -> str:
@@ -75,16 +72,22 @@ class IntegerView:
         return tuple((f // (d * d), f // d % d, f % d, n) for f, n in enumerate(self.flat) if n)
 
     @functools.cached_property
+    def basis_vectors(self) -> tuple:
+        """The basis vectors e_i as integer tuples, cleared by s = 1."""
+        d = self.d
+        return tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
+    @functools.cached_property
     def planes(self) -> tuple:
         d, flat = self.d, self.flat
         rows = [sparse_row(flat[r:r + d]) for r in range(0, d ** 3, d)]
         return tuple(tuple(rows[i * d:(i + 1) * d]) for i in range(d))
 
     def clear(self, vectors: Sequence[Sequence]) -> tuple:
-        """The gated entry for concrete vectors of length d: each coordinate
-        taken through fields.coerce, then integer tuples n and one scale s
-        shared by all the vectors, each vector being n / s; over F_p the
-        residues, with s = 1."""
+        """The gated entry for a caller's concrete vectors of length d: each
+        coordinate taken through fields.coerce, then integer tuples n and
+        one scale s shared by all the vectors, each vector being n / s;
+        over F_p the residues, with s = 1."""
         field, d = self.field, self.d
         flat = [coerce(field, x) for v in vectors for x in v]
         s = 1
@@ -135,12 +138,18 @@ class Algebra:
             self._check_unit()
 
     def _check_unit(self):
-        u = self.unit
+        """u e_i = e_i u = e_i for every i, read on the integer view: with u
+        cleared by s and the tensor by L, both products are s L e_i.  Only a
+        failure multiplies field vectors, for its message."""
+        view, u = self.integer_view, self.unit
+        us, s = integral(u)
         for i, label in enumerate(self.basis):
-            e = self.basis_vector(i)
-            for text, product in ((f"u*{label}", self.multiply(u, e)),
-                                  (f"{label}*u", self.multiply(e, u))):
-                if product != e:
+            e, f = view.basis_vectors[i], self.basis_vector(i)
+            target = tuple(s * view.scale * x for x in e)
+            for text, ints, vectors in ((f"u*{label}", (us, e), (u, f)),
+                                        (f"{label}*u", (e, us), (f, u))):
+                if view.multiply(*ints) != target:
+                    product = self.multiply(*vectors)
                     raise ValueError(f"{self.name}: declared unit is not a unit: "
                                      f"{text} = {format_vector(self.field, product)} != {label}")
 
@@ -221,8 +230,7 @@ def algebra_from_products(
     be ints, Fractions, or scalar literals.
     """
     d = len(basis)
-    zero = field.zero
-    tensor = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    tensor = [[[0] * d for _ in range(d)] for _ in range(d)]
     for (i, j), row in products.items():
         for k, c in row.items():
             tensor[i][j][k] = c
@@ -244,9 +252,8 @@ def algebra_from_matrix_basis(
     d = len(basis)
     ms = [linalg.Matrix.from_rows(field, m) for m in mats]
     n = ms[0].nrows
-    flat_cols = linalg.Matrix(
-        field, tuple(tuple(ms[b][r, c] for b in range(d)) for r in range(n) for c in range(n))
-    )
+    flat_cols = linalg.Matrix(field, [[ms[b][r, c] for b in range(d)]
+                                      for r in range(n) for c in range(n)])
     if linalg.mat_rank(flat_cols) != d:
         raise ValueError(f"{name}: matrix basis is linearly dependent")
     tensor = []

@@ -5,10 +5,10 @@ vectors.  Both builders are signed sums of products of the left and
 right multiplication matrices L_u: x -> ux and R_u: x -> xu, all taken
 from the algebra's single product (the bracket of a Lie algebra, the
 circle of a Jordan algebra); no hidden symmetrization happens here.
-Arithmetic runs on integers: the argument vectors and the rows of a
-linear map enter through the integer view's gated entry, clear, which
-takes every coordinate through fields.coerce and clears denominators,
-and each entry is brought back to the field once.
+Arithmetic runs on integers: the argument vectors enter through the
+integer view's gated entry, clear; a linear map, gated when its Matrix
+was built, must be over the algebra's field and becomes integers through
+linalg.integer_grid; each entry is brought back to the field once.
 """
 
 from __future__ import annotations
@@ -16,29 +16,26 @@ from __future__ import annotations
 from .algebra import Algebra, Vector
 from .fields import from_integers
 from .identities import AxiomReport, ConcreteWitness, Verdict
-from .linalg import Matrix, accumulate, sparse_row
+from .linalg import Matrix, accumulate, integer_grid, sparse_row
 
 
 def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
     """Sum of sign * P Q over the (sign, P, Q) in terms_of(L_a, R_a, L_b, R_b).
 
-    Each map is the list of its columns as sparse integer rows: column j
-    of L_u is u e_j, the sum of u_i times the rows planes[i][j], and
-    column i of R_u is e_i u, the sum of u_j times planes[i][j].  Column x
-    of P Q is the sum of Q[t][x] times column t of P."""
+    Each map is the list of its columns as sparse integer rows, read on
+    the integer view's product: column j of L_u is u e_j and column i of
+    R_u is e_i u.  Column x of P Q is the sum of Q[t][x] times column t
+    of P."""
     d = alg.dim
     if len(a) != d or len(b) != d:
         raise ValueError(f"{alg.name}: argument vectors must have length {d}")
     field = alg.field
     view = alg.integer_view
-    planes = view.planes
-    by_j = [[plane[j] for plane in planes] for j in range(d)]
     (a_ints, b_ints), s = view.clear((a, b))
 
     def maps(u):
-        terms = sparse_row(u)
-        return ([sparse_row(accumulate([0] * d, terms, by_j[j])) for j in range(d)],
-                [sparse_row(accumulate([0] * d, terms, planes[i])) for i in range(d)])
+        return ([sparse_row(view.multiply(u, e)) for e in view.basis_vectors],
+                [sparse_row(view.multiply(e, u)) for e in view.basis_vectors])
 
     columns = [[0] * d for _ in range(d)]
     for sign, p, q in terms_of(*maps(a_ints), *maps(b_ints)):
@@ -62,6 +59,16 @@ def derivation_two_term(alg: Algebra, a: Vector, b: Vector) -> Matrix:
     return _signed_products(alg, a, b, lambda la, ra, lb, rb: [(+1, la, lb), (-1, rb, ra)])
 
 
+def _integer_map(alg: Algebra, deriv: Matrix) -> tuple:
+    """The integer rows of D and their scale (linalg.integer_grid), for a
+    d x d map over the algebra's field."""
+    d = alg.dim
+    if deriv.field != alg.field or deriv.nrows != d or deriv.ncols != d:
+        raise ValueError(f"{alg.name}: linear map must be {d}x{d} over {alg.field}, "
+                         f"got {deriv.nrows}x{deriv.ncols} over {deriv.field}")
+    return integer_grid(deriv)
+
+
 def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
     """Does D satisfy D(xy) = D(x)y + xD(y)?
 
@@ -74,13 +81,10 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
     the product.  The verdict keeps the label "polynomial" that exact
     verdicts carry.
     """
-    d = alg.dim
-    if deriv.nrows != d or deriv.ncols != d:
-        raise ValueError(f"{alg.name}: linear map must be {d}x{d}")
     # With D scaled by s and the constants by t to integers, both sides of
     # every pair are s * t times their values.
-    view = alg.integer_view
-    m, s = view.clear(deriv.rows)
+    m, s = _integer_map(alg, deriv)
+    d, view = alg.dim, alg.integer_view
     nonzero, t = view.terms, view.scale
     lhs = [[[0] * d for _ in range(d)] for _ in range(d)]
     rhs = [[[0] * d for _ in range(d)] for _ in range(d)]
@@ -118,10 +122,10 @@ def _leibniz_sides(alg: Algebra, deriv: Matrix, x: Vector, y: Vector) -> tuple:
     y by one s and the tensor by L, both sides are r s^2 L times their
     values."""
     d = alg.dim
-    if deriv.nrows != d or deriv.ncols != d or len(x) != d or len(y) != d:
-        raise ValueError(f"{alg.name}: linear map and vectors must have dimension {d}")
+    if len(x) != d or len(y) != d:
+        raise ValueError(f"{alg.name}: vectors must have dimension {d}")
     view = alg.integer_view
-    m, r = view.clear(deriv.rows)
+    m, r = _integer_map(alg, deriv)
     (xs, ys), s = view.clear((x, y))
     columns = [sparse_row(column) for column in zip(*m)]
 

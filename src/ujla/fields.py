@@ -8,12 +8,14 @@ mode; a field object is only the boundary.  Values enter through
 grammar in both fields, an integer or n/d of two integers (no decimals
 or exponents, and int()'s digit limit applies); each computed result is
 brought back with ``normalize`` and printed with ``format``; ``inv`` is
-the one operation a field does itself.  Integer kernels take their
-inputs through ``integral``, concrete vectors after ``coerce`` by way of
-the algebra's integer view (IntegerView.clear, the one place the two
-meet), and bring their results, integers x that share one scale s, back
-as the field elements x / s through ``from_integers`` alone.  Field
-objects are frozen and safe to share.
+the one operation a field does itself.  ``coerce`` gates each value
+once, where it is built: Algebra and Matrix entries in their
+constructors, a caller's vectors at IntegerView.clear, loose scalar
+arguments where they are passed; the library never gates a value again.
+Integer kernels take gated values through ``integral`` and bring their
+results, integers x that share one scale s, back as the field elements
+x / s through ``from_integers`` alone.  Field objects are frozen and
+safe to share.
 """
 
 from __future__ import annotations

@@ -37,10 +37,13 @@ plan with the structure constants left symbolic, into polynomial
 equations in them.
 
 One word evaluator, _word_sides, sums the plan's words in integers
-through the integer view's product, on vectors that enter through the
-view's gated entry, clear, sharing each sub-product within the call (and
-_scaled is the one place a word is scaled to the top degree).  It gives
-the grid points' and the pointwise witness's sides, and revalidate_verdict
+through the integer view's product, on integer vectors of one scale,
+sharing each sub-product within the call (and _scaled is the one place a
+word is scaled to the top degree).  Basis vectors, grid points and the
+pointwise point enter as integers with scale 1, and a witness's vectors
+return to the field through from_integers; only a caller's assignment
+(evaluate_sides) passes the view's gated entry, clear.  It gives the
+grid points' and the pointwise witness's sides, and revalidate_verdict
 re-checks every failure's witness through it, over one assignment
 (evaluate_sides, which only revalidation calls) or the slot assignments
 of the witness monomial, never reading the slot tables; a witness whose
@@ -252,29 +255,22 @@ def _scaled(plan: _Plan, view: IntegerView, s: int) -> tuple:
             plan.scale * s ** top * view.scale ** (top - 1))
 
 
-def _word_sides(alg: Algebra, plan: _Plan, leaf_keys, vector) -> tuple:
+def _word_sides(plan: _Plan, view: IntegerView, leaf_keys, vector, s: int = 1) -> tuple:
     """(lhs, rhs, scale), the plan's sides being lhs / scale and rhs / scale,
     each word summed over the tuples of leaf keys that leaf_keys(leaves)
-    yields, with vector(key) at each leaf.
+    yields, with vector(key) at each leaf: integer tuples that share the
+    scale s.
 
     The words are evaluated in integers through the view's product, never
-    the slot rows, on leaf vectors cleared once through the view's gated
-    entry by one shared scale; each product is formed once per call."""
-    view, d = alg.integer_view, alg.dim
-    tuples = [list(leaf_keys(leaves)) for *_, leaves in plan.words]
-    used = {key for keys_of_word in tuples for keys in keys_of_word for key in keys}
-    vectors = {key: vector(key) for key in used}
-    if any(len(v) != d for v in vectors.values()):
-        raise ValueError(f"{alg.name}: vector length does not match dimension {d}")
-    cleared, s = view.clear(vectors.values())
-    ints = dict(zip(vectors, cleared))
+    the slot rows; each product is formed once per call."""
+    d = view.d
     memo: dict = {}
     coefficients, scale = _scaled(plan, view, s)
     sides = ([0] * d, [0] * d)
-    for (side, _, _, t, _), c, keys_of_word in zip(plan.words, coefficients, tuples):
+    for (side, _, _, t, leaves), c in zip(plan.words, coefficients):
         acc = sides[side]
-        for keys in keys_of_word:
-            value = _shape_value(plan.shapes[t], map(ints.__getitem__, keys), view, memo)
+        for keys in leaf_keys(leaves):
+            value = _shape_value(plan.shapes[t], map(vector, keys), view, memo)
             for k, x in enumerate(value):
                 if x:
                     acc[k] += c * x
@@ -294,9 +290,17 @@ def _shape_value(shape, leaves, view: IntegerView, memo: dict) -> tuple:
 
 
 def _field_sides(alg: Algebra, spec: IdentitySpec, leaf_keys, vector) -> tuple:
-    """(lhs, rhs) vectors of the polynomial plan's words, evaluated by
-    _word_sides and brought back to the field."""
-    lhs, rhs, scale = _word_sides(alg, _plan(alg, spec, "polynomial"), leaf_keys, vector)
+    """(lhs, rhs) vectors of the polynomial plan's words, with a caller's
+    vector(key) for each key of the tuples that leaf_keys(leaves) yields:
+    the vectors pass the view's gated entry once, by one shared scale."""
+    plan, view, d = _plan(alg, spec, "polynomial"), alg.integer_view, alg.dim
+    keys = list(dict.fromkeys(key for *_, leaves in plan.words
+                              for keys in leaf_keys(leaves) for key in keys))
+    vectors = [vector(key) for key in keys]
+    if any(len(v) != d for v in vectors):
+        raise ValueError(f"{alg.name}: vector length does not match dimension {d}")
+    cleared, s = view.clear(vectors)
+    lhs, rhs, scale = _word_sides(plan, view, leaf_keys, dict(zip(keys, cleared)).__getitem__, s)
     return from_integers(alg.field, lhs, scale), from_integers(alg.field, rhs, scale)
 
 
@@ -524,16 +528,17 @@ def _differences(plan: _Plan, view: IntegerView):
 
 def _slot_coefficients(alg: Algebra, spec: IdentitySpec, mono: tuple, k: int) -> tuple:
     """(lhs, rhs) coefficients of one monomial at coordinate k, from the slot
-    assignments that land on it."""
-    d = alg.dim
+    assignments that land on it, with the integer basis vectors at the leaves."""
+    d, view = alg.dim, alg.integer_view
 
     def slot_assignments(leaves):
         choices = [[i for i in range(d) if mono[v * d + i]] for v in leaves]
         for sigma in itertools.product(*choices):
             if _monomial(leaves, sigma, len(mono), d) == mono:
                 yield sigma
-    lhs, rhs = _field_sides(alg, spec, slot_assignments, alg.basis_vectors().__getitem__)
-    return lhs[k], rhs[k]
+    lhs, rhs, scale = _word_sides(_plan(alg, spec, "polynomial"), view, slot_assignments,
+                                  view.basis_vectors.__getitem__)
+    return from_integers(alg.field, (lhs[k], rhs[k]), scale)
 
 
 def holds(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomial") -> bool:
@@ -581,10 +586,10 @@ def _row_number(combo: Sequence[int], leaves: Sequence[int], d: int) -> int:
 
 
 def _witness(alg: Algebra, spec: IdentitySpec, vectors, sides: tuple) -> ConcreteWitness:
-    """The witness at vectors, its integer sides (lhs, rhs, scale) brought
-    back to the field."""
-    lhs, rhs, scale = sides
-    field = alg.field
+    """The witness at the integer vectors (s = 1), which, like its integer
+    sides (lhs, rhs, scale), are brought back to the field."""
+    field, (lhs, rhs, scale) = alg.field, sides
+    vectors = [from_integers(field, v, 1) for v in vectors]
     return ConcreteWitness(tuple(zip(spec.variables, vectors)),
                            from_integers(field, lhs, scale), from_integers(field, rhs, scale))
 
@@ -593,10 +598,10 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec,
                              plan: _Plan) -> Optional[ConcreteWitness]:
     """First assignment among basis tuples, then the {0, 1, -1} grid, whose
     sides differ, evaluated in integers: at a basis tuple each word's value
-    is its slot-table row, on the grid _word_sides evaluates it."""
-    nv, d, field = len(spec.variables), alg.dim, alg.field
+    is its slot-table row, on the grid _word_sides evaluates it at the
+    grid point's integers (residues over F_p)."""
     view = alg.integer_view
-    p = view.p
+    nv, d, p = len(spec.variables), view.d, view.p
 
     def differ(sides) -> bool:
         lhs, rhs, _ = sides
@@ -611,13 +616,13 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec,
         for side, c, table, leaves in words:
             accumulate(sides[side], [(_row_number(combo, leaves, d), c)], table)
         if differ(sides):
-            return _witness(alg, spec, [alg.basis_vector(i) for i in combo], sides)
-    # dict.fromkeys dedupes while keeping order (0 = 1 = -1 collapses mod 2)
-    pool = list(dict.fromkeys([field.zero, field.one, field.normalize(-1)]))
+            return _witness(alg, spec, [view.basis_vectors[i] for i in combo], sides)
+    # dict.fromkeys dedupes while keeping order (1 = -1 collapses mod 2)
+    pool = list(dict.fromkeys([0, 1, p - 1] if p else [0, 1, -1]))
     grid = itertools.product(pool, repeat=nv * d)
     for coords in itertools.islice(grid, WITNESS_SEARCH_CAP):
         combo = [coords[v * d:(v + 1) * d] for v in range(nv)]
-        sides = _word_sides(alg, plan, lambda leaves: [leaves], combo.__getitem__)
+        sides = _word_sides(plan, view, lambda leaves: [leaves], combo.__getitem__)
         if differ(sides):
             return _witness(alg, spec, combo, sides)
     return None
@@ -647,7 +652,7 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
         point = _first_nonzero_point(residual, p)
         d = alg.dim
         combo = [tuple(point[v * d:(v + 1) * d]) for v in range(len(spec.variables))]
-        sides = _word_sides(alg, plan, lambda leaves: [leaves], combo.__getitem__)
+        sides = _word_sides(plan, view, lambda leaves: [leaves], combo.__getitem__)
         return Verdict(spec.name, False, semantics, identity=spec,
                        concrete_witness=_witness(alg, spec, combo, sides))
     failure = next(_differences(plan, view), None)

@@ -1,8 +1,11 @@
 """Exact dense linear algebra over a ground field.
 
-Matrices are immutable grids of field scalars; the routines compute on
-integers and convert back only at the end.  Over F_p the integers are
-the residues and a pivot is inverted with pow(x, -1, p).  Over Q each
+Matrices are immutable grids of field scalars, gated once where they are
+built: the constructor takes every entry through `fields.coerce`.  The
+routines compute on integers and convert back only at the end;
+`integer_grid` is the one way a whole matrix becomes integers over one
+scale.  Over F_p the integers are the residues and a pivot is inverted
+with pow(x, -1, p).  Over Q each
 row is cleared once by `fields.integral` before elimination, which is
 fraction-free (Bareiss): every update is an exact integer division by the
 previous pivot, so the entries stay minors of the cleared matrix; the
@@ -39,9 +42,12 @@ class Matrix:
     rows: tuple
 
     def __post_init__(self):
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+        # The one scalar gate for matrix entries: floats and bools are rejected.
+        field = self.field
+        rows = tuple(tuple(coerce(field, x) for x in row) for row in self.rows)
+        if len({len(r) for r in rows}) > 1:
             raise ValueError("ragged matrix rows")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def nrows(self) -> int:
@@ -60,22 +66,18 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable]) -> "Matrix":
-        return cls(field, tuple(tuple(coerce(field, x) for x in row) for row in rows))
+        return cls(field, rows)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, tuple(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        ))
+        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
+        return cls(field, [[0] * ncols for _ in range(nrows)])
 
 
-def _integer_grid(a: Matrix) -> tuple[list, int]:
+def integer_grid(a: Matrix) -> tuple[list, int]:
     """Integer rows n and one scale s with the entries of a = n / s: over Q
     s is the lcm of all the entries' denominators, over F_p the residues
     themselves with s = 1."""
@@ -115,8 +117,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("matrix product across different fields")
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
-    rows_a, scale_a = _integer_grid(a)
-    rows_b, scale_b = _integer_grid(b)
+    rows_a, scale_a = integer_grid(a)
+    rows_b, scale_b = integer_grid(b)
     right = [sparse_row(row) for row in rows_b]
     n, scale = b.ncols, scale_a * scale_b
     return Matrix(a.field, tuple(
@@ -198,8 +200,8 @@ def mat_inverse(a: Matrix) -> Matrix:
         raise ValueError("inverse of a non-square matrix")
     n = a.nrows
     field = a.field
-    ident = Matrix.identity(field, n)
-    aug = _integer_rows(field, ((*r, *e) for r, e in zip(a.rows, ident.rows)))
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    aug = _integer_rows(field, ((*r, *e) for r, e in zip(a.rows, ident)))
     # Pivots are sought in the left block only, so they count the rank of A.
     pivots, den = _echelon(aug, field.characteristic, n, True)
     if len(pivots) != n:
@@ -253,10 +255,4 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with the usual block layout."""
     if a.field != b.field:
         raise ValueError("Kronecker product across different fields")
-    field = a.field
-    norm = field.normalize
-    rows = []
-    for ar in a.rows:
-        for br in b.rows:
-            rows.append(tuple(norm(x * y) for x in ar for y in br))
-    return Matrix(field, tuple(rows))
+    return Matrix(a.field, [[x * y for x in ar for y in br] for ar in a.rows for br in b.rows])

@@ -14,38 +14,28 @@ from .fields import Scalar, coerce
 from .identities import AxiomReport, IdentitySpec, verify_identity
 
 
-def _recombined_tensor(alg: Algebra, alpha: Scalar, beta: Scalar) -> tuple:
-    """Tensor of the product u, v -> alpha*(uv) + beta*(vu)."""
-    field = alg.field
-    d = alg.dim
-    c = alg.tensor
-    norm = field.normalize
-    return tuple(
-        tuple(
-            tuple(norm(alpha * c[i][j][k] + beta * c[j][i][k]) for k in range(d))
-            for j in range(d)
-        )
-        for i in range(d)
-    )
+def _recombined_tensor(alg: Algebra, alpha: Scalar, beta: Scalar) -> list:
+    """Tensor of the product u, v -> alpha*(uv) + beta*(vu), left for the
+    Algebra constructor to bring into the field."""
+    d, c = alg.dim, alg.tensor
+    return [[[alpha * c[i][j][k] + beta * c[j][i][k] for k in range(d)] for j in range(d)]
+            for i in range(d)]
 
 
 def commutator(alg: Algebra) -> Algebra:
     """Bracket product [u, v] = uv - vu; the unit annotation is dropped
     (1 is never a unit for an alternating product)."""
-    field = alg.field
-    tensor = _recombined_tensor(alg, field.one, field.normalize(-1))
-    return alg.with_tensor(alg.name + "/lie", tensor, unit=None)
+    return alg.with_tensor(alg.name + "/lie", _recombined_tensor(alg, 1, -1), unit=None)
 
 
 def symmetrize(alg: Algebra) -> Algebra:
     """Circle product u o v = (uv + vu)/2; keeps the unit, needs char != 2."""
-    field = alg.field
-    if field.characteristic == 2:
+    if alg.field.characteristic == 2:
         raise ValueError(
             "symmetrization undefined in characteristic 2 (the 1/2 factor does not exist)"
         )
-    half = field.from_fraction(Fraction(1, 2))
-    tensor = _recombined_tensor(alg, half, half)
+    # The Algebra constructor brings the halves into F_p.
+    tensor = _recombined_tensor(alg, Fraction(1, 2), Fraction(1, 2))
     return alg.with_tensor(alg.name + "/jordan", tensor, unit=alg.unit)
 
 

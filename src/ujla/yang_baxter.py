@@ -35,10 +35,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import Algebra, Vector, format_vector, vec_is_zero
+from .algebra import Algebra, Vector, format_vector
 from .axioms import check_associative, check_lie
 from .fields import FieldSpec, Scalar, coerce, from_integers, integral
-from .linalg import Matrix, accumulate, mat_kernel, mat_mul, mat_rank, sparse_row
+from .linalg import Matrix, accumulate, integer_grid, mat_kernel, mat_mul, mat_rank, sparse_row
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,12 @@ class TensorSquareOperator:
     matrix: Matrix
 
     def __post_init__(self):
+        # The entries were gated when the Matrix was built.
+        if self.matrix.field != self.field:
+            raise ValueError(f"operator over {self.field} given a matrix over {self.matrix.field}")
         side = self.dim * self.dim
         if self.matrix.nrows != side or self.matrix.ncols != side:
             raise ValueError(f"operator matrix must be {side}x{side}")
-        # The one scalar gate for operator entries: floats and bools are rejected.
-        object.__setattr__(self, "matrix", Matrix.from_rows(self.field, self.matrix.rows))
 
     @classmethod
     def from_columns(cls, field: FieldSpec, dim: int, columns: Sequence[Sequence[Scalar]]):
@@ -68,12 +69,11 @@ def twist(field: FieldSpec, dim: int) -> TensorSquareOperator:
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     side = dim * dim
-    zero, one = field.zero, field.one
-    rows = [[zero] * side for _ in range(side)]
+    rows = [[0] * side for _ in range(side)]
     for i in range(dim):
         for j in range(dim):
-            rows[j * dim + i][i * dim + j] = one
-    return TensorSquareOperator(field, dim, Matrix(field, tuple(tuple(r) for r in rows)))
+            rows[j * dim + i][i * dim + j] = 1
+    return TensorSquareOperator(field, dim, Matrix(field, rows))
 
 
 def compose(f: TensorSquareOperator, g: TensorSquareOperator) -> TensorSquareOperator:
@@ -118,13 +118,9 @@ def lift(r: TensorSquareOperator, position: int) -> Matrix:
     """
     if position not in _SLOTS:
         raise ValueError(f"lift position must be 12, 23, or 13, got {position}")
-    grid = []
-    for entries in _lift_rows(r.matrix.rows, r.dim, position):
-        row = [r.field.zero] * r.dim ** 3
-        for col, x in entries:
-            row[col] = x
-        grid.append(tuple(row))
-    return Matrix(r.field, tuple(grid))
+    n = r.dim ** 3
+    rows = [dict(entries) for entries in _lift_rows(r.matrix.rows, r.dim, position)]
+    return Matrix(r.field, [[row.get(col, 0) for col in range(n)] for row in rows])
 
 
 def _row(left: list, right, p: int) -> list:
@@ -175,9 +171,8 @@ def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -
     values differ.  Only that mismatch is brought back to field scalars,
     as x / L^3 through the field.
     """
-    field, d, n = r.field, r.dim, r.dim * r.dim
-    flat, scale = integral([x for row in r.matrix.rows for x in row])
-    ints = [flat[i:i + n] for i in range(0, n * n, n)]
+    field, d = r.field, r.dim
+    ints, scale = integer_grid(r.matrix)
     lifts = {position: _lift_rows(ints, d, position) for position in {*lhs_word, *rhs_word}}
     p = field.characteristic
     (a, b, c), (a2, b2, c2) = lhs_word, rhs_word
@@ -298,14 +293,10 @@ def _require_lie(alg: Algebra, what: str) -> None:
 def center(alg: Algebra) -> list:
     """Basis of Z(L) = {z : [z, x] = 0 for all x}, via an exact kernel."""
     _require_lie(alg, "center")
-    d = alg.dim
-    field = alg.field
+    d, c = alg.dim, alg.tensor
     # Row (i, k), column j: coefficient of e_k in [e_j, e_i].
-    rows = []
-    for i in range(d):
-        for k in range(d):
-            rows.append(tuple(alg.tensor[j][i][k] for j in range(d)))
-    return mat_kernel(Matrix(field, tuple(rows)))
+    rows = [[c[j][i][k] for j in range(d)] for i in range(d) for k in range(d)]
+    return mat_kernel(Matrix(alg.field, rows))
 
 
 def build_lie_yb(alg: Algebra, alpha: Scalar, z: Vector) -> TensorSquareOperator:
@@ -316,9 +307,11 @@ def build_lie_yb(alg: Algebra, alpha: Scalar, z: Vector) -> TensorSquareOperator
     if len(z) != d:
         raise ValueError(f"z has length {len(z)}, expected {d}")
     z = tuple(coerce(field, x) for x in z)
+    view = alg.integer_view
+    zs = integral(z)[0]
     for i in range(d):
-        bracket = alg.multiply(z, alg.basis_vector(i))
-        if not vec_is_zero(field, bracket):
+        if any(view.multiply(zs, view.basis_vectors[i])):
+            bracket = alg.multiply(z, alg.basis_vector(i))
             raise ValueError(
                 f"z is not central in {alg.name}: [z, {alg.basis[i]}] = "
                 f"{format_vector(field, bracket)} != 0"

@@ -83,6 +83,22 @@ def test_unit_is_validated():
         )
 
 
+def test_unit_check_reads_the_scales_of_unit_and_tensor():
+    """Over Q the unit check compares u e_i and e_i u with s L e_i, u
+    cleared by s and the tensor by L: e*e = 2e has the unit e/2 (s = 2),
+    e*e = e/2 the unit 2e (L = 2), and a wrong unit keeps its message,
+    which names the first failing product, u e_i before e_i u."""
+    for c, u in ((2, Fraction(1, 2)), (Fraction(1, 2), 2), (Fraction(2, 3), Fraction(3, 2))):
+        assert Algebra("t", QQ, 1, ("e",), (((c,),),), unit=(u,)).unit == (u,)
+    with pytest.raises(ValueError, match=r"declared unit is not a unit: u\*e = \(2\) != e"):
+        Algebra("t", QQ, 1, ("e",), (((2,),),), unit=(1,))
+    with pytest.raises(ValueError, match=r"declared unit is not a unit: u\*1 = \(1/2, 0\) != 1"):
+        Algebra("t", QQ, 2, ("1", "x"), (((1, 0), (0, 1)), ((0, 1), (0, 0))),
+                unit=(Fraction(1, 2), 0))
+    with pytest.raises(ValueError, match=r"declared unit is not a unit: x\*u = \(0, 2\) != x"):
+        Algebra("t", QQ, 2, ("1", "x"), (((1, 0), (0, 1)), ((0, 2), (0, 0))), unit=(1, 0))
+
+
 def test_tensor_shape_is_validated():
     with pytest.raises(ValueError, match="structure tensor"):
         Algebra("bad", QQ, 2, ("a", "b"), ((()),))

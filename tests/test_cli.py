@@ -419,7 +419,7 @@ def test_check_sweep_is_deterministic(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    assert [line.split("seed")[0] for line in lines] == ["", "yb ", "derivation "], lines
+    assert [line.split("seed")[0] for line in lines] == ["", "yb ", "derivation ", "derive "], lines
     for line in lines:
         assert sum(map(int, re.findall(r"exit \S+ (\d+)", line))) == 12, line
 
@@ -436,12 +436,15 @@ SWEEP_LINES = [
     "sha256 87fbdf998a8fb710da821b09f07d802c398cbda9516e5da5177f3675e56601c9",
     "derivation seed 1 runs 150: exit 0 93, exit 1 57; "
     "sha256 ae1813d5d2c5fe1bf93c31f025cf8deb48e17d69850d28331ecd0ecc11c061f9",
+    # Frozen later, before scalars were gated once where values are built.
+    "derive seed 1 runs 150: exit 0 122, exit 2 28; "
+    "sha256 b96acfe6a9ab3568de451d49ead6315cbcfe73732c171f02c782e23df4b5662d",
 ]
 
 
 def test_check_sweep_prints_the_frozen_digests():
-    """Every verdict, witness, mismatch and error byte of 450 seeded CLI runs
-    is the frozen one.  A change that must move a byte fails here."""
+    """Every verdict, witness, mismatch, report and error byte of 600 seeded
+    CLI runs is the frozen one.  A change that must move a byte fails here."""
     running = platform.python_version()
     assert running == SWEEP_PYTHON, (
         f"the sweep digests were frozen under Python {SWEEP_PYTHON}, "

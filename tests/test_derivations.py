@@ -90,6 +90,21 @@ def test_identity_map_on_dual_numbers_fails_leibniz(dual):
     assert revalidate_leibniz(dual, Matrix.identity(QQ, 2), report.verdicts[0])
 
 
+def test_first_failing_leibniz_pair_is_taken_in_row_major_order():
+    """e0 e1 = e1 e0 = e1 and D = E_00: the pairs (e0, e1) and (e1, e0)
+    both fail, with the same sides, and the witness is the first in
+    row-major order."""
+    alg = Algebra("t", QQ, 2, ("e0", "e1"), (((0, 0), (0, 1)), ((0, 1), (0, 0))))
+    deriv = Matrix(QQ, ((1, 0), (0, 0)))
+    (verdict,) = check_derivation(alg, deriv).verdicts
+    w = verdict.concrete_witness
+    assert w.assignment == (("x", alg.basis_vector(0)), ("y", alg.basis_vector(1)))
+    assert (w.lhs, w.rhs) == ((0, 0), (0, 1))
+    assert derivations._leibniz_sides(alg, deriv, alg.basis_vector(1), alg.basis_vector(0)) == (
+        (0, 0), (0, 1))
+    assert revalidate_leibniz(alg, deriv, verdict)
+
+
 def test_revalidation_rejects_a_wrong_leibniz_sides(monkeypatch):
     """The checker reads a failing pair's sides off its contraction, so a
     wrong _leibniz_sides, swapped in for the whole check-and-revalidate

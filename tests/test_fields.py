@@ -1,3 +1,5 @@
+import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ import hypothesis.strategies as st
 from strategies import prime_fields, rationals
 from ujla import corpus
 from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products
-from ujla.axioms import ASSOC, LIE_ALT
+from ujla.axioms import ASSOC, LIE_ALT, UJLA_1
 from ujla.derivations import (
     check_derivation,
     derivation_six_term,
@@ -15,14 +17,24 @@ from ujla.derivations import (
     revalidate_leibniz,
 )
 from ujla.fields import QQ, PrimeField, coerce, parse_field
-from ujla.identities import ConcreteWitness, Verdict, evaluate_sides, revalidate_verdict
-from ujla.linalg import Matrix, solve
+from ujla.fileformat import load_algebra_file
+from ujla.identities import (
+    ConcreteWitness,
+    Verdict,
+    check_identity,
+    evaluate_sides,
+    revalidate_verdict,
+)
+from ujla.linalg import Matrix, mat_inverse, mat_kernel, mat_mul, mat_rank, rref, solve
 from ujla.transforms import deform
 from ujla.yang_baxter import (
     TensorSquareOperator,
     build_assoc_yb,
     build_lie_yb,
     classify_params,
+    compose,
+    identity_operator,
+    lift,
 )
 
 F5 = PrimeField(5)
@@ -160,7 +172,16 @@ SCALAR_ENTRIES = {
     "Algebra": lambda x: Algebra("t", F5, 1, ("e",), (((x,),),)).tensor[0][0][0],
     "Algebra.unit": lambda x: Algebra(  # e*e = e/3
         "t", F5, 1, ("e",), (((2,),),), unit=(x,)).unit[0],
+    "Matrix": lambda x: Matrix(F5, ((x,),))[0, 0],
     "Matrix.from_rows": lambda x: Matrix.from_rows(F5, [[x]])[0, 0],
+    "mat_mul": lambda x: mat_mul(Matrix(F5, ((x,),)), Matrix(F5, ((1,),)))[0, 0],
+    "mat_rank": lambda x: mat_rank(Matrix(F5, ((x, 4), (1, 3)))),  # rank 1 at x = 3 only
+    "mat_inverse": lambda x: mat_inverse(Matrix(F5, ((x,),)))[0, 0],
+    "rref": lambda x: rref(Matrix(F5, ((2, x),)))[0][0, 1],
+    "mat_kernel": lambda x: mat_kernel(Matrix(F5, ((x, 1),)))[0][1],
+    "compose": lambda x: compose(identity_operator(F5, 1), TensorSquareOperator(
+        F5, 1, Matrix(F5, ((x,),)))).matrix[0, 0],
+    "lift": lambda x: lift(TensorSquareOperator(F5, 1, Matrix(F5, ((x,),))), 12)[0, 0],
     "TensorSquareOperator": lambda x: TensorSquareOperator(
         F5, 1, Matrix(F5, ((x,),))).matrix[0, 0],
     "TensorSquareOperator.from_columns": lambda x: TensorSquareOperator.from_columns(
@@ -204,6 +225,20 @@ def test_api_entries_share_one_scalar_gate(entry):
             probe(bad)
 
 
+def test_a_matrix_over_another_field_is_rejected():
+    """An operator, the Leibniz check and its revalidation take a matrix
+    over their own field only; they do not gate its entries again."""
+    F3 = PrimeField(3)
+    with pytest.raises(ValueError, match="operator over F5 given a matrix over F3"):
+        TensorSquareOperator(F5, 1, Matrix(F3, ((1,),)))
+    failing = check_derivation(IDEMPOTENT, Matrix(F5, ((3,),))).verdicts[0]
+    for check in (lambda m: check_derivation(IDEMPOTENT, m),
+                  lambda m: revalidate_leibniz(IDEMPOTENT, m, failing)):
+        for other in (Matrix(F3, ((1,),)), Matrix(QQ, ((Fraction(1, 2),),))):
+            with pytest.raises(ValueError, match=f"1x1 over F5, got 1x1 over {other.field}"):
+                check(other)
+
+
 def test_coerce_serves_both_fields():
     assert coerce(QQ, Fraction(1, 2)) == coerce(QQ, "1/2") == Fraction(1, 2)
     assert type(coerce(QQ, 3)) is Fraction
@@ -226,3 +261,50 @@ def test_rational_normalize_rejects_floats_and_bools():
     for field in (QQ, F5):
         with pytest.raises(ValueError, match="scalar must be"):
             solve(Matrix.identity(field, 2), [0.5, 1])
+
+
+@pytest.fixture
+def coerce_calls(monkeypatch):
+    """The count of fields.coerce calls, patched into every module that binds it."""
+    calls = [0]
+
+    def counted(field, x):
+        calls[0] += 1
+        return coerce(field, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ujla" and getattr(module, "coerce", None) is coerce:
+            monkeypatch.setattr(module, "coerce", counted)
+    return calls
+
+
+def test_values_the_library_builds_are_not_gated_again(coerce_calls):
+    """Checks on an algebra that is already built gate nothing: the basis
+    vectors, grid points and pointwise points they evaluate are the
+    library's own integers, and the witnesses are those the field scalars
+    give.  Loading a unital algebra gates its constants and its unit, and
+    its unit check nothing."""
+    # e1 e0 = e0/2: a*a = 0 fails at a = e0 + e1 but at no basis vector.
+    half = Algebra("half", QQ, 2, ("e0", "e1"), (((0, 0), (0, 0)), ((Fraction(1, 2), 0), (0, 0))))
+    f3 = Algebra("f3", PrimeField(3), 2, ("e0", "e1"), (((0, 0), (0, 1)), ((0, 0), (1, 2))))
+    coerce_calls[0] = 0
+    poly = check_identity(half, LIE_ALT)
+    point = check_identity(f3, UJLA_1, "pointwise")
+    assert coerce_calls[0] == 0
+    w = poly.concrete_witness
+    assert w == ConcreteWitness((("a", (1, 1)),), (Fraction(1, 2), 0), (0, 0))
+    assert all(type(x) is Fraction for x in w.assignment[0][1] + w.lhs + w.rhs)
+    cw = poly.coefficient_witness
+    assert (cw.monomial_text, cw.coordinate, cw.lhs_coefficient, cw.rhs_coefficient) == (
+        "a0*a1", 0, Fraction(1, 2), 0)
+    assert point.concrete_witness == ConcreteWitness(
+        (("a", (0, 1)), ("b", (0, 1)), ("c", (1, 0))), (1, 2), (1, 1))
+    assert revalidate_verdict(half, poly) and revalidate_verdict(f3, point)
+    unital = 0
+    for path in sorted((pathlib.Path(__file__).parent.parent / "algebras").glob("*.alg")):
+        coerce_calls[0] = 0
+        alg = load_algebra_file(path)
+        d = alg.dim
+        assert coerce_calls[0] <= d ** 3 + 2 * d, path.name
+        unital += alg.unit is not None
+    assert unital >= 3

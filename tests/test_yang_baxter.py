@@ -11,7 +11,7 @@ from operator_oracle import dense_oracle, lift13_via_composition, oracle_lifts
 from strategies import matrices, prime_fields
 from ujla import corpus
 from ujla.fields import PrimeField, QQ, integral
-from ujla.linalg import Matrix, mat_mul
+from ujla.linalg import Matrix, integer_grid, mat_mul
 from ujla.yang_baxter import (
     TensorSquareOperator,
     _lift_rows,
@@ -377,11 +377,11 @@ def test_kernel_forms_one_product_per_selected_nonzero(monkeypatch):
 
         __rmul__ = __mul__
 
-    def counted_integral(values):
-        ints, scale = integral(values)
-        return [Counted(x) for x in ints], scale
+    def counted_grid(matrix):
+        rows, scale = integer_grid(matrix)
+        return [[Counted(x) for x in row] for row in rows], scale
 
-    monkeypatch.setattr("ujla.yang_baxter.integral", counted_integral)
+    monkeypatch.setattr("ujla.yang_baxter.integer_grid", counted_grid)
     cases = [(edge_operators(QQ, 3), ("twist", "cancel")), (edge_operators(QQ, 2), ("zero",)),
              (edge_operators(PrimeField(2), 3), ("zero row", "cancel")),
              (edge_operators(F5, 4), ("single", "zero row", "cancel"))]
