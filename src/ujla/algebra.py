@@ -51,10 +51,10 @@ def format_vector(field: FieldSpec, u: Sequence) -> str:
 class IntegerView:
     """An algebra's structure tensor cleared once to integers, n = L *
     c[i][j][k] with L the lcm of its denominators (1 over F_p, where the n
-    are the residues): flat in row-major order, and, each built on first
-    read, as the (i, j, k, n) of its nonzero n and as planes[i][j], the
-    sparse integer row of e_i e_j (its nonzero (k, n) pairs), which is the
-    right factor of every product linalg.accumulate forms on the view.
+    are the residues): flat in row-major order, and, built on first read,
+    as planes[i][j], the sparse integer row of e_i e_j (its nonzero (k, n)
+    pairs), which is the right factor of every product linalg.accumulate
+    forms on the view and the one sparse form of the tensor.
     tables holds the identity engine's integer slot tables, one per word
     shape, each added on first read by identities._table.
     """
@@ -65,11 +65,6 @@ class IntegerView:
         self.p = alg.field.characteristic  # 0 over Q
         self.flat = tuple(flat)
         self.tables: dict = {}
-
-    @functools.cached_property
-    def terms(self) -> tuple:
-        d = self.d
-        return tuple((f // (d * d), f // d % d, f % d, n) for f, n in enumerate(self.flat) if n)
 
     @functools.cached_property
     def basis_vectors(self) -> tuple:
@@ -139,17 +134,17 @@ class Algebra:
 
     def _check_unit(self):
         """u e_i = e_i u = e_i for every i, read on the integer view: with u
-        cleared by s and the tensor by L, both products are s L e_i.  Only a
-        failure multiplies field vectors, for its message."""
+        cleared by s and the tensor by L, both products are s L e_i.  A
+        failure's message brings the product it tested back by s L."""
         view, u = self.integer_view, self.unit
         us, s = integral(u)
         for i, label in enumerate(self.basis):
-            e, f = view.basis_vectors[i], self.basis_vector(i)
+            e = view.basis_vectors[i]
             target = tuple(s * view.scale * x for x in e)
-            for text, ints, vectors in ((f"u*{label}", (us, e), (u, f)),
-                                        (f"{label}*u", (e, us), (f, u))):
-                if view.multiply(*ints) != target:
-                    product = self.multiply(*vectors)
+            for text, ints in ((f"u*{label}", (us, e)), (f"{label}*u", (e, us))):
+                product = view.multiply(*ints)
+                if product != target:
+                    product = from_integers(self.field, product, s * view.scale)
                     raise ValueError(f"{self.name}: declared unit is not a unit: "
                                      f"{text} = {format_vector(self.field, product)} != {label}")
 

@@ -85,9 +85,11 @@ def check_derivation(alg: Algebra, deriv: Matrix) -> AxiomReport:
     # every pair are s * t times their values.
     m, s = _integer_map(alg, deriv)
     d, view = alg.dim, alg.integer_view
-    nonzero, t = view.terms, view.scale
+    t = view.scale
     lhs = [[[0] * d for _ in range(d)] for _ in range(d)]
     rhs = [[[0] * d for _ in range(d)] for _ in range(d)]
+    nonzero = ((i, j, k, c) for i, plane in enumerate(view.planes)
+               for j, row in enumerate(plane) for k, c in row)
     for i, j, k, c in nonzero:
         # c = c[i][j][k] enters pair (i, j) through D(e_i e_j), pair (r, j)
         # through D(e_r)e_j and pair (i, r) through e_i D(e_r).

@@ -29,21 +29,23 @@ differ, building a row the first time a group reads it: holds and a
 polynomial failure stop at the first, a pointwise failure takes them
 all.  The tables live on the algebra's integer view, its one integer
 form of the tensor, so every identity checked on it reads and fills the
-same tables.  A polynomial failure's concrete witness is the first basis
-tuple whose sides, read off the same rows, differ, else the first such
+same tables.  They decide verdicts and coefficient witnesses; no
+concrete side is read off them.  A polynomial failure's concrete witness
+is the first basis tuple whose sides differ, else the first such
 {0, 1, -1} grid point; a pointwise failure's is the point its residual
 names.  For the classification scan, constant_equations expands the same
 plan with the structure constants left symbolic, into polynomial
 equations in them.
 
-One word evaluator, _word_sides, sums the plan's words in integers
-through the integer view's product, on integer vectors of one scale,
-sharing each sub-product within the call (and _scaled is the one place a
-word is scaled to the top degree).  Basis vectors, grid points and the
-pointwise point enter as integers with scale 1, and a witness's vectors
-return to the field through from_integers; only a caller's assignment
-(evaluate_sides) passes the view's gated entry, clear.  It gives the
-grid points' and the pointwise witness's sides, and revalidate_verdict
+One word evaluator, _word_sides, computes every concrete side: it sums
+the plan's words in integers through the integer view's product, on
+integer vectors of one scale, scaling each word's coefficient to the
+top degree and sharing each sub-product within the call.  Basis
+vectors, grid points and the pointwise point enter as integers with
+scale 1, and a witness's vectors return to the field through
+from_integers; only a caller's assignment (evaluate_sides) passes the
+view's gated entry, clear.  It gives the sides of every candidate of the
+witness search and of the pointwise witness, and revalidate_verdict
 re-checks every failure's witness through it, over one assignment
 (evaluate_sides, which only revalidation calls) or the slot assignments
 of the witness monomial, never reading the slot tables; a witness whose
@@ -244,17 +246,6 @@ class AxiomReport:
 # concrete evaluation
 # ---------------------------------------------------------------------------
 
-def _scaled(plan: _Plan, view: IntegerView, s: int) -> tuple:
-    """Each word's integer coefficient scaled to the top degree, and the
-    scale of the sides.  On vectors cleared by s (1 for basis vectors and
-    slot-table rows) a word of degree m is s^m L^(m-1) times its value, so
-    its coefficient is scaled by (s L)^(top - m), and each side's integer
-    sum is D s^top L^(top-1) times its value."""
-    f, top = s * view.scale, plan.top
-    return ([c * f ** (top - len(leaves)) for _, _, c, _, leaves in plan.words],
-            plan.scale * s ** top * view.scale ** (top - 1))
-
-
 def _word_sides(plan: _Plan, view: IntegerView, leaf_keys, vector, s: int = 1) -> tuple:
     """(lhs, rhs, scale), the plan's sides being lhs / scale and rhs / scale,
     each word summed over the tuples of leaf keys that leaf_keys(leaves)
@@ -262,19 +253,22 @@ def _word_sides(plan: _Plan, view: IntegerView, leaf_keys, vector, s: int = 1) -
     scale s.
 
     The words are evaluated in integers through the view's product, never
-    the slot rows; each product is formed once per call."""
+    the slot rows; each product is formed once per call.  On vectors
+    cleared by s a word of degree m is s^m L^(m-1) times its value, so its
+    coefficient is scaled by (s L)^(top - m), and each side's integer sum
+    is D s^top L^(top-1) times its value."""
     d = view.d
     memo: dict = {}
-    coefficients, scale = _scaled(plan, view, s)
+    f, top = s * view.scale, plan.top
     sides = ([0] * d, [0] * d)
-    for (side, _, _, t, leaves), c in zip(plan.words, coefficients):
-        acc = sides[side]
+    for side, c, t, leaves in plan.words:
+        acc, c = sides[side], c * f ** (top - len(leaves))
         for keys in leaf_keys(leaves):
             value = _shape_value(plan.shapes[t], map(vector, keys), view, memo)
             for k, x in enumerate(value):
                 if x:
                     acc[k] += c * x
-    return (*sides, scale)
+    return (*sides, plan.scale * s ** top * view.scale ** (top - 1))
 
 
 def _shape_value(shape, leaves, view: IntegerView, memo: dict) -> tuple:
@@ -354,8 +348,8 @@ def _monomial(leaves: Sequence[int], sigma: Sequence[int], size: int, d: int) ->
 class _Plan:
     scale: int  # D over Q, 1 over F_p
     top: int  # the largest degree of a word
-    # (side, field coefficient, int coefficient, table, leaf variable numbers),
-    # the table an index into shapes
+    # (side, int coefficient, table, leaf variable numbers), the table an
+    # index into shapes; _word_sides evaluates them at concrete vectors
     words: tuple
     shapes: tuple  # word shapes, one slot table each
     # (monomial, lhs terms, rhs terms), ascending by monomial; each side's
@@ -373,10 +367,10 @@ def _compile(spec: IdentitySpec, d: int, field, reduce: bool) -> _Plan:
     words = []
     tables: dict = {}  # shape -> table number
     groups: dict = {}  # monomial -> ({(coefficient, table): rows} for lhs, same for rhs)
-    for (side, fc, word), c in zip(terms, ints):
+    for (side, _, word), c in zip(terms, ints):
         leaves = tuple(var[v] for v in _leaves(word))
         t = tables.setdefault(_shape(word), len(tables))
-        words.append((side, fc, c, t, leaves))
+        words.append((side, c, t, leaves))
         for n, sigma in enumerate(itertools.product(range(d), repeat=len(leaves))):
             mono = _monomial(leaves, sigma, size, d)
             if reduce:
@@ -576,15 +570,6 @@ def _first_nonzero_point(residual: dict, p: int) -> list:
     return point
 
 
-def _row_number(combo: Sequence[int], leaves: Sequence[int], d: int) -> int:
-    """Table row of the slot assignment that gives each leaf the basis index
-    of its variable in combo."""
-    n = 0
-    for v in leaves:
-        n = n * d + combo[v]
-    return n
-
-
 def _witness(alg: Algebra, spec: IdentitySpec, vectors, sides: tuple) -> ConcreteWitness:
     """The witness at the integer vectors (s = 1), which, like its integer
     sides (lhs, rhs, scale), are brought back to the field."""
@@ -597,33 +582,19 @@ def _witness(alg: Algebra, spec: IdentitySpec, vectors, sides: tuple) -> Concret
 def _search_concrete_witness(alg: Algebra, spec: IdentitySpec,
                              plan: _Plan) -> Optional[ConcreteWitness]:
     """First assignment among basis tuples, then the {0, 1, -1} grid, whose
-    sides differ, evaluated in integers: at a basis tuple each word's value
-    is its slot-table row, on the grid _word_sides evaluates it at the
-    grid point's integers (residues over F_p)."""
+    sides differ: each candidate's sides come from _word_sides at its
+    integers (residues over F_p), never from the slot-table rows."""
     view = alg.integer_view
     nv, d, p = len(spec.variables), view.d, view.p
-
-    def differ(sides) -> bool:
-        lhs, rhs, _ = sides
-        return any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs
-
-    coefficients, scale = _scaled(plan, view, 1)
-    words = [(side, c, _table(view, plan.shapes[t]), leaves)
-             for (side, _, _, t, leaves), c in zip(plan.words, coefficients)]
-    # Basis tuples first: they witness most failures and read well.
-    for combo in itertools.product(range(d), repeat=nv):
-        sides = ([0] * d, [0] * d, scale)
-        for side, c, table, leaves in words:
-            accumulate(sides[side], [(_row_number(combo, leaves, d), c)], table)
-        if differ(sides):
-            return _witness(alg, spec, [view.basis_vectors[i] for i in combo], sides)
     # dict.fromkeys dedupes while keeping order (1 = -1 collapses mod 2)
     pool = list(dict.fromkeys([0, 1, p - 1] if p else [0, 1, -1]))
-    grid = itertools.product(pool, repeat=nv * d)
-    for coords in itertools.islice(grid, WITNESS_SEARCH_CAP):
-        combo = [coords[v * d:(v + 1) * d] for v in range(nv)]
-        sides = _word_sides(plan, view, lambda leaves: [leaves], combo.__getitem__)
-        if differ(sides):
+    points = itertools.islice(itertools.product(pool, repeat=nv * d), WITNESS_SEARCH_CAP)
+    basis = itertools.product(view.basis_vectors, repeat=nv)
+    grid = ([coords[v * d:(v + 1) * d] for v in range(nv)] for coords in points)
+    # Basis tuples first: they witness most failures and read well.
+    for combo in itertools.chain(basis, grid):
+        lhs, rhs, _ = sides = _word_sides(plan, view, lambda leaves: [leaves], combo.__getitem__)
+        if any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs:
             return _witness(alg, spec, combo, sides)
     return None
 
@@ -639,8 +610,8 @@ def check_identity(alg: Algebra, spec: IdentitySpec, semantics: str = "polynomia
     compiled plan.  A pointwise failure names the lexicographically least
     failing assignment (variables in declared order, each vector by its
     coordinates), read off the plan's residual; its sides are evaluated
-    there by _word_sides, as on the witness search's grid.  Both
-    semantics read the slot tables on the algebra's integer view."""
+    there by _word_sides, as for every candidate of the witness search.
+    Both semantics read the slot tables on the algebra's integer view."""
     plan = _plan(alg, spec, semantics)
     view = alg.integer_view
     if semantics == "pointwise":

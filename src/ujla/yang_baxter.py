@@ -36,8 +36,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, format_vector
-from .axioms import check_associative, check_lie
+from .axioms import ASSOC, LIE_ALT, LIE_JACOBI
 from .fields import FieldSpec, Scalar, coerce, from_integers, integral
+from .identities import holds
 from .linalg import Matrix, accumulate, integer_grid, mat_kernel, mat_mul, mat_rank, sparse_row
 
 
@@ -244,7 +245,7 @@ def build_assoc_yb(
             "this construction maps a(x)b to alpha*ab(x)1 + beta*1(x)ab - gamma*a(x)b "
             "and needs an algebra with a declared unit"
         )
-    if not check_associative(alg).passed:
+    if not holds(alg, ASSOC):
         warnings.warn(
             f"{alg.name}: input is not associative; the construction is only "
             "guaranteed to yield a Yang-Baxter operator for associative products",
@@ -284,9 +285,8 @@ def classify_params(
 
 
 def _require_lie(alg: Algebra, what: str) -> None:
-    report = check_lie(alg)
-    if not report.passed:
-        failed = ", ".join(v.name for v in report.failures())
+    failed = ", ".join(spec.name for spec in (LIE_ALT, LIE_JACOBI) if not holds(alg, spec))
+    if failed:
         raise ValueError(f"{what} requires a Lie algebra; {alg.name} fails: {failed}")
 
 
@@ -308,13 +308,13 @@ def build_lie_yb(alg: Algebra, alpha: Scalar, z: Vector) -> TensorSquareOperator
         raise ValueError(f"z has length {len(z)}, expected {d}")
     z = tuple(coerce(field, x) for x in z)
     view = alg.integer_view
-    zs = integral(z)[0]
+    zs, s = integral(z)
     for i in range(d):
-        if any(view.multiply(zs, view.basis_vectors[i])):
-            bracket = alg.multiply(z, alg.basis_vector(i))
+        bracket = view.multiply(zs, view.basis_vectors[i])
+        if any(bracket):
             raise ValueError(
                 f"z is not central in {alg.name}: [z, {alg.basis[i]}] = "
-                f"{format_vector(field, bracket)} != 0"
+                f"{format_vector(field, from_integers(field, bracket, s * view.scale))} != 0"
             )
     alpha = coerce(field, alpha)
     columns = []

@@ -265,8 +265,8 @@ ASSOC_F5_D4 = tuple(4 if n == 3 else 2 if n == 13 else 0 for n in range(64))
 
 def test_pointwise_witness_evaluates_the_sides_once(monkeypatch):
     """A failing pointwise check reads its witness point off the plan and
-    its sides off the integer rows; only revalidation evaluates the
-    identity through evaluate_sides, once, on that witness."""
+    evaluates its sides there through _word_sides; only revalidation
+    evaluates the identity through evaluate_sides, once, on that witness."""
     calls = [0]
 
     def counting(*args):
@@ -291,8 +291,9 @@ def test_pointwise_witness_evaluates_the_sides_once(monkeypatch):
 
 
 def test_revalidation_rejects_a_wrong_evaluate_sides(monkeypatch):
-    """A pointwise witness's sides come from the integer rows, so an
-    evaluate_sides that reads the leaves in reverse, swapped in for the
+    """A pointwise witness's sides come from _word_sides, not from
+    evaluate_sides, so an evaluate_sides that reads the leaves in reverse,
+    swapped in for the
     whole check-and-revalidate run, makes revalidation reject the witness
     wherever it evaluates it wrongly."""
     def reversed_leaves(alg, spec, assignment):
@@ -474,8 +475,8 @@ WITNESS_CASES = [(0, 2, 9), (0, 3, 6), (0, 4, 3), (2, 2, 10), (2, 3, 3), (3, 2, 
 
 
 def test_polynomial_concrete_witness_matches_evaluate_sides_oracle():
-    """The witness read off the integer rows is the one the field-scalar
-    search finds, with the same notes and scalar types."""
+    """The witness that the integer search finds through _word_sides is the
+    one the field-scalar search finds, with the same notes and scalar types."""
     outcomes = {}
     for p, d, count in WITNESS_CASES:
         specs = list(ALL_NAMED_IDENTITIES.values()) + [NON_HOMOGENEOUS] + ([COMPAT] if p != 2 else [])
@@ -501,7 +502,7 @@ def test_polynomial_concrete_witness_matches_evaluate_sides_oracle():
     assert {0, 2} <= outcomes["grid"] and outcomes["none"] == {2}, outcomes
 
 
-def test_polynomial_failure_reads_its_witness_off_the_rows(monkeypatch):
+def test_polynomial_failure_calls_no_field_product_and_builds_few_rows(monkeypatch):
     """A failing polynomial check evaluates nothing through Algebra.multiply;
     revalidation evaluates the printed witness once; a failing d = 4 check
     builds only part of its tables."""
@@ -545,6 +546,30 @@ def test_polynomial_failure_reads_its_witness_off_the_rows(monkeypatch):
     assert built < full // 4, (built, full)
 
 
+def test_witness_search_builds_no_slot_table_row():
+    """A failing polynomial check, over Q and F_p, builds exactly the
+    slot-table rows that holds builds on a fresh copy of the same algebra:
+    the witness search evaluates every candidate, basis tuples included,
+    through the view's product and reads no row."""
+    witnesses = set()
+    for p, d in [(0, 2), (0, 3), (3, 2), (5, 3)]:
+        for alg in _witness_algebras(p, d, 2):
+            basis = set(alg.basis_vectors())
+            for spec in ALL_NAMED_IDENTITIES.values():
+                checked, decided = replace(alg), replace(alg)
+                verdict = check_identity(checked, spec)
+                if verdict.passed:
+                    continue
+                assert not holds(decided, spec)
+                rows = [{shape: set(table) for shape, table in a.integer_view.tables.items()}
+                        for a in (checked, decided)]
+                assert rows[0] == rows[1], (alg.tensor, spec.name)
+                w = verdict.concrete_witness
+                if w is not None:
+                    witnesses.add((p, all(v in basis for _, v in w.assignment)))
+    assert {(0, True), (3, True), (5, True), (0, False)} <= witnesses, witnesses
+
+
 def test_each_slot_table_row_is_built_once(monkeypatch):
     """Every row a slot table holds is one call of the table-row builder,
     _Table.__missing__, and no row is built twice: on a passing check, a
@@ -579,7 +604,7 @@ def test_each_slot_table_row_is_built_once(monkeypatch):
 
 
 def test_threads_sharing_one_algebra_get_the_serial_verdicts():
-    """An algebra's slot tables and product terms are filled lazily; threads
+    """An algebra's slot tables and product planes are filled lazily; threads
     that race on them still get the verdicts of a serial run."""
     rng = random.Random(6)
     values = (0, 1, -1, 2, Fraction(1, 2))
