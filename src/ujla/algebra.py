@@ -174,34 +174,17 @@ class Algebra:
         return from_integers(self.field, view.multiply(us, vs), s * s * view.scale)
 
     def multiply_formal(self, u: Sequence[Poly], v: Sequence[Poly]) -> tuple:
-        """Product of vectors whose coordinates are formal polynomials."""
-        d = self.dim
-        field = self.field
-        zero = field.zero
-        nvars = u[0].nvars
-        # Accumulate raw term dicts and normalize once at the end; this is
-        # the hot path of both the identity engine and the classification.
-        accs: list = [{} for _ in range(d)]
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            plane = self.tensor[i]
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
-                prod = (ui * vj).terms
-                row = plane[j]
-                for k in range(d):
-                    cijk = row[k]
-                    if cijk != zero:
-                        acc = accs[k]
-                        for mono, c in prod.items():
-                            acc[mono] = acc.get(mono, 0) + c * cijk
-        norm = field.normalize
-        return tuple(
-            Poly(field, nvars, {m: n for m, c in acc.items() if (n := norm(c)) != zero})
-            for acc in accs
-        )
+        """Product of vectors whose coordinates are formal polynomials: the
+        sum of c[i][j][k] u_i v_j e_k in Poly arithmetic.  The library builds
+        no Poly; this is the product of the formal-polynomial test oracle
+        (tests/formal_oracle.py)."""
+        d, c = self.dim, self.tensor
+        acc = [Poly.zero(self.field, u[0].nvars)] * d
+        for i in range(d):
+            for j in range(d):
+                uv = u[i] * v[j]
+                acc = [acc[k] + uv.scale(c[i][j][k]) for k in range(d)]
+        return tuple(acc)
 
     def with_tensor(self, name: str, tensor, unit=None) -> "Algebra":
         """New algebra over the same field and basis with a different tensor."""

@@ -7,11 +7,13 @@ mode; a field object is only the boundary.  Values enter through
 ``coerce``, ``parse`` and ``from_fraction``; ``parse`` reads one
 grammar in both fields, an integer or n/d of two integers (no decimals
 or exponents, and int()'s digit limit applies); each computed result is
-brought back with ``normalize`` and printed with ``format``; ``inv`` is
-the one operation a field does itself.  ``coerce`` gates each value
-once, where it is built: Algebra and Matrix entries in their
-constructors, a caller's vectors at IntegerView.clear, loose scalar
-arguments where they are passed; the library never gates a value again.
+brought back with ``normalize``, which takes only an int, or over Q an
+int or a Fraction, and raises ValueError for anything else, and printed
+with ``format``; ``inv`` is the one operation a field does itself.
+``coerce`` gates each value once, where it is built: Algebra and Matrix
+entries in their constructors, a caller's vectors at IntegerView.clear,
+loose scalar arguments where they are passed; the library never gates a
+value again.
 Integer kernels take gated values through ``integral`` and bring their
 results, integers x that share one scale s, back as the field elements
 x / s through ``from_integers`` alone.  Field objects are frozen and
@@ -74,8 +76,8 @@ class Rationals:
     def normalize(self, x) -> Fraction:
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, (float, bool)):
-            raise ValueError(f"not a Q scalar (floats and bools are rejected): {x!r}")
+        if type(x) is not int:
+            raise ValueError(f"not a Q scalar (only ints and Fractions): {x!r}")
         return Fraction(x)
 
     def inv(self, x) -> Fraction:
@@ -131,6 +133,8 @@ class PrimeField:
         return 1 % self.p
 
     def normalize(self, x: int) -> int:
+        if type(x) is not int:
+            raise ValueError(f"not an F_{self.p} scalar (only ints): {x!r}")
         return x % self.p
 
     def inv(self, x: int) -> int:

@@ -1,9 +1,11 @@
 """Multivariate polynomials in commuting indeterminates over an exact field.
 
-This is the engine behind polynomial-identity checking: abstract algebra
-elements are substituted by formal linear combinations of basis vectors,
-and an identity holds (in polynomial semantics) when every coefficient
-polynomial of the difference vanishes identically.
+The arithmetic of the formal-polynomial test oracle (tests/formal_oracle.py):
+abstract algebra elements are substituted by formal linear combinations of
+basis vectors, multiplied through Algebra.multiply_formal, and an identity
+holds (in polynomial semantics) when every coefficient polynomial of the
+difference vanishes identically.  The library itself builds no Poly; its
+identities are decided on integer slot plans (ujla.identities).
 
 Monomials are dense exponent tuples over a fixed number of indeterminates;
 zero coefficients are never stored.  Total degrees stay tiny (at most 4
@@ -32,13 +34,6 @@ class Poly:
         return cls(field, nvars, {})
 
     @classmethod
-    def const(cls, field: FieldSpec, nvars: int, c: Scalar) -> "Poly":
-        c = field.normalize(c)
-        if c == field.zero:
-            return cls.zero(field, nvars)
-        return cls(field, nvars, {(0,) * nvars: c})
-
-    @classmethod
     def variable(cls, field: FieldSpec, nvars: int, index: int) -> "Poly":
         exps = [0] * nvars
         exps[index] = 1
@@ -54,9 +49,6 @@ class Poly:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        raise TypeError("Poly is not hashable")
 
     def __add__(self, other: "Poly") -> "Poly":
         field = self.field
@@ -106,32 +98,6 @@ class Poly:
 
     def coefficient(self, mono: tuple) -> Scalar:
         return self.terms.get(mono, self.field.zero)
-
-    def evaluate(self, values: Sequence[Scalar]) -> Scalar:
-        field = self.field
-        total = 0
-        for mono, c in self.terms.items():
-            t = c
-            for v, e in zip(values, mono):
-                for _ in range(e):
-                    t = t * v
-            total = total + t
-        return field.normalize(total)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Poly(0)"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            factors = [self.field.format(c)]
-            for i, e in enumerate(mono):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e > 1:
-                    factors.append(f"x{i}^{e}")
-            parts.append("*".join(factors))
-        return "Poly(" + " + ".join(parts) + ")"
 
 
 def monomial_str(mono: tuple, names: Sequence[str]) -> str:

@@ -135,7 +135,7 @@ def _integer_rows(field: FieldSpec, rows) -> list:
     return [integral(row)[0] for row in rows]
 
 
-def _echelon(rows: list, p: int, width: int, reduce: bool) -> tuple[list, int]:
+def _echelon(rows: list, p: int, width: int) -> tuple[list, int]:
     """Eliminate integer rows in place, pivots sought in the first width
     columns; returns (pivot columns, den).
 
@@ -145,10 +145,9 @@ def _echelon(rows: list, p: int, width: int, reduce: bool) -> tuple[list, int]:
     the elimination is fraction-free (Bareiss): with piv the new pivot and
     den the previous one (1 at first), every other row x becomes
     (piv * x - x[c] * pivot row) / den, an exact integer division, and den
-    becomes piv.  With reduce, rows above the pivot are eliminated too,
-    and the result is the reduced row echelon form times den: over Q each
-    earlier pivot entry has grown to the last pivot.  Without it, only the
-    rows below are, which is enough for the rank.
+    becomes piv.  Rows above the pivot are eliminated too, so the result
+    is the reduced row echelon form times den: over Q each earlier pivot
+    entry has grown to the last pivot.
     """
     nrows = len(rows)
     pivots = []
@@ -162,17 +161,16 @@ def _echelon(rows: list, p: int, width: int, reduce: bool) -> tuple[list, int]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r][c]
-        others = range(nrows) if reduce else range(r + 1, nrows)
         if p:
             inv = pow(piv, -1, p)
             top = rows[r] = [x * inv % p for x in rows[r]]
-            for i in others:
+            for i in range(nrows):
                 f = rows[i][c]
                 if f and i != r:
                     rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
         else:
             top = rows[r]
-            for i in others:
+            for i in range(nrows):
                 f = rows[i][c]
                 if i != r and (f or piv != den):
                     rows[i] = [(piv * x - f * y) // den for x, y in zip(rows[i], top)]
@@ -186,13 +184,13 @@ def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
     field = a.field
     rows = _integer_rows(field, a.rows)
-    pivots, den = _echelon(rows, field.characteristic, a.ncols, True)
+    pivots, den = _echelon(rows, field.characteristic, a.ncols)
     return Matrix(field, tuple(from_integers(field, row, den) for row in rows)), tuple(pivots)
 
 
 def mat_rank(a: Matrix) -> int:
     rows = _integer_rows(a.field, a.rows)
-    return len(_echelon(rows, a.field.characteristic, a.ncols, False)[0])
+    return len(_echelon(rows, a.field.characteristic, a.ncols)[0])
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -203,7 +201,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     aug = _integer_rows(field, ((*r, *e) for r, e in zip(a.rows, ident)))
     # Pivots are sought in the left block only, so they count the rank of A.
-    pivots, den = _echelon(aug, field.characteristic, n, True)
+    pivots, den = _echelon(aug, field.characteristic, n)
     if len(pivots) != n:
         raise NotInvertibleError(rank=len(pivots), size=n)
     return Matrix(field, tuple(from_integers(field, row[n:], den) for row in aug))
@@ -218,7 +216,7 @@ def mat_kernel(a: Matrix) -> list[tuple]:
     """
     field = a.field
     rows = _integer_rows(field, a.rows)
-    pivots, den = _echelon(rows, field.characteristic, a.ncols, True)
+    pivots, den = _echelon(rows, field.characteristic, a.ncols)
     n = a.ncols
     free = [c for c in range(n) if c not in pivots]
     basis = []
@@ -242,7 +240,7 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
     field = a.field
     n = a.ncols
     aug = _integer_rows(field, ((*r, coerce(field, x)) for r, x in zip(a.rows, b)))
-    pivots, den = _echelon(aug, field.characteristic, n + 1, True)
+    pivots, den = _echelon(aug, field.characteristic, n + 1)
     if n in pivots:
         return None
     x = [0] * n

@@ -353,6 +353,52 @@ def test_classify_to_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_the_library_builds_no_poly(files, tmp_path, monkeypatch, capsys):
+    """No subcommand builds a formal polynomial or multiplies formal
+    vectors: ujla.formal and Algebra.multiply_formal serve the test oracle
+    alone.  The oracle itself, run last, shows that the counters count."""
+    from formal_oracle import formal_verdict
+    from ujla import formal
+    from ujla.algebra import Algebra
+    from ujla.axioms import ASSOC
+    from ujla.yang_baxter import twist
+
+    calls = {"Poly": 0, "multiply_formal": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(formal.Poly, "__init__", counted("Poly", formal.Poly.__init__))
+    monkeypatch.setattr(Algebra, "multiply_formal",
+                        counted("multiply_formal", Algebra.multiply_formal))
+    f3 = tmp_path / "f3.alg"
+    f3.write_text(dumps_algebra(corpus.dual_numbers(PrimeField(3))))
+    tau = tmp_path / "tau.op"
+    tau.write_text(dumps_operator(twist(QQ, 2), name="tau"))
+    cases = [
+        ["check", files["heisenberg"], "--axioms", "assoc,lie,jordan,ujla"],
+        ["check", str(f3), "--axioms", "assoc,lie,jordan,ujla", "--pointwise"],
+        ["compat", files["dual-numbers"]],
+        ["derive", files["upper-tri-2x2"], "--via", "commutator"],
+        ["derivation", files["sl2"], "--a", "1,0,0", "--b", "0,1,0", "--formula", "six"],
+        ["yb", "assoc", files["dual-numbers"], "--alpha", "1", "--beta", "1", "--gamma", "1",
+         "--verify"],
+        ["yb", "lie", files["heisenberg"], "--alpha", "1", "--z", "0,0,1"],
+        ["yb", "verify", str(tau)],
+        ["center", files["heisenberg"]],
+        ["classify", "--dim", "2", "--prime", "2"],
+    ]
+    for argv in cases:
+        assert run(argv) in (0, 1), argv
+        assert calls == {"Poly": 0, "multiply_formal": 0}, argv
+    capsys.readouterr()
+    formal_verdict(corpus.dual_numbers(), ASSOC)
+    assert calls["Poly"] > 0 and calls["multiply_formal"] > 0
+
+
 @pytest.mark.parametrize("target", ["directory", "missing parent"])
 def test_classify_unwritable_out_fails_before_the_scan(target, tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):

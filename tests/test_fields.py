@@ -8,7 +8,14 @@ import hypothesis.strategies as st
 
 from strategies import prime_fields, rationals
 from ujla import corpus
-from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products
+from ujla.algebra import (
+    Algebra,
+    algebra_from_matrix_basis,
+    algebra_from_products,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 from ujla.axioms import ASSOC, LIE_ALT, UJLA_1
 from ujla.derivations import (
     check_derivation,
@@ -18,6 +25,7 @@ from ujla.derivations import (
 )
 from ujla.fields import QQ, PrimeField, coerce, parse_field
 from ujla.fileformat import load_algebra_file
+from ujla.formal import Poly
 from ujla.identities import (
     ConcreteWitness,
     Verdict,
@@ -251,11 +259,30 @@ def test_coerce_serves_both_fields():
 
 
 def test_rational_normalize_rejects_floats_and_bools():
+    """normalize takes the field's own values only: ints and Fractions over
+    Q, ints over F_p; never a bool, a float or a string, and over F_p no
+    Fraction.  The vector helpers and Poly.scale inherit the check."""
     assert QQ.normalize(Fraction(1, 2)) == Fraction(1, 2)
     assert type(QQ.normalize(3)) is Fraction
-    for bad in (0.5, 0.1, True, False):
+    assert F5.normalize(-3) == 2
+    for bad in (0.5, 0.1, True, False, "1.5", "1/2", None):
         with pytest.raises(ValueError):
             QQ.normalize(bad)
+    for bad in (2.5, 2.0, True, False, Fraction(1, 2), Fraction(2), "2", None):
+        with pytest.raises(ValueError):
+            F5.normalize(bad)
+    assert vec_scale(F5, 3, (1, 2)) == (3, 1)
+    assert vec_add(QQ, (Fraction(1, 2),), (1,)) == (Fraction(3, 2),)
+    for helper in (lambda: vec_scale(F5, 2.5, (1, 2)),
+                   lambda: vec_scale(F5, Fraction(1, 2), (1, 3)),
+                   lambda: vec_add(F5, (1, 0.5), (1, 2)),
+                   lambda: vec_sub(F5, (1, 2), (Fraction(1, 2), 0)),
+                   lambda: vec_scale(QQ, 0.5, (Fraction(1),)),
+                   lambda: vec_add(QQ, (Fraction(1),), (0.5,)),
+                   lambda: vec_sub(QQ, (1.5,), (Fraction(1),)),
+                   lambda: Poly.variable(F5, 1, 0).scale(2.5)):
+        with pytest.raises(ValueError, match=r"scalar \(only ints"):
+            helper()
     eye = Matrix.from_rows(QQ, [[1, 0], [0, 1]])
     assert solve(eye, [Fraction(1, 2), 3]) == (Fraction(1, 2), Fraction(3))
     for field in (QQ, F5):
