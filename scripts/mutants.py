@@ -18,7 +18,7 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 57 mutants, took 68 s for the mutants alone and 76 s of
+The full table, 60 mutants, took 76 s for the mutants alone and 83 s of
 wall time with the unmutated pass, on a 2-core box with Python 3.11.7;
 witness-lhs-printed-with-a-colon runs the 2-3 s sweep test.
 """
@@ -158,8 +158,8 @@ MUTANTS = (
            "if lhs != rhs:",
            (T_ID + "test_polynomial_concrete_witness_matches_evaluate_sides_oracle",)),
     Mutant("witness-grid-walked-before-the-basis-tuples", IDS,
-           "itertools.chain(basis, grid)",
-           "itertools.chain(grid, basis)",
+           "((basis, view.products), (grid, {}))",
+           "((grid, {}), (basis, view.products))",
            (T_ID + "test_polynomial_concrete_witness_matches_evaluate_sides_oracle",)),
     Mutant("pointwise-residual-from-first-group", IDS,
            "for mono, lhs, rhs in _differences(plan, view)}",
@@ -194,6 +194,18 @@ MUTANTS = (
            "    if product is None:\n"
            "        product = memo[key[1]] = view.multiply(*key)\n",
            ("tests/test_axioms.py::test_failing_verdicts_carry_revalidating_witnesses",)),
+    Mutant("word-sides-memo-per-call", IDS,
+           "memo = view.products if memo is None else memo",
+           "memo = {} if memo is None else memo",
+           (T_ID + "test_each_product_is_formed_once_per_algebra",)),
+    Mutant("product-memo-shared-by-every-algebra", AL,
+           "        self.products: dict = {}\n",
+           "        self.products = globals().setdefault(\"_PRODUCTS\", {})\n",
+           (T_ID + "test_each_algebra_keeps_its_own_products",)),
+    Mutant("grid-walk-fills-the-view-products", IDS,
+           "(grid, {})",
+           "(grid, view.products)",
+           (T_ID + "test_the_grid_walk_leaves_no_product_on_the_view",)),
     Mutant("field-sides-words-not-scaled-by-the-vector-scale", IDS,
            "f, top = s * view.scale, plan.top",
            "f, top = view.scale, plan.top",

@@ -12,9 +12,9 @@ are multiplied: its clear gates the vectors a caller hands in, and the
 vectors the library builds enter as integers with scale 1; multiply, the
 unit check, the identity engine, the derivation kernels and witness
 revalidation all read it; it also holds the identity engine's slot
-tables.  The view is a pure function of the tensor, so threads that race
-on it only build it twice; it takes no part in equality, hashing or
-replace().
+tables and its memo of concrete products.  The view is a pure function of
+the tensor, so threads that race on it only build it twice; it takes no
+part in equality, hashing or replace().
 """
 
 from __future__ import annotations
@@ -56,7 +56,15 @@ class IntegerView:
     pairs), which is the right factor of every product linalg.accumulate
     forms on the view and the one sparse form of the tensor.
     tables holds the identity engine's integer slot tables, one per word
-    shape, each added on first read by identities._table.
+    shape, each added on first read by identities._table.  products holds
+    the concrete products the identity engine forms on the view, each
+    multiply(u, v) keyed by its integer factors (u, v), so a witness's
+    revalidation forms none of the products its search formed.  It holds
+    at most one entry per sub-word on basis vectors (the slot tables' own
+    bound) plus one per sub-word of each other point evaluated on it (a
+    pointwise witness, an evaluate_sides assignment); the witness
+    search's {0, 1, -1} grid walk keeps its own.  Threads that race on an
+    entry form it twice, with one value.
     """
 
     def __init__(self, alg: "Algebra"):
@@ -65,6 +73,7 @@ class IntegerView:
         self.p = alg.field.characteristic  # 0 over Q
         self.flat = tuple(flat)
         self.tables: dict = {}
+        self.products: dict = {}
 
     @functools.cached_property
     def basis_vectors(self) -> tuple:

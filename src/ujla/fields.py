@@ -10,6 +10,8 @@ or exponents, and int()'s digit limit applies); each computed result is
 brought back with ``normalize``, which takes only an int, or over Q an
 int or a Fraction, and raises ValueError for anything else, and printed
 with ``format``; ``inv`` is the one operation a field does itself.
+``inv`` and ``format`` take what ``normalize`` takes, and
+``from_fraction`` an int or a Fraction (never a bool), in both fields.
 ``coerce`` gates each value once, where it is built: Algebra and Matrix
 entries in their constructors, a caller's vectors at IntegerView.clear,
 loose scalar arguments where they are passed; the library never gates a
@@ -47,6 +49,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rational(q):
+    """q when it is an int or a Fraction (not a bool); ValueError otherwise."""
+    if isinstance(q, (int, Fraction)) and not isinstance(q, bool):
+        return q
+    raise ValueError(f"not a rational (only ints and Fractions): {q!r}")
+
+
 def _literal(text: str) -> tuple:
     """The int numerator and denominator of an integer or n/d literal;
     ValueError for anything else."""
@@ -81,12 +90,15 @@ class Rationals:
         return Fraction(x)
 
     def inv(self, x) -> Fraction:
+        x = self.normalize(x)
         if x == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse in Q")
-        return 1 / Fraction(x)
+        return 1 / x
 
     def from_fraction(self, q: Fraction) -> Fraction:
-        return q if type(q) is Fraction else Fraction(q)
+        if type(q) is Fraction:  # from_integers' hot path over Q
+            return q
+        return Fraction(_rational(q))
 
     def parse(self, text: str) -> Fraction:
         try:
@@ -138,13 +150,13 @@ class PrimeField:
         return x % self.p
 
     def inv(self, x: int) -> int:
-        x %= self.p
+        x = self.normalize(x)
         if x == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in F_{self.p}")
         return pow(x, self.p - 2, self.p)
 
     def from_fraction(self, q: Fraction) -> int:
-        num, den = q.numerator, q.denominator
+        num, den = _rational(q).numerator, q.denominator
         if den % self.p == 0:
             raise ZeroDivisionError(
                 f"coefficient {q} is undefined in characteristic {self.p}"
@@ -164,7 +176,7 @@ class PrimeField:
             ) from None
 
     def format(self, x: int) -> str:
-        return str(x % self.p)
+        return str(self.normalize(x))
 
     def __str__(self) -> str:
         return self.label

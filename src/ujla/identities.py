@@ -40,7 +40,10 @@ equations in them.
 One word evaluator, _word_sides, computes every concrete side: it sums
 the plan's words in integers through the integer view's product, on
 integer vectors of one scale, scaling each word's coefficient to the
-top degree and sharing each sub-product within the call.  Basis
+top degree.  Each product is formed once per algebra: it is kept in the
+view's products memo by its two integer factors, which every side
+evaluated on the algebra reads, except the {0, 1, -1} grid walk of the
+witness search, which keeps a memo of its own for that walk.  Basis
 vectors, grid points and the pointwise point enter as integers with
 scale 1, and a witness's vectors return to the field through
 from_integers; only a caller's assignment (evaluate_sides) passes the
@@ -50,6 +53,8 @@ re-checks every failure's witness through it, over one assignment
 (evaluate_sides, which only revalidation calls) or the slot assignments
 of the witness monomial, never reading the slot tables; a witness whose
 names are not the identity's variables in declared order is rejected.
+Revalidation still gates, sums and scales every word and converts back;
+only the products its witness's search formed are read, not formed.
 """
 
 from __future__ import annotations
@@ -246,19 +251,22 @@ class AxiomReport:
 # concrete evaluation
 # ---------------------------------------------------------------------------
 
-def _word_sides(plan: _Plan, view: IntegerView, leaf_keys, vector, s: int = 1) -> tuple:
+def _word_sides(plan: _Plan, view: IntegerView, leaf_keys, vector, s: int = 1,
+                memo: Optional[dict] = None) -> tuple:
     """(lhs, rhs, scale), the plan's sides being lhs / scale and rhs / scale,
     each word summed over the tuples of leaf keys that leaf_keys(leaves)
     yields, with vector(key) at each leaf: integer tuples that share the
     scale s.
 
     The words are evaluated in integers through the view's product, never
-    the slot rows; each product is formed once per call.  On vectors
-    cleared by s a word of degree m is s^m L^(m-1) times its value, so its
-    coefficient is scaled by (s L)^(top - m), and each side's integer sum
-    is D s^top L^(top-1) times its value."""
+    the slot rows; each product is kept by its two integer factors in
+    memo, the view's products unless the caller passes its own, so a
+    product is formed once per algebra.  On vectors cleared by s a word of
+    degree m is s^m L^(m-1) times its value, so its coefficient is scaled
+    by (s L)^(top - m), and each side's integer sum is D s^top L^(top-1)
+    times its value."""
     d = view.d
-    memo: dict = {}
+    memo = view.products if memo is None else memo
     f, top = s * view.scale, plan.top
     sides = ([0] * d, [0] * d)
     for side, c, t, leaves in plan.words:
@@ -583,7 +591,10 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec,
                              plan: _Plan) -> Optional[ConcreteWitness]:
     """First assignment among basis tuples, then the {0, 1, -1} grid, whose
     sides differ: each candidate's sides come from _word_sides at its
-    integers (residues over F_p), never from the slot-table rows."""
+    integers (residues over F_p), never from the slot-table rows.  The
+    basis tuples' products stay on the view, where revalidation reads them;
+    the grid walk, up to WITNESS_SEARCH_CAP candidates, keeps its products
+    in a memo of its own, dropped when the walk ends."""
     view = alg.integer_view
     nv, d, p = len(spec.variables), view.d, view.p
     # dict.fromkeys dedupes while keeping order (1 = -1 collapses mod 2)
@@ -592,10 +603,12 @@ def _search_concrete_witness(alg: Algebra, spec: IdentitySpec,
     basis = itertools.product(view.basis_vectors, repeat=nv)
     grid = ([coords[v * d:(v + 1) * d] for v in range(nv)] for coords in points)
     # Basis tuples first: they witness most failures and read well.
-    for combo in itertools.chain(basis, grid):
-        lhs, rhs, _ = sides = _word_sides(plan, view, lambda leaves: [leaves], combo.__getitem__)
-        if any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs:
-            return _witness(alg, spec, combo, sides)
+    for combos, memo in ((basis, view.products), (grid, {})):
+        for combo in combos:
+            lhs, rhs, _ = sides = _word_sides(plan, view, lambda leaves: [leaves],
+                                              combo.__getitem__, memo=memo)
+            if any((x - y) % p for x, y in zip(lhs, rhs)) if p else lhs != rhs:
+                return _witness(alg, spec, combo, sides)
     return None
 
 

@@ -290,6 +290,36 @@ def test_rational_normalize_rejects_floats_and_bools():
             solve(Matrix.identity(field, 2), [0.5, 1])
 
 
+def test_inv_format_and_from_fraction_take_the_gated_values():
+    """inv and format take what normalize takes, from_fraction an int or a
+    Fraction (never a bool); anything else raises ValueError, and a zero
+    keeps its ZeroDivisionError."""
+    assert QQ.inv(3) == Fraction(1, 3) and QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert F5.inv(-3) == 3 and F5.format(-1) == "4" and QQ.format(2) == "2"
+    assert QQ.from_fraction(3) == 3 and type(QQ.from_fraction(3)) is Fraction
+    assert F5.from_fraction(3) == 3 and F5.from_fraction(Fraction(-1, 2)) == 2
+    for bad in ("1.5", 0.5, True, None):
+        with pytest.raises(ValueError):
+            QQ.inv(bad)
+        with pytest.raises(ValueError):
+            QQ.format(bad)
+    for bad in (2.5, True, Fraction(1, 2), "2", None):
+        with pytest.raises(ValueError):
+            F5.inv(bad)
+        with pytest.raises(ValueError):
+            F5.format(bad)
+    for field in (QQ, F5):
+        for bad in (0.5, True, False, "1/2", None):
+            with pytest.raises(ValueError):
+                field.from_fraction(bad)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F5.inv(10)
+    with pytest.raises(ZeroDivisionError):
+        F5.from_fraction(Fraction(1, 5))
+
+
 @pytest.fixture
 def coerce_calls(monkeypatch):
     """The count of fields.coerce calls, patched into every module that binds it."""

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import sys
@@ -15,7 +16,8 @@ from reference import ref_pointwise_holds
 from strategies import F2_POINTWISE_ONLY, algebras
 from ujla import corpus, identities
 from ujla.algebra import Algebra, IntegerView
-from ujla.axioms import ALL_NAMED_IDENTITIES, ASSOC, JORDAN_COMM, UJLA_2A, check_ujla
+from ujla.axioms import (ALL_NAMED_IDENTITIES, ASSOC, JORDAN_COMM, LIE_ALT, SUITES, UJLA_2A,
+                         check_ujla)
 from ujla.classify import flat_to_tensor, tensor_algebra
 from ujla.fields import QQ, PrimeField
 from ujla.identities import (
@@ -604,8 +606,9 @@ def test_each_slot_table_row_is_built_once(monkeypatch):
 
 
 def test_threads_sharing_one_algebra_get_the_serial_verdicts():
-    """An algebra's slot tables and product planes are filled lazily; threads
-    that race on them still get the verdicts of a serial run."""
+    """An algebra's slot tables, product planes and product memo are filled
+    lazily; threads that race on them still get the verdicts of a serial
+    run."""
     rng = random.Random(6)
     values = (0, 1, -1, 2, Fraction(1, 2))
     tensor = [[[rng.choice(values) for _ in range(3)] for _ in range(3)] for _ in range(3)]
@@ -667,3 +670,109 @@ def test_revalidation_never_reads_the_integer_rows(monkeypatch):
         assert calls["table"] == calls["row"] == 0, calls
         assert fresh.integer_view.tables == {}, (alg.tensor, verdict.name)
         assert calls["multiply"] > 0, (alg.tensor, verdict.name)
+
+
+# --- the view's product memo -----------------------------------------------
+
+def _counted_products(monkeypatch) -> collections.Counter:
+    """IntegerView.multiply calls by (view, u, v), from now on."""
+    formed = collections.Counter()
+    multiply = IntegerView.multiply
+
+    def counting(view, u, v):
+        formed[view, u, v] += 1
+        return multiply(view, u, v)
+
+    monkeypatch.setattr(IntegerView, "multiply", counting)
+    return formed
+
+
+def _is_basis_tuple(alg, witness) -> bool:
+    return all(v in alg.basis_vectors() for _, v in witness.assignment)
+
+
+def test_each_product_is_formed_once_per_algebra(monkeypatch):
+    """On failing algebras over Q, F_3 and F_5 whose polynomial witnesses
+    are all basis tuples (no search walks the grid), the four suites under
+    each semantics the field takes, and the revalidation of every failure,
+    form each product once: the searches, the pointwise witnesses, the
+    coefficients and the witnesses' revalidation share the view's memo,
+    which then holds every product formed."""
+    formed = _counted_products(monkeypatch)
+    algs = [_witness_algebras(0, 3, 3)[2], _witness_algebras(3, 3, 2)[1],
+            _witness_algebras(5, 3, 2)[1]]
+    for alg in algs:
+        formed.clear()
+        failures = set()
+        for semantics in ("polynomial", "pointwise") if alg.field.is_finite else ("polynomial",):
+            for suite in SUITES.values():
+                for verdict in suite(alg, semantics).failures():
+                    w = verdict.concrete_witness
+                    assert semantics == "pointwise" or _is_basis_tuple(alg, w), verdict.name
+                    assert revalidate_verdict(alg, verdict), verdict.name
+                    failures.add(semantics)
+        assert failures == ({"polynomial", "pointwise"} if alg.field.is_finite else {"polynomial"})
+        assert formed and max(formed.values()) == 1, (alg.field, formed.most_common(1))
+        assert len(alg.integer_view.products) == len(formed), alg.field
+
+
+def test_revalidating_a_witness_on_its_algebra_forms_no_product(monkeypatch):
+    """A witness the check evaluated on the view re-validates on the same
+    algebra from the view's products alone: a pointwise verdict, and a
+    polynomial verdict's basis-tuple witness.  (A grid witness's products
+    left with its walk, and a coefficient witness may read basis tuples
+    past the one where the search stopped.)"""
+    formed = _counted_products(monkeypatch)
+    cases = [(alg, spec, "pointwise") for alg, spec in _seeded_pointwise_cases()]
+    cases += [(alg, spec, "polynomial")
+              for p, d in [(0, 2), (0, 3), (3, 2), (5, 3)] for alg in _witness_algebras(p, d, 3)
+              for spec in ALL_NAMED_IDENTITIES.values()]
+    seen = collections.Counter()
+    for alg, spec, semantics in cases:
+        verdict = check_identity(alg, spec, semantics)
+        w = verdict.concrete_witness
+        if w is None or semantics == "polynomial" and not _is_basis_tuple(alg, w):
+            continue
+        formed.clear()
+        assert revalidate_verdict(alg, replace(verdict, coefficient_witness=None))
+        assert not formed, (alg.tensor, spec.name, semantics)
+        seen[semantics] += 1
+    assert seen["pointwise"] > 100 and seen["polynomial"] > 50, seen
+
+
+def test_the_grid_walk_leaves_no_product_on_the_view(monkeypatch):
+    """A search that passes every basis tuple walks the {0, 1, -1} grid
+    with a memo of its own: the view then holds the products that the same
+    check forms with no grid at all.  One search stops at a grid point
+    (e1 e0 = e0/2 fails a*a = 0 at e0 + e1 only), one walks the whole grid
+    and finds no witness."""
+    half = Algebra("half", QQ, 2, ("e0", "e1"), (((0, 0), (0, 0)), ((Fraction(1, 2), 0), (0, 0))))
+    cases = [(half, LIE_ALT), (tensor_algebra(2, 2, F2_POINTWISE_ONLY), UJLA_2A)]
+    walked = []
+    for alg, spec in cases:
+        alg = replace(alg)
+        verdict = check_identity(alg, spec)
+        assert not verdict.passed, spec.name
+        w = verdict.concrete_witness
+        assert w is None or not _is_basis_tuple(alg, w), spec.name
+        walked.append(alg.integer_view.products)
+    monkeypatch.setattr(identities, "WITNESS_SEARCH_CAP", 0)
+    for (alg, spec), products in zip(cases, walked):
+        alg = replace(alg)
+        assert check_identity(alg, spec).concrete_witness is None
+        assert products and products == alg.integer_view.products, spec.name
+
+
+def test_each_algebra_keeps_its_own_products():
+    """Two algebras of one dimension and field form the same factor pairs
+    on their own tensors: each view's memo holds its own products."""
+    e0, e1 = (1, 0), (0, 1)
+    upper = Algebra("upper", QQ, 2, ("e0", "e1"), (((1, 0), (0, 1)), ((0, 0), (0, 0))))
+    swap = Algebra("swap", QQ, 2, ("e0", "e1"), (((0, 1), (1, 0)), ((0, 2), (Fraction(1, 2), 0))))
+    for alg in (upper, swap):
+        sides = evaluate_sides(alg, JORDAN_COMM, {"a": e0, "b": e1})
+        assert sides == (alg.multiply(e0, e1), alg.multiply(e1, e0)), alg.name
+        verdict = check_identity(alg, ASSOC)
+        assert revalidate_verdict(alg, verdict), alg.name
+        view = alg.integer_view
+        assert view.products == {key: view.multiply(*key) for key in view.products}, alg.name
