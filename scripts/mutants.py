@@ -18,7 +18,7 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 60 mutants, took 76 s for the mutants alone and 83 s of
+The full table, 69 mutants, took 108 s for the mutants alone and 117 s of
 wall time with the unmutated pass, on a 2-core box with Python 3.11.7;
 witness-lhs-printed-with-a-colon runs the 2-3 s sweep test.
 """
@@ -56,6 +56,9 @@ AL = "src/ujla/algebra.py"
 T_CL = "tests/test_classify.py::"
 LA = "src/ujla/linalg.py"
 T_LA = "tests/test_linalg.py::"
+FI = "src/ujla/fields.py"
+T_FI = "tests/test_fields.py::"
+FF = "src/ujla/fileformat.py"
 
 MUTANTS = (
     # The sparse braid/QYBE products.
@@ -201,11 +204,30 @@ MUTANTS = (
     Mutant("product-memo-shared-by-every-algebra", AL,
            "        self.products: dict = {}\n",
            "        self.products = globals().setdefault(\"_PRODUCTS\", {})\n",
-           (T_ID + "test_each_algebra_keeps_its_own_products",)),
+           (T_ID + "test_each_product_is_formed_once_per_algebra",)),
     Mutant("grid-walk-fills-the-view-products", IDS,
            "(grid, {})",
            "(grid, view.products)",
            (T_ID + "test_the_grid_walk_leaves_no_product_on_the_view",)),
+    Mutant("evaluate-sides-fills-the-view-products", IDS,
+           "                                  dict(view.products))\n",
+           "                                  view.products)\n",
+           (T_ID + "test_a_callers_assignments_leave_no_product_on_the_view",)),
+    Mutant("pointwise-point-tabulates-p-by-p-powers", IDS,
+           "    point = []\n"
+           "    for _ in range(len(next(iter(residual)))):\n"
+           "        for c in range(p):\n"
+           "            merged: dict = {}\n"
+           "            for mono, diff in residual.items():\n"
+           "                f = pow(c, mono[0], p)\n",
+           "    powers = [[pow(c, e, p) for e in range(p)] for c in range(p)]\n"
+           "    point = []\n"
+           "    for _ in range(len(next(iter(residual)))):\n"
+           "        for c in range(p):\n"
+           "            merged: dict = {}\n"
+           "            for mono, diff in residual.items():\n"
+           "                f = powers[c][mono[0]]\n",
+           (T_ID + "test_the_pointwise_point_takes_powers_up_to_the_residual_degree",)),
     Mutant("field-sides-words-not-scaled-by-the-vector-scale", IDS,
            "f, top = s * view.scale, plan.top",
            "f, top = view.scale, plan.top",
@@ -231,6 +253,36 @@ MUTANTS = (
            '            raise ValueError(f"{name}: trailing tokens after the right side")\n',
            "",
            (T_ID + "test_parse_rejects_malformed_input",)),
+    Mutant("identity-parse-recursion-error-escapes", IDS,
+           "        except RecursionError:\n"
+           '            raise ValueError(f"{name}: identity text nests too deeply") from None\n',
+           "        except ZeroDivisionError:\n"
+           "            raise\n",
+           (T_ID + "test_parse_turns_deep_nesting_into_a_value_error",)),
+    # The literal grammar and the file boundary.
+    Mutant("literal-grammar-reads-unicode-digits", FI,
+           'INTEGER = "[+-]?[0-9]+"',
+           r'INTEGER = r"[+-]?\d+"',
+           (T_FI + "test_every_reader_rejects_text_outside_the_grammar[arabic-indic]",)),
+    Mutant("field-label-reads-unicode-digits", FI,
+           're.fullmatch("F[1-9][0-9]*", label)',
+           r're.fullmatch(r"F\d+", label)',
+           (T_FI + "test_every_reader_rejects_text_outside_the_grammar[label-arabic-indic]",)),
+    Mutant("prime-literal-read-as-a-reduced-fraction", FI,
+           "        if den % self.p == 0:\n"
+           '            raise ZeroDivisionError(f"0 has no multiplicative inverse in F_{self.p}")\n',
+           "        if Fraction(num, den).denominator % self.p == 0:\n"
+           '            raise ZeroDivisionError(f"0 has no multiplicative inverse in F_{self.p}")\n',
+           (T_FI + "test_a_prime_field_literal_inverts_its_denominator_unreduced",)),
+    Mutant("json-recursion-error-escapes", FF,
+           "    except RecursionError:\n"
+           '        raise ValueError(f"not a valid {what} file: nested too deeply") from None\n',
+           "",
+           ("tests/test_fileformat.py::test_deep_nesting_and_repeated_keys_are_value_errors[algebra]",)),
+    Mutant("json-duplicate-keys-last-wins", FF,
+           ", object_pairs_hook=unique_keys",
+           "",
+           ("tests/test_fileformat.py::test_deep_nesting_and_repeated_keys_are_value_errors[operator]",)),
     # Products, derivations and the command line.
     Mutant("sparse-multiply-reads-e_j-e_i", AL,
            "view.multiply(us, vs)",
@@ -311,9 +363,13 @@ MUTANTS = (
            "if image == flat_a:",
            (T_CL + "test_are_isomorphic_returns_the_first_witness_in_lex_order",)),
     Mutant("option-pattern-without-fractions", "src/ujla/cli.py",
-           r'r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$"',
-           r'r"^-\d+(,-?\d+)*$|^-\d*\.\d+$"',
+           "(?:{LITERAL.pattern})(?:,(?:{LITERAL.pattern}))*$",
+           "[0-9]+(?:,-?[0-9]+)*$",
            ("tests/test_cli.py::test_negative_literal_is_a_separate_option_value[--alpha]",)),
+    Mutant("dim-option-read-by-int", "src/ujla/cli.py",
+           'p.add_argument("--dim", type=integer, required=True)',
+           'p.add_argument("--dim", type=int, required=True)',
+           (T_FI + "test_every_reader_rejects_text_outside_the_grammar[fullwidth]",)),
     Mutant("witness-lhs-printed-with-a-colon", "src/ujla/cli.py",
            'print(f"  lhs = {format_vector(alg.field, w.lhs)}")',
            'print(f"  lhs: {format_vector(alg.field, w.lhs)}")',

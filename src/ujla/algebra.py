@@ -61,9 +61,9 @@ class IntegerView:
     multiply(u, v) keyed by its integer factors (u, v), so a witness's
     revalidation forms none of the products its search formed.  It holds
     at most one entry per sub-word on basis vectors (the slot tables' own
-    bound) plus one per sub-word of each other point evaluated on it (a
-    pointwise witness, an evaluate_sides assignment); the witness
-    search's {0, 1, -1} grid walk keeps its own.  Threads that race on an
+    bound) plus one per sub-word of each pointwise witness evaluated on
+    it; the witness search's {0, 1, -1} grid walk keeps its own, and an
+    evaluate_sides assignment reads a copy.  Threads that race on an
     entry form it twice, with one value.
     """
 

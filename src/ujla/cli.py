@@ -3,6 +3,8 @@
 Exit status: 0 when every requested check passed, 1 when a check failed
 (a witness is printed), 2 for usage, parse, or precondition errors.
 Reports are deterministic: identical inputs produce identical bytes.
+Scalar options reach the library as argv text, for fields.coerce to read
+once; integer options are read by fields.integer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .derivations import (
     derivation_two_term,
     revalidate_leibniz,
 )
-from .fields import parse_field
+from .fields import LITERAL, integer, parse_field
 from .identities import AxiomReport, revalidate_verdict
 from .transforms import check_compatibility, commutator, deform, symmetrize
 from .yang_baxter import (
@@ -35,10 +37,6 @@ from .yang_baxter import (
     check_qybe,
     classify_params,
 )
-
-
-def _parse_coords(alg: Algebra, text: str) -> tuple:
-    return tuple(alg.field.parse(part) for part in text.split(","))
 
 
 def _print_report(alg: Algebra, report: AxiomReport, revalidator=None) -> bool:
@@ -97,7 +95,7 @@ def _cmd_derive(args) -> int:
     else:
         if args.alpha is None or args.beta is None:
             raise ValueError("deform needs --alpha and --beta")
-        derived = deform(alg, alg.field.parse(args.alpha), alg.field.parse(args.beta))
+        derived = deform(alg, args.alpha, args.beta)
     sys.stdout.write(fileformat.dumps_algebra(derived))
     return 0
 
@@ -131,12 +129,10 @@ def _print_operator(op, name: str, verify: bool) -> int:
 
 def _cmd_yb_assoc(args) -> int:
     alg = fileformat.load_algebra_file(args.file)
-    field = alg.field
     # Recorded, not shown, so that every run prints the same one line.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        op = build_assoc_yb(alg, field.parse(args.alpha), field.parse(args.beta),
-                            field.parse(args.gamma))
+        op = build_assoc_yb(alg, args.alpha, args.beta, args.gamma)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     return _print_operator(op, f"{alg.name}-yb", args.verify)
@@ -144,14 +140,12 @@ def _cmd_yb_assoc(args) -> int:
 
 def _cmd_yb_lie(args) -> int:
     alg = fileformat.load_algebra_file(args.file)
-    op = build_lie_yb(alg, alg.field.parse(args.alpha), _parse_coords(alg, args.z))
+    op = build_lie_yb(alg, args.alpha, args.z.split(","))
     return _print_operator(op, f"{alg.name}-lie-yb", args.verify)
 
 
 def _cmd_yb_params(args) -> int:
-    field = parse_field(args.field)
-    case = classify_params(field, field.parse(args.alpha), field.parse(args.beta),
-                           field.parse(args.gamma))
+    case = classify_params(parse_field(args.field), args.alpha, args.beta, args.gamma)
     if case is None:
         print("case: none (not a Yang-Baxter family member)")
     else:
@@ -179,10 +173,8 @@ def _cmd_center(args) -> int:
 
 def _cmd_derivation(args) -> int:
     alg = fileformat.load_algebra_file(args.file)
-    a = _parse_coords(alg, args.a)
-    b = _parse_coords(alg, args.b)
     builder = derivation_six_term if args.formula == "six" else derivation_two_term
-    deriv = builder(alg, a, b)
+    deriv = builder(alg, args.a.split(","), args.b.split(","))
     print(f"derivation matrix ({args.formula}-term), columns are images of basis vectors:")
     for row in deriv.rows:
         print("  [" + ", ".join(alg.field.format(x) for x in row) + "]")
@@ -224,13 +216,13 @@ class _Parser(argparse.ArgumentParser):
     -1,1/2 for a value, not an option.
 
     argparse reads an argument that starts with '-' as a value only when
-    it looks like a negative number (-1 or -1.5).  Field literals and
-    coordinate lists widen that pattern; subparsers inherit the class."""
+    it looks like a negative number (-1 or -1.5, which the field rejects);
+    here also a list of fields.LITERAL.  Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-\d+(/\d+)?(,-?\d+(/\d+)?)*$|^-\d*\.\d+$")
+            rf"-(?=[0-9])(?:{LITERAL.pattern})(?:,(?:{LITERAL.pattern}))*$|-[0-9]*\.[0-9]+$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_derivation)
 
     p = sub.add_parser("classify", help="exhaustive UJLA scan over a prime field")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--dim", type=integer, required=True)
+    p.add_argument("--prime", type=integer, required=True)
     p.add_argument("--pointwise", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=integer, default=1)
     p.add_argument("--out", help="write the report to a file instead of stdout")
     p.set_defaults(func=_cmd_classify)
 

@@ -26,12 +26,11 @@ def _signed_products(alg: Algebra, a: Vector, b: Vector, terms_of) -> Matrix:
     the integer view's product: column j of L_u is u e_j and column i of
     R_u is e_i u.  Column x of P Q is the sum of Q[t][x] times column t
     of P."""
-    d = alg.dim
+    d, field, view = alg.dim, alg.field, alg.integer_view
+    cleared, s = view.clear((a, b))  # every coordinate is gated before the lengths are read
     if len(a) != d or len(b) != d:
         raise ValueError(f"{alg.name}: argument vectors must have length {d}")
-    field = alg.field
-    view = alg.integer_view
-    (a_ints, b_ints), s = view.clear((a, b))
+    a_ints, b_ints = cleared
 
     def maps(u):
         return ([sparse_row(view.multiply(u, e)) for e in view.basis_vectors],

@@ -4,9 +4,7 @@ Scalars are plain Python values: ``Fraction`` for Q (always in lowest
 terms, positive denominator) and ``int`` residues in ``[0, p)`` for F_p.
 The arithmetic is Python's own operators, exact, with no floating-point
 mode; a field object is only the boundary.  Values enter through
-``coerce``, ``parse`` and ``from_fraction``; ``parse`` reads one
-grammar in both fields, an integer or n/d of two integers (no decimals
-or exponents, and int()'s digit limit applies); each computed result is
+``coerce``, ``parse`` and ``from_fraction``; each computed result is
 brought back with ``normalize``, which takes only an int, or over Q an
 int or a Fraction, and raises ValueError for anything else, and printed
 with ``format``; ``inv`` is the one operation a field does itself.
@@ -20,10 +18,16 @@ Integer kernels take gated values through ``integral`` and bring their
 results, integers x that share one scale s, back as the field elements
 x / s through ``from_integers`` alone.  Field objects are frozen and
 safe to share.
+The one grammar of outside numbers lives here: after str.strip(), an
+integer is [+-]?[0-9]+ in ASCII digits, a literal (LITERAL) an integer or
+n/d of two, within int()'s digit limit; over F_p, n/d is n times d^-1.
+The parse methods, integer, parse_field ("Q", or "F" then [1-9][0-9]*),
+the identity tokenizer and the command line's option matcher read it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -32,6 +36,9 @@ from typing import Union
 Scalar = Union[Fraction, int]
 
 MAX_PRIME = 2**31
+
+INTEGER = "[+-]?[0-9]+"
+LITERAL = re.compile(f"{INTEGER}(?:/{INTEGER})?")
 
 
 def is_prime(n: int) -> bool:
@@ -57,10 +64,19 @@ def _rational(q):
 
 
 def _literal(text: str) -> tuple:
-    """The int numerator and denominator of an integer or n/d literal;
-    ValueError for anything else."""
+    """(n, d) of a LITERAL n/d, d = 1 for an integer; ValueError otherwise."""
+    text = text.strip()
+    if not LITERAL.fullmatch(text):
+        raise ValueError("expected an integer or n/d")
     num, slash, den = text.partition("/")
     return int(num), int(den) if slash else 1
+
+
+def integer(text: str) -> int:
+    """The int of an INTEGER; ValueError for anything else."""
+    if not re.fullmatch(INTEGER, text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -164,16 +180,15 @@ class PrimeField:
         return num * pow(den, -1, self.p) % self.p
 
     def parse(self, text: str) -> int:
-        text = text.strip()
         try:
             num, den = _literal(text)
-            return num * self.inv(den) % self.p
-        except ZeroDivisionError:
-            raise
         except ValueError:
             raise ValueError(
-                f"invalid F_{self.p} literal {text!r} (expected integer or n/d)"
+                f"invalid F_{self.p} literal {text.strip()!r} (expected integer or n/d)"
             ) from None
+        if den % self.p == 0:
+            raise ZeroDivisionError(f"0 has no multiplicative inverse in F_{self.p}")
+        return num * pow(den, -1, self.p) % self.p
 
     def format(self, x: int) -> str:
         return str(self.normalize(x))
@@ -215,10 +230,10 @@ def from_integers(field: FieldSpec, ints, scale: int) -> tuple:
 
 
 def parse_field(label: str) -> FieldSpec:
-    """Parse a field label: "Q" or "F<p>" with p prime."""
+    """Parse a field label: "Q", or "F" then a prime written [1-9][0-9]*."""
     label = label.strip()
     if label == "Q":
         return QQ
-    if label.startswith("F") and label[1:].isdigit():
+    if re.fullmatch("F[1-9][0-9]*", label):
         return PrimeField(int(label[1:]))
     raise ValueError(f"unknown field label {label!r} (expected 'Q' or 'F<p>')")

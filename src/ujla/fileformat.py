@@ -1,8 +1,10 @@
 """The canonical on-disk formats: algebra files and operator files.
 
-Both are JSON documents with scalar values as strings ("n" or "n/d" over
-Q, decimal residues over F_p) or JSON integers; any other JSON value in a
-scalar position is rejected.  An algebra file looks like::
+Both are JSON documents with scalar values as strings (literals of the
+grammar in ujla.fields) or JSON integers; any other JSON value in a scalar
+position is rejected, and so is a document that repeats a key in one
+object or nests past the decoder's recursion limit.  An algebra file
+looks like::
 
     { "name": "dual-numbers", "field": "Q", "dim": 2,
       "basis": ["1", "x"], "unit": ["1", "0"],
@@ -34,10 +36,22 @@ def _as_text(data: Union[str, bytes]) -> str:
 
 
 def _load_json(data: Union[str, bytes], what: str) -> dict:
+    """The file's JSON object; ValueError for text that is no JSON, nests
+    past the decoder's recursion limit or repeats a key in one object."""
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"not a valid {what} file: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        obj = json.loads(_as_text(data))
+        obj = json.loads(_as_text(data), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not a valid {what} file: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"not a valid {what} file: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError(f"not a valid {what} file: expected a JSON object")
     return obj

@@ -42,8 +42,10 @@ the plan's words in integers through the integer view's product, on
 integer vectors of one scale, scaling each word's coefficient to the
 top degree.  Each product is formed once per algebra: it is kept in the
 view's products memo by its two integer factors, which every side
-evaluated on the algebra reads, except the {0, 1, -1} grid walk of the
-witness search, which keeps a memo of its own for that walk.  Basis
+evaluated on the algebra reads.  Two readers leave nothing in it: the
+{0, 1, -1} grid walk of the witness search keeps a memo of its own for
+that walk, and a caller's assignment reads a copy, so the memo holds
+only products of basis vectors and of pointwise witnesses.  Basis
 vectors, grid points and the pointwise point enter as integers with
 scale 1, and a witness's vectors return to the field through
 from_integers; only a caller's assignment (evaluate_sides) passes the
@@ -67,7 +69,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import Algebra, IntegerView, Vector
-from .fields import QQ, PrimeField, Scalar, from_integers, integral
+from .fields import LITERAL, QQ, PrimeField, Scalar, from_integers, integral
 from .linalg import accumulate, sparse_row
 
 Word = Union[str, tuple]
@@ -83,13 +85,15 @@ WITNESS_SEARCH_CAP = 20000
 # ---------------------------------------------------------------------------
 #
 # The whole text is one token stream, '=' included.  Each match of _TOKEN is
-# one token: a number (n or n/d; a bare n/ is malformed), a name, one of
-# ()+-*=, or any other visible character, which is an error.  The parser
-# pops (kind, text) tokens off the stream stored last first, over an end
-# marker that fails every check of the token read after the last.
+# one token: a number (an unsigned fields.LITERAL, since '-' is its own
+# token; a bare n/ is malformed), a name (a word that does not start with
+# an ASCII digit), one of ()+-*=, or any other visible character, which is
+# an error.  The parser pops (kind, text) tokens off the stream stored last
+# first, over an end marker that fails every check of the token read after
+# the last.
 
-_TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d*)?)|(?P<name>[^\W\d]\w*)"
-                    r"|(?P<op>[-()+*=])|(?P<other>\S))")
+_TOKEN = re.compile(rf"\s*(?:(?P<number>(?=[0-9])(?:{LITERAL.pattern})/?)"
+                    r"|(?P<name>[^\W0-9]\w*)|(?P<op>[-()+*=])|(?P<other>\S))")
 _END = ("end", "end of text")
 
 
@@ -168,10 +172,13 @@ class IdentitySpec:
         if len(set(variables)) != len(variables):
             raise ValueError(f"{name}: identity variables must be distinct")
         toks = _tokens(text)
-        lhs = _parse_side(toks, variables)
-        if toks.pop()[1] != "=":
-            raise ValueError(f"{name}: expected '=' after the left side")
-        rhs = _parse_side(toks, variables)
+        try:
+            lhs = _parse_side(toks, variables)
+            if toks.pop()[1] != "=":
+                raise ValueError(f"{name}: expected '=' after the left side")
+            rhs = _parse_side(toks, variables)
+        except RecursionError:
+            raise ValueError(f"{name}: identity text nests too deeply") from None
         if toks != [_END]:
             raise ValueError(f"{name}: trailing tokens after the right side")
         return cls(name, variables, lhs, rhs, text)
@@ -294,7 +301,9 @@ def _shape_value(shape, leaves, view: IntegerView, memo: dict) -> tuple:
 def _field_sides(alg: Algebra, spec: IdentitySpec, leaf_keys, vector) -> tuple:
     """(lhs, rhs) vectors of the polynomial plan's words, with a caller's
     vector(key) for each key of the tuples that leaf_keys(leaves) yields:
-    the vectors pass the view's gated entry once, by one shared scale."""
+    the vectors pass the view's gated entry once, by one shared scale.
+    The words read the view's products through a copy of its memo, so a
+    caller's vectors leave no product on the view."""
     plan, view, d = _plan(alg, spec, "polynomial"), alg.integer_view, alg.dim
     keys = list(dict.fromkeys(key for *_, leaves in plan.words
                               for keys in leaf_keys(leaves) for key in keys))
@@ -302,7 +311,8 @@ def _field_sides(alg: Algebra, spec: IdentitySpec, leaf_keys, vector) -> tuple:
     if any(len(v) != d for v in vectors):
         raise ValueError(f"{alg.name}: vector length does not match dimension {d}")
     cleared, s = view.clear(vectors)
-    lhs, rhs, scale = _word_sides(plan, view, leaf_keys, dict(zip(keys, cleared)).__getitem__, s)
+    lhs, rhs, scale = _word_sides(plan, view, leaf_keys, dict(zip(keys, cleared)).__getitem__, s,
+                                  dict(view.products))
     return from_integers(alg.field, lhs, scale), from_integers(alg.field, rhs, scale)
 
 
@@ -558,14 +568,15 @@ def _first_nonzero_point(residual: dict, p: int) -> list:
     of the functions F_p^n -> F_p, so the residual left after a choice is
     nonzero exactly when some point below that choice fails: the least c
     that leaves it nonzero is the next coordinate, with no backtracking.
+    That c is at most the residual's degree in the coordinate, which has
+    no more roots, so the search takes that many powers c^e, not p.
     """
-    powers = [[pow(c, e, p) for e in range(p)] for c in range(p)]
     point = []
     for _ in range(len(next(iter(residual)))):
         for c in range(p):
             merged: dict = {}
             for mono, diff in residual.items():
-                f = powers[c][mono[0]]
+                f = pow(c, mono[0], p)
                 if f:
                     acc = merged.setdefault(mono[1:], [0] * len(diff))
                     for k, x in enumerate(diff):

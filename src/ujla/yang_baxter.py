@@ -240,6 +240,7 @@ def build_assoc_yb(
     is only a Yang-Baxter operator for associative products.
     """
     field = alg.field
+    alpha, beta, gamma = (coerce(field, x) for x in (alpha, beta, gamma))
     if alg.unit is None:
         raise ValueError(
             "this construction maps a(x)b to alpha*ab(x)1 + beta*1(x)ab - gamma*a(x)b "
@@ -251,7 +252,6 @@ def build_assoc_yb(
             "guaranteed to yield a Yang-Baxter operator for associative products",
             stacklevel=2,
         )
-    alpha, beta, gamma = (coerce(field, x) for x in (alpha, beta, gamma))
     d, u = alg.dim, alg.unit
     columns = []
     for i in range(d):
@@ -302,11 +302,11 @@ def center(alg: Algebra) -> list:
 def build_lie_yb(alg: Algebra, alpha: Scalar, z: Vector) -> TensorSquareOperator:
     """The operator x (x) y -> alpha*[x,y] (x) z + y (x) x for central z."""
     field = alg.field
+    alpha, z = coerce(field, alpha), tuple(coerce(field, x) for x in z)
     _require_lie(alg, "the Lie-bracket Yang-Baxter construction")
     d = alg.dim
     if len(z) != d:
         raise ValueError(f"z has length {len(z)}, expected {d}")
-    z = tuple(coerce(field, x) for x in z)
     view = alg.integer_view
     zs, s = integral(z)
     for i in range(d):
@@ -316,7 +316,6 @@ def build_lie_yb(alg: Algebra, alpha: Scalar, z: Vector) -> TensorSquareOperator
                 f"z is not central in {alg.name}: [z, {alg.basis[i]}] = "
                 f"{format_vector(field, from_integers(field, bracket, s * view.scale))} != 0"
             )
-    alpha = coerce(field, alpha)
     columns = []
     for i in range(d):
         for j in range(d):

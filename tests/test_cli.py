@@ -1,8 +1,10 @@
+import collections
 import importlib.util
 import json
 import os
 import pathlib
 import platform
+import random
 import re
 import shlex
 import subprocess
@@ -166,6 +168,164 @@ def test_huge_prime_field_is_status_2_at_once(route, tmp_path, capsys):
     assert run(argv) == 2
     assert time.monotonic() - start < 1.0
     assert "2^31" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "yb verify"])
+def test_a_deeply_nested_file_is_status_2(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    kind, argv = (("algebra", ["check", str(path), "--axioms", "assoc"]) if command == "check"
+                  else ("operator", ["yb", "verify", str(path)]))
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: not a valid {kind} file: nested too deeply\n")
+
+
+def test_pointwise_checks_over_the_largest_prime_print_as_over_f7(tmp_path, capsys):
+    """The dual numbers' pointwise witnesses have 0/1 coordinates and small
+    integer sides, so the four suites print the same bytes over F_7 and
+    over F_(2^31 - 1), the largest field modulus: the least failing point
+    is found without a table of p x p powers."""
+    outputs = []
+    for p in (7, 2 ** 31 - 1):
+        path = tmp_path / f"dual-{p}.alg"
+        path.write_text(dumps_algebra(corpus.dual_numbers(PrimeField(p))))
+        status = run(["check", str(path), "--axioms", "assoc,lie,jordan,ujla", "--pointwise"])
+        outputs.append((status, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1 and "lie.jacobi: FAIL" in outputs[0][1] and not outputs[0][2]
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+WRONG_JSON_VALUES = (None, True, 1.5, -1, 0, "x", [], {}, [[1]], {"n": 1})
+WRONG_ARGV_VALUES = ("1.5", "x", "", "1e3", "1/0", "0x1", "[1]", "--1", "1,,0", "1/2/3", "\x00")
+
+
+def _scalar_paths(value, path=()):
+    if isinstance(value, list):
+        for n, item in enumerate(value):
+            yield from _scalar_paths(item, path + (n,))
+    else:
+        yield path
+
+
+def _with(obj: dict, rng: random.Random, value) -> dict:
+    """A copy of obj with value at a random key or at a random scalar of it."""
+    obj = json.loads(json.dumps(obj))
+    key = rng.choice(sorted(obj))
+    if not isinstance(obj[key], list) or rng.random() < 0.3:
+        obj[key] = value
+    else:
+        *path, last = rng.choice(list(_scalar_paths(obj[key])))
+        target = obj[key]
+        for n in path:
+            target = target[n]
+        target[last] = value
+    return obj
+
+
+def _damaged_file(rng: random.Random, kind: str, text: str):
+    """The text of a JSON file, as bytes, with one seeded damage of the kind."""
+    obj = json.loads(text)
+    if kind == "truncation":
+        return text[:rng.randrange(len(text))].encode()
+    if kind == "byte flip":
+        data = bytearray(text.encode())
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return bytes(data)
+    if kind == "deep nesting":
+        depth = rng.choice((500, 100000))
+        return json.dumps(_with(obj, rng, "@@")).replace('"@@"', "[" * depth + "]" * depth).encode()
+    if kind == "duplicate key":
+        key = rng.choice(sorted(obj))
+        value = json.dumps(obj[rng.choice(sorted(obj))])
+        return (text.rstrip()[:-1] + f', "{key}": {value}}}').encode()
+    if kind == "non-ASCII digits":
+        spots = [n for n, c in enumerate(text) if c.isdigit()]
+        n = rng.choice(spots)
+        table = rng.choice((ARABIC_INDIC, FULLWIDTH))
+        return (text[:n] + text[n].translate(table) + text[n + 1:]).encode()
+    if kind == "huge integer":
+        huge = rng.choice(("9" * 5000, "1/" + "9" * 5000, "@@"))
+        return json.dumps(_with(obj, rng, huge)).replace('"@@"', "9" * 5000).encode()
+    return json.dumps(_with(obj, rng, rng.choice(WRONG_JSON_VALUES))).encode()
+
+
+def _damaged_value(rng: random.Random, kind: str, value: str) -> str:
+    """An option value with one seeded damage of the kind."""
+    if kind == "truncation":
+        return value[:rng.randrange(len(value))]
+    if kind == "byte flip":
+        n = rng.randrange(len(value))
+        return value[:n] + chr(ord(value[n]) ^ (1 << rng.randrange(7))) + value[n + 1:]
+    if kind == "deep nesting":
+        return "(" * 1000 + value + ")" * 1000
+    if kind == "duplicate key":
+        return value + "," + value
+    if kind == "non-ASCII digits":
+        return value.translate(rng.choice((ARABIC_INDIC, FULLWIDTH)))
+    if kind == "huge integer":
+        return rng.choice(("9" * 5000, "1/" + "9" * 5000, "-" + "9" * 5000))
+    return rng.choice(WRONG_ARGV_VALUES + ("1_0", " 1 / 2", "+-1"))
+
+
+DAMAGE = ("truncation", "byte flip", "deep nesting", "duplicate key", "non-ASCII digits",
+          "huge integer", "wrong JSON type")
+
+
+def test_malformed_input_ends_in_an_exit_status_never_a_traceback(tmp_path, capsys):
+    """Seeded damage to the corpus files, to an operator file and to the
+    options' values (Miller, Fredriksen & So, CACM 33(12), 1990), each run
+    through cli.run: no exception escapes, the status is 0, 1 or 2, and
+    status 2 comes with one error line."""
+    rng = random.Random(31)
+    dual = tmp_path / "dual.alg"
+    dual.write_text(dumps_algebra(corpus.dual_numbers()))
+    heisenberg = tmp_path / "heisenberg.alg"
+    heisenberg.write_text(dumps_algebra(corpus.heisenberg()))
+    sl2 = tmp_path / "sl2.alg"
+    sl2.write_text(dumps_algebra(corpus.sl2()))
+    sources = [(path.read_text(), "alg") for path in sorted((ROOT / "algebras").glob("*.alg"))]
+    op = TensorSquareOperator(PrimeField(5), 2, Matrix.identity(PrimeField(5), 4))
+    sources.append((dumps_operator(op), "op"))
+    runs = []
+    for n in range(140):
+        kind = DAMAGE[n % len(DAMAGE)]
+        text, suffix = sources[n % len(sources)]
+        path = tmp_path / f"damaged-{n}.{suffix}"
+        path.write_bytes(_damaged_file(rng, kind, text))
+        if suffix == "op":
+            runs.append(["yb", "verify", str(path)])
+        else:
+            runs.append(["check", str(path), "--axioms", "assoc,lie,jordan,ujla"])
+            runs.append(rng.choice((["center", str(path)], ["derive", str(path), "--via", "commutator"])))
+    commands = [
+        ["yb", "params", "--alpha", "1", "--beta", "2", "--gamma", "3", "--field", "F5"],
+        ["yb", "assoc", str(dual), "--alpha", "1", "--beta", "1", "--gamma", "1", "--verify"],
+        ["yb", "lie", str(heisenberg), "--alpha", "1", "--z", "0,0,1", "--verify"],
+        ["derive", str(dual), "--via", "deform", "--alpha", "1/2", "--beta", "1/2"],
+        ["derivation", str(sl2), "--a", "1,0,0", "--b", "0,-1/2,0", "--formula", "six"],
+        ["classify", "--dim", "1", "--prime", "2"],
+    ]
+    for n in range(120):
+        argv = list(commands[n % len(commands)])
+        slot = rng.choice([k for k, a in enumerate(argv) if a.startswith("--")
+                           and k + 1 < len(argv) and not argv[k + 1].startswith("--")]) + 1
+        argv[slot] = _damaged_value(rng, DAMAGE[n % len(DAMAGE)], argv[slot])
+        if rng.random() < 0.5:
+            argv[slot - 1:slot + 1] = [f"{argv[slot - 1]}={argv[slot]}"]
+        runs.append(argv)
+    statuses = collections.Counter()
+    for argv in runs:
+        try:
+            status = run(argv)
+        except BaseException as exc:  # noqa: BLE001 - the test is that nothing escapes
+            pytest.fail(f"{type(exc).__name__} escaped cli.run for {argv!r:.300}")
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2), argv
+        assert status != 2 or err.count("error: ") == 1, (argv, err)
+        statuses[status] += 1
+    assert statuses[2] and statuses[0] + statuses[1], statuses
 
 
 def test_usage_errors_are_status_2(capsys):

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import sys
 from fractions import Fraction
@@ -23,11 +24,13 @@ from ujla.derivations import (
     derivation_two_term,
     revalidate_leibniz,
 )
-from ujla.fields import QQ, PrimeField, coerce, parse_field
-from ujla.fileformat import load_algebra_file
+from ujla.cli import run
+from ujla.fields import QQ, PrimeField, coerce, integer, parse_field
+from ujla.fileformat import dumps_algebra, load_algebra_file, loads_algebra
 from ujla.formal import Poly
 from ujla.identities import (
     ConcreteWitness,
+    IdentitySpec,
     Verdict,
     check_identity,
     evaluate_sides,
@@ -125,6 +128,74 @@ def test_both_fields_read_one_literal_grammar():
             F5.parse(text)
     with pytest.raises(ValueError, match="invalid rational literal"):
         QQ.parse("1/0")
+
+
+# Text outside the literal grammar that int(), str.isdigit or a \d pattern
+# reads as a number: underscores, Arabic-Indic and fullwidth digits, spaces
+# inside, a leading zero in a field label.
+NOT_LITERALS = {"underscore": "1_0", "arabic-indic": "\u0663", "fullwidth": "\uff11",
+                "inner-spaces": "1 / 2"}
+NOT_FIELD_LABELS = {"label-leading-zero": "F05", "label-arabic-indic": "F\u0663"}
+
+
+def _file_with(key, value):
+    obj = json.loads(dumps_algebra(corpus.dual_numbers()))
+    if key == "constant":
+        obj["constants"][1][1][1] = value
+    else:
+        obj[key] = value
+    return json.dumps(obj)
+
+
+def _exit_status(argv, capsys) -> int:
+    status = run(argv)
+    err = capsys.readouterr().err
+    assert status != 2 or err.count("error: ") == 1, (argv, err)
+    return status
+
+
+@pytest.mark.parametrize("text", [*NOT_LITERALS.values(), *NOT_FIELD_LABELS.values()],
+                         ids=[*NOT_LITERALS, *NOT_FIELD_LABELS])
+def test_every_reader_rejects_text_outside_the_grammar(text, tmp_path, capsys):
+    """Each reader of outside numbers that the text can reach rejects it:
+    both parse methods, the scalar gate, integer options, identity
+    coefficients, algebra-file constants and field labels, and the command
+    line's scalar, coordinate, integer and field options (exit 2)."""
+    path = tmp_path / "dual.alg"
+    path.write_text(dumps_algebra(corpus.dual_numbers()))
+    if text in NOT_FIELD_LABELS.values():
+        rejecting = [lambda: parse_field(text), lambda: loads_algebra(_file_with("field", text))]
+        argvs = [["yb", "params", "--alpha", "1", "--beta", "1", "--gamma", "1", "--field", text]]
+    else:
+        rejecting = [lambda: QQ.parse(text), lambda: F5.parse(text), lambda: coerce(QQ, text),
+                     lambda: integer(text),
+                     lambda: IdentitySpec.parse("t", f"{text}*(a*b) = 0", ("a", "b")),
+                     lambda: loads_algebra(_file_with("constant", text))]
+        argvs = [["yb", "params", "--alpha", text, "--beta", "1", "--gamma", "1"],
+                 ["derivation", str(path), "--a", f"{text},0", "--b", "0,1", "--formula", "six"],
+                 ["derive", str(path), "--via", "deform", "--alpha", text, "--beta", "0"],
+                 ["classify", "--dim", text, "--prime", "2"],
+                 ["classify", "--dim", "1", "--prime", "2", "--workers", text]]
+    for read in rejecting:
+        with pytest.raises(ValueError):
+            read()
+    assert [_exit_status(argv, capsys) for argv in argvs] == [2] * len(argvs)
+
+
+def test_a_prime_field_literal_inverts_its_denominator_unreduced():
+    """n/d over F_p is n times the inverse of d: a d that p divides is an
+    error even when n/d reduces to an integer."""
+    for text in ("5/5", "10/5", "0/5", "7/-10"):
+        with pytest.raises(ZeroDivisionError, match="^0 has no multiplicative inverse in F_5$"):
+            F5.parse(text)
+
+
+def test_integer_options_read_the_integer_grammar():
+    for text, value in (("3", 3), ("+3", 3), ("-3", -3), (" 4 ", 4), ("007", 7)):
+        assert integer(text) == value, text
+    for text in ("", "x", "1/2", "1.0", "1e3", "0x10", "- 3", "7" * 5000):
+        with pytest.raises(ValueError):
+            integer(text)
 
 
 def test_both_fields_expose_one_interface():

@@ -187,3 +187,20 @@ def test_roundtrip_on_random_rational_algebras(data):
     )
     alg = Algebra("random-q", QQ, 2, ("e0", "e1"), tensor)
     assert loads_algebra(dumps_algebra(alg)) == alg
+
+
+@pytest.mark.parametrize("loads, text", [
+    (loads_algebra, DUAL_FILE), (loads_operator, dumps_operator(twist(QQ, 2)))],
+    ids=["algebra", "operator"])
+def test_deep_nesting_and_repeated_keys_are_value_errors(loads, text):
+    """A document nested past the decoder's recursion limit is a ValueError,
+    not a RecursionError, and a key repeated in one object is rejected
+    rather than read as its last value."""
+    with pytest.raises(ValueError, match="nested too deeply"):
+        loads("[" * 100000 + "]" * 100000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        loads(text.replace('"field"', '"extra": ' + "[" * 100000 + "]" * 100000 + ', "field"'))
+    with pytest.raises(ValueError, match="duplicate key 'field'"):
+        loads(text.rstrip()[:-1] + ', "field": "F2"}')
+    with pytest.raises(ValueError, match="duplicate key 'n'"):
+        loads(text.rstrip()[:-1] + ', "extra": {"n": 1, "n": 2}}')

@@ -84,6 +84,12 @@ def test_parse_names_a_malformed_coefficient():
             IdentitySpec.parse("t", text, ("a", "b"))
 
 
+def test_parse_turns_deep_nesting_into_a_value_error():
+    for text in ("(" * 5000 + "a" + ")" * 5000 + " = 0", "a = " + "(" * 5000):
+        with pytest.raises(ValueError, match="nests too deeply"):
+            IdentitySpec.parse("t", text, ("a",))
+
+
 def test_parse_reads_signs_coefficients_and_zero_across_lines():
     spec = IdentitySpec.parse("t", "0 + 2/4*(a·b)\n - b = -3*((a*b)*a)", ("a", "b"))
     assert spec.lhs == ((Fraction(1, 2), ("a", "b")), (-1, "b"))
@@ -212,7 +218,7 @@ def _seeded_tensors(d, p, count, dense=False):
 
 
 # Mixed degrees, with a degree-1 word: the plan groups by monomial, not by degree.
-NON_HOMOGENEOUS = IdentitySpec.parse("non.homogeneous", "a*b = a + 2*(a*a)", ("a", "b"))
+NON_HOMOGENEOUS = IdentitySpec.parse("non-homogeneous", "a*b = a + 2*(a*a)", ("a", "b"))
 
 
 @pytest.mark.parametrize("d, p, count", [(2, 2, 12), (2, 3, 12), (2, 5, 6), (3, 2, 6), (3, 3, 4),
@@ -381,9 +387,6 @@ def test_coefficient_witness_tampering_is_detected(p, d, count):
 
 
 # --- slot plans against the formal oracle ----------------------------------
-
-NON_HOMOGENEOUS = IdentitySpec.parse("non-homogeneous", "a*b = a + 2*(a*a)", ("a", "b"))
-
 
 def _oracle_algebras(p, d, count):
     """Corpus algebras of dimension d and seeded random ones; over Q their
@@ -776,3 +779,49 @@ def test_each_algebra_keeps_its_own_products():
         assert revalidate_verdict(alg, verdict), alg.name
         view = alg.integer_view
         assert view.products == {key: view.multiply(*key) for key in view.products}, alg.name
+
+
+def test_a_callers_assignments_leave_no_product_on_the_view():
+    """evaluate_sides reads the view's products and adds none: after a check
+    and one evaluation, fresh assignments leave the memo's size unchanged,
+    and their sides are those of a fresh copy of the algebra."""
+    rng = random.Random(14)
+    values = (0, 1, -1, 2, Fraction(1, 2))
+    tensor = [[[rng.choice(values) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    alg = Algebra("r", QQ, 3, ("e0", "e1", "e2"), tensor)
+    spec = ALL_NAMED_IDENTITIES["ujla.1"]
+    assert not check_identity(alg, spec).passed
+
+    def assignment():
+        return {v: tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+                for v in spec.variables}
+
+    evaluate_sides(alg, spec, assignment())
+    size = len(alg.integer_view.products)
+    for _ in range(20):
+        point = assignment()
+        assert evaluate_sides(alg, spec, point) == evaluate_sides(replace(alg), spec, point)
+    assert size and len(alg.integer_view.products) == size
+
+
+def test_the_pointwise_point_takes_powers_up_to_the_residual_degree(monkeypatch):
+    """The least failing point fixes each coordinate at the first c that
+    leaves the residual nonzero, at most its degree there, so the powers
+    c^e it takes do not grow with p: as many over F_101 as over F_103,
+    and fewer than p."""
+    import builtins
+
+    counts = {}
+    for p in (101, 103):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(identities, "pow", counting, raising=False)
+        alg = corpus.dual_numbers(PrimeField(p))
+        verdicts = [check_identity(alg, spec, "pointwise") for spec in ALL_NAMED_IDENTITIES.values()]
+        assert sum(not v.passed for v in verdicts) == 2
+        counts[p] = len(calls)
+    assert 0 < counts[101] == counts[103] < 101, counts
