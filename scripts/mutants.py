@@ -18,7 +18,7 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 69 mutants, took 108 s for the mutants alone and 117 s of
+The full table, 75 mutants, took 161 s for the mutants alone and 171 s of
 wall time with the unmutated pass, on a 2-core box with Python 3.11.7;
 witness-lhs-printed-with-a-colon runs the 2-3 s sweep test.
 """
@@ -59,6 +59,7 @@ T_LA = "tests/test_linalg.py::"
 FI = "src/ujla/fields.py"
 T_FI = "tests/test_fields.py::"
 FF = "src/ujla/fileformat.py"
+T_RC = "tests/test_records.py::"
 
 MUTANTS = (
     # The sparse braid/QYBE products.
@@ -283,6 +284,34 @@ MUTANTS = (
            ", object_pairs_hook=unique_keys",
            "",
            ("tests/test_fileformat.py::test_deep_nesting_and_repeated_keys_are_value_errors[operator]",)),
+    Mutant("json-value-errors-left-unprefixed", FF,
+           "    except ValueError as exc:",
+           "    except json.JSONDecodeError as exc:",
+           ("tests/test_cli.py::test_decoder_errors_carry_the_file_prefix_once[yb verify]",)),
+    Mutant("rank-skips-the-row-below-the-pivot", LA,
+           "range(r + 1, nrows)",
+           "range(r + 2, nrows)",
+           (T_LA + "test_elimination_matches_the_field_scalar_oracle[F3]",)),
+    # The frozen records.
+    Mutant("record-equal-across-classes", FI,
+           "        if other.__class__ is not self.__class__:\n",
+           "        if not isinstance(other, Record):\n",
+           (T_RC + "test_records_behave_as_frozen_dataclasses[BraidReport]",)),
+    Mutant("record-allows-assignment", FI,
+           '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+           "        object.__setattr__(self, name, value)\n",
+           (T_RC + "test_records_behave_as_frozen_dataclasses[Verdict]",)),
+    Mutant("record-replace-skips-init", FI,
+           "        return self.__class__(**values)\n",
+           "        new = object.__new__(self.__class__)\n"
+           "        for name, value in values.items():\n"
+           "            object.__setattr__(new, name, value)\n"
+           "        return new\n",
+           (T_RC + "test_replace_runs_the_checks_again",)),
+    Mutant("record-hash-drops-a-field", FI,
+           "        return hash(tuple(values))\n",
+           "        return hash(tuple(values[1:]))\n",
+           (T_RC + "test_records_behave_as_frozen_dataclasses[PrimeField]",)),
     # Products, derivations and the command line.
     Mutant("sparse-multiply-reads-e_j-e_i", AL,
            "view.multiply(us, vs)",
@@ -302,13 +331,13 @@ MUTANTS = (
            ("tests/test_algebra.py::test_unit_check_reads_the_scales_of_unit_and_tensor",)),
     # One scalar gate per value type, where the value is built.
     Mutant("matrix-skips-the-scalar-gate", LA,
-           "rows = tuple(tuple(coerce(field, x) for x in row) for row in self.rows)",
-           "rows = tuple(tuple(x for x in row) for row in self.rows)",
+           "rows = tuple(tuple(coerce(field, x) for x in row) for row in rows)",
+           "rows = tuple(tuple(x for x in row) for row in rows)",
            ("tests/test_fields.py::test_api_entries_share_one_scalar_gate[Matrix]",
             "tests/test_fields.py::test_api_entries_share_one_scalar_gate[lift]")),
     Mutant("operator-accepts-a-matrix-of-another-field", YB,
-           "        if self.matrix.field != self.field:\n"
-           "            raise ValueError(f\"operator over {self.field} given a matrix over {self.matrix.field}\")\n",
+           "        if matrix.field != field:\n"
+           "            raise ValueError(f\"operator over {field} given a matrix over {matrix.field}\")\n",
            "",
            ("tests/test_fields.py::test_a_matrix_over_another_field_is_rejected",)),
     Mutant("clear-skips-the-scalar-gate", AL,

@@ -11,9 +11,6 @@ from .algebra import (
     Algebra,
     algebra_from_matrix_basis,
     algebra_from_products,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 from .axioms import (
     SUITES,

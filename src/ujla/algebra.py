@@ -2,46 +2,34 @@
 
 An algebra is a field, a basis, and a tensor c[i][j][k] meaning
 e_i * e_j = sum_k c[i][j][k] e_k.  Vectors are plain tuples of scalars.
-The dataclass fields are immutable after construction; products are pure
-functions, so algebras are safe to share between threads.  Beside those
-fields an algebra keeps one cache, filled lazily in its __dict__ (the
-way functools.cached_property keeps a value): the integer view, the
-tensor cleared once by the lcm of its denominators.  It is the one
-integer form of the tensor and the one route by which concrete vectors
-are multiplied: its clear gates the vectors a caller hands in, and the
-vectors the library builds enter as integers with scale 1; multiply, the
-unit check, the identity engine, the derivation kernels and witness
-revalidation all read it; it also holds the identity engine's slot
-tables and its memo of concrete products.  The view is a pure function of
-the tensor, so threads that race on it only build it twice; it takes no
-part in equality, hashing or replace().
+An algebra is a frozen fields.Record: its fields are immutable after
+construction, and products are pure functions, so algebras are safe to
+share between threads.  Beside those fields an algebra keeps one cache,
+filled lazily in its __dict__ (the way functools.cached_property keeps a
+value): the integer view, the tensor cleared once by the lcm of its
+denominators.  It is the one integer form of the tensor and the one
+route by which concrete vectors are multiplied: its clear gates the
+vectors a caller hands in, and the vectors the library builds enter as
+integers with scale 1; multiply, the unit check, the identity engine,
+the derivation kernels and witness revalidation all read it; it also
+holds the identity engine's slot tables and its memo of concrete
+products.  The view is a pure function of the tensor, so threads that
+race on it only build it twice; it takes no part in equality or hashing,
+and an algebra made by replace() builds its own.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
-from .fields import FieldSpec, Scalar, coerce, from_integers, integral
+from .fields import FieldSpec, Record, Scalar, coerce, from_integers, integral
 from .formal import Poly
 from . import linalg
 from .linalg import accumulate, sparse_row
 
 Vector = tuple
 ScalarLike = Union[Scalar, int, str]
-
-
-def vec_add(field: FieldSpec, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.normalize(x + y) for x, y in zip(u, v))
-
-
-def vec_sub(field: FieldSpec, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.normalize(x - y) for x, y in zip(u, v))
-
-
-def vec_scale(field: FieldSpec, c: Scalar, u: Sequence) -> Vector:
-    return tuple(field.normalize(c * x) for x in u)
 
 
 def format_vector(field: FieldSpec, u: Sequence) -> str:
@@ -113,32 +101,38 @@ class IntegerView:
         return tuple([x % p for x in acc] if p else acc)
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     name: str
     field: FieldSpec
     dim: int
     basis: tuple
     tensor: tuple  # tensor[i][j][k]: coefficient of e_k in e_i * e_j
-    unit: Optional[Vector] = None
+    unit: Optional[Vector]
 
-    def __post_init__(self):
-        d = self.dim
-        if len(self.basis) != d:
-            raise ValueError(f"{self.name}: expected {d} basis labels, got {len(self.basis)}")
-        if len(self.tensor) != d or any(
-            len(plane) != d or any(len(row) != d for row in plane) for plane in self.tensor
+    def __init__(self, name: str, field: FieldSpec, dim: int, basis: tuple, tensor: tuple,
+                 unit: Optional[Vector] = None):
+        d = dim
+        if len(basis) != d:
+            raise ValueError(f"{name}: expected {d} basis labels, got {len(basis)}")
+        if len(tensor) != d or any(
+            len(plane) != d or any(len(row) != d for row in plane) for plane in tensor
         ):
-            raise ValueError(f"{self.name}: structure tensor must be {d}x{d}x{d}")
+            raise ValueError(f"{name}: structure tensor must be {d}x{d}x{d}")
         # The one scalar gate for stored scalars: floats and bools are rejected.
-        field = self.field
-        object.__setattr__(self, "tensor", tuple(
-            tuple(tuple(coerce(field, c) for c in row) for row in plane) for plane in self.tensor
-        ))
-        if self.unit is not None:
-            if len(self.unit) != d:
-                raise ValueError(f"{self.name}: unit vector has wrong length")
-            object.__setattr__(self, "unit", tuple(coerce(field, x) for x in self.unit))
+        tensor = tuple(
+            tuple(tuple(coerce(field, c) for c in row) for row in plane) for plane in tensor
+        )
+        if unit is not None:
+            if len(unit) != d:
+                raise ValueError(f"{name}: unit vector has wrong length")
+            unit = tuple(coerce(field, x) for x in unit)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "unit", unit)
+        if unit is not None:
             self._check_unit()
 
     def _check_unit(self):
@@ -197,7 +191,7 @@ class Algebra:
 
     def with_tensor(self, name: str, tensor, unit=None) -> "Algebra":
         """New algebra over the same field and basis with a different tensor."""
-        return replace(self, name=name, tensor=tensor, unit=unit)
+        return self.replace(name=name, tensor=tensor, unit=unit)
 
     def tensor_flat(self) -> tuple:
         return tuple([c for plane in self.tensor for row in plane for c in row])

@@ -34,12 +34,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra
 from .axioms import UJLA_SPECS
-from .fields import PrimeField
+from .fields import PrimeField, Record
 from .identities import constant_equations
 from .linalg import Matrix, NotInvertibleError, accumulate, mat_inverse, sparse_row
 
@@ -47,42 +46,54 @@ SUPPORTED_DIMS = (1, 2)
 SUPPORTED_PRIMES = (2, 3, 5)
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Record):
     dim: int
     p: int
-    semantics: str = "polynomial"
+    semantics: str
 
-    def __post_init__(self):
-        for label, value in (("dimension", self.dim), ("prime", self.p)):
+    def __init__(self, dim: int, p: int, semantics: str = "polynomial"):
+        for label, value in (("dimension", dim), ("prime", p)):
             # 2.0 == 2 and True == 1 would pass the membership tests below.
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"search {label} must be an int, got {value!r}")
-        if self.dim not in SUPPORTED_DIMS:
-            raise ValueError(f"search dimension must be one of {SUPPORTED_DIMS}, got {self.dim}")
-        if self.p not in SUPPORTED_PRIMES:
-            raise ValueError(f"search prime must be one of {SUPPORTED_PRIMES}, got {self.p}")
-        if self.semantics not in ("polynomial", "pointwise"):
-            raise ValueError(f"unknown semantics {self.semantics!r}")
+        if dim not in SUPPORTED_DIMS:
+            raise ValueError(f"search dimension must be one of {SUPPORTED_DIMS}, got {dim}")
+        if p not in SUPPORTED_PRIMES:
+            raise ValueError(f"search prime must be one of {SUPPORTED_PRIMES}, got {p}")
+        if semantics not in ("polynomial", "pointwise"):
+            raise ValueError(f"unknown semantics {semantics!r}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "semantics", semantics)
 
     @property
     def total(self) -> int:
         return self.p ** (self.dim ** 3)
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(Record):
     representative: tuple  # flattened tensor, lexicographically least in its orbit
     orbit_size: int
 
+    def __init__(self, representative: tuple, orbit_size: int):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "orbit_size", orbit_size)
 
-@dataclass(frozen=True)
-class ClassificationResult:
+
+class ClassificationResult(Record):
     spec: SearchSpec
     total: int
     survivors: tuple
     failure_counts: tuple  # ((identity name, count), ...) in suite order
     classes: tuple
+
+    def __init__(self, spec: SearchSpec, total: int, survivors: tuple, failure_counts: tuple,
+                 classes: tuple):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "survivors", survivors)
+        object.__setattr__(self, "failure_counts", failure_counts)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def ujla_count(self) -> int:

@@ -16,8 +16,8 @@ loose scalar arguments where they are passed; the library never gates a
 value again.
 Integer kernels take gated values through ``integral`` and bring their
 results, integers x that share one scale s, back as the field elements
-x / s through ``from_integers`` alone.  Field objects are frozen and
-safe to share.
+x / s through ``from_integers`` alone.  Field objects are frozen
+``Record``s and safe to share; every value object of the package is one.
 The one grammar of outside numbers lives here: after str.strip(), an
 integer is [+-]?[0-9]+ in ASCII digits, a literal (LITERAL) an integer or
 n/d of two, within int()'s digit limit; over F_p, n/d is n times d^-1.
@@ -28,7 +28,6 @@ the identity tokenizer and the command line's option matcher read it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Union
@@ -79,8 +78,62 @@ def integer(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class Rationals:
+class Record:
+    """Base of the package's frozen value objects.
+
+    A record's fields are its class's own annotations, in order, read once
+    when the class is made.  Each record class has an explicit __init__
+    that checks its arguments and sets every field once, with
+    object.__setattr__; after that, assignment and deletion raise
+    AttributeError.  Equality holds only between records of one class
+    whose fields are equal in order, the hash is the hash of the field
+    tuple unless the class defines its own, and the repr is
+    Name(field=value, ...).  replace() builds a new record through
+    __init__, so its checks run again.  Pickle and copy need nothing more.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    # Loops, not comprehensions, which are calls of their own on Python
+    # 3.11: the identity engine's plan cache hashes and compares a field
+    # object on every check.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        values = []
+        for name in self._fields:
+            values.append(getattr(self, name))
+        return hash(tuple(values))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, checked again by __init__."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return self.__class__(**values)
+
+
+class Rationals(Record):
     """The field Q with Fraction scalars."""
 
     characteristic = 0
@@ -129,20 +182,20 @@ class Rationals:
         return "Q"
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Record):
     """The field F_p with int-residue scalars in [0, p)."""
 
     p: int
 
     is_finite = True
 
-    def __post_init__(self):
+    def __init__(self, p: int):
         # The bound first: trial division of a huge modulus would not end.
-        if isinstance(self.p, int) and self.p >= MAX_PRIME:
-            raise ValueError(f"field modulus must be < 2^31, got {self.p}")
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise ValueError(f"field modulus must be prime, got {self.p!r}")
+        if isinstance(p, int) and p >= MAX_PRIME:
+            raise ValueError(f"field modulus must be < 2^31, got {p}")
+        if not isinstance(p, int) or not is_prime(p):
+            raise ValueError(f"field modulus must be prime, got {p!r}")
+        object.__setattr__(self, "p", p)
 
     @property
     def characteristic(self) -> int:

@@ -37,18 +37,20 @@ def _as_text(data: Union[str, bytes]) -> str:
 
 def _load_json(data: Union[str, bytes], what: str) -> dict:
     """The file's JSON object; ValueError for text that is no JSON, nests
-    past the decoder's recursion limit or repeats a key in one object."""
+    past the decoder's recursion limit, repeats a key in one object or
+    holds an integer past int()'s digit limit."""
     def unique_keys(pairs: list) -> dict:
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ValueError(f"not a valid {what} file: duplicate key {key!r}")
+                raise ValueError(f"duplicate key {key!r}")
             obj[key] = value
         return obj
 
+    text = _as_text(data)
     try:
-        obj = json.loads(_as_text(data), object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # a decode error, a repeated key or a too long integer
         raise ValueError(f"not a valid {what} file: {exc}") from None
     except RecursionError:
         raise ValueError(f"not a valid {what} file: nested too deeply") from None

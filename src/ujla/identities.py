@@ -64,12 +64,11 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import Algebra, IntegerView, Vector
-from .fields import LITERAL, QQ, PrimeField, Scalar, from_integers, integral
+from .fields import LITERAL, QQ, PrimeField, Record, Scalar, from_integers, integral
 from .linalg import accumulate, sparse_row
 
 Word = Union[str, tuple]
@@ -156,8 +155,7 @@ def _parse_side(toks: list, variables: Sequence[str]) -> LinComb:
         sign = toks.pop()[1]
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(Record):
     """A named equation between linear combinations of product words."""
 
     name: str
@@ -165,6 +163,13 @@ class IdentitySpec:
     lhs: LinComb
     rhs: LinComb
     text: str
+
+    def __init__(self, name: str, variables: tuple, lhs: LinComb, rhs: LinComb, text: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "text", text)
 
     @classmethod
     def parse(cls, name: str, text: str, variables: Sequence[str]) -> "IdentitySpec":
@@ -202,8 +207,7 @@ class IdentitySpec:
 # reports and witnesses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientWitness:
+class CoefficientWitness(Record):
     """A monomial whose coefficient differs between the two sides."""
 
     monomial: tuple
@@ -212,33 +216,61 @@ class CoefficientWitness:
     lhs_coefficient: Scalar
     rhs_coefficient: Scalar
 
+    def __init__(self, monomial: tuple, monomial_text: str, coordinate: int,
+                 lhs_coefficient: Scalar, rhs_coefficient: Scalar):
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "monomial_text", monomial_text)
+        object.__setattr__(self, "coordinate", coordinate)
+        object.__setattr__(self, "lhs_coefficient", lhs_coefficient)
+        object.__setattr__(self, "rhs_coefficient", rhs_coefficient)
 
-@dataclass(frozen=True)
-class ConcreteWitness:
+
+class ConcreteWitness(Record):
     """A concrete assignment on which the two sides evaluate differently."""
 
     assignment: tuple  # ordered (variable name, vector) pairs
     lhs: Vector
     rhs: Vector
 
+    def __init__(self, assignment: tuple, lhs: Vector, rhs: Vector):
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(Record):
     name: str
     passed: bool
     semantics: str
-    identity: Optional[IdentitySpec] = None
-    coefficient_witness: Optional[CoefficientWitness] = None
-    concrete_witness: Optional[ConcreteWitness] = None
-    notes: tuple = ()
+    identity: Optional[IdentitySpec]
+    coefficient_witness: Optional[CoefficientWitness]
+    concrete_witness: Optional[ConcreteWitness]
+    notes: tuple
+
+    def __init__(self, name: str, passed: bool, semantics: str,
+                 identity: Optional[IdentitySpec] = None,
+                 coefficient_witness: Optional[CoefficientWitness] = None,
+                 concrete_witness: Optional[ConcreteWitness] = None, notes: tuple = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "semantics", semantics)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "coefficient_witness", coefficient_witness)
+        object.__setattr__(self, "concrete_witness", concrete_witness)
+        object.__setattr__(self, "notes", notes)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     algebra: str
     semantics: str
     verdicts: tuple
-    notes: tuple = ()
+    notes: tuple
+
+    def __init__(self, algebra: str, semantics: str, verdicts: tuple, notes: tuple = ()):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "semantics", semantics)
+        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "notes", notes)
 
     @property
     def passed(self) -> bool:
@@ -362,8 +394,7 @@ def _monomial(leaves: Sequence[int], sigma: Sequence[int], size: int, d: int) ->
     return tuple(exps)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(Record):
     scale: int  # D over Q, 1 over F_p
     top: int  # the largest degree of a word
     # (side, int coefficient, table, leaf variable numbers), the table an
@@ -373,6 +404,13 @@ class _Plan:
     # (monomial, lhs terms, rhs terms), ascending by monomial; each side's
     # terms are ((int coefficient, table, rows of that table), ...)
     groups: tuple
+
+    def __init__(self, scale: int, top: int, words: tuple, shapes: tuple, groups: tuple):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "groups", groups)
 
 
 @functools.lru_cache(maxsize=256)

@@ -21,10 +21,9 @@ row-by-row product (ACM TOMS 4, 1978), for every product in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .fields import FieldSpec, Scalar, coerce, from_integers, integral
+from .fields import FieldSpec, Record, Scalar, coerce, from_integers, integral
 
 
 class NotInvertibleError(ValueError):
@@ -36,17 +35,16 @@ class NotInvertibleError(ValueError):
         super().__init__(f"matrix of size {size} is not invertible (rank {rank})")
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     field: FieldSpec
     rows: tuple
 
-    def __post_init__(self):
+    def __init__(self, field: FieldSpec, rows: tuple):
         # The one scalar gate for matrix entries: floats and bools are rejected.
-        field = self.field
-        rows = tuple(tuple(coerce(field, x) for x in row) for row in self.rows)
+        rows = tuple(tuple(coerce(field, x) for x in row) for row in rows)
         if len({len(r) for r in rows}) > 1:
             raise ValueError("ragged matrix rows")
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -135,7 +133,7 @@ def _integer_rows(field: FieldSpec, rows) -> list:
     return [integral(row)[0] for row in rows]
 
 
-def _echelon(rows: list, p: int, width: int) -> tuple[list, int]:
+def _echelon(rows: list, p: int, width: int, reduce: bool) -> tuple[list, int]:
     """Eliminate integer rows in place, pivots sought in the first width
     columns; returns (pivot columns, den).
 
@@ -145,9 +143,10 @@ def _echelon(rows: list, p: int, width: int) -> tuple[list, int]:
     the elimination is fraction-free (Bareiss): with piv the new pivot and
     den the previous one (1 at first), every other row x becomes
     (piv * x - x[c] * pivot row) / den, an exact integer division, and den
-    becomes piv.  Rows above the pivot are eliminated too, so the result
-    is the reduced row echelon form times den: over Q each earlier pivot
-    entry has grown to the last pivot.
+    becomes piv.  With reduce, rows above the pivot are eliminated too,
+    and the result is the reduced row echelon form times den: over Q each
+    earlier pivot entry has grown to the last pivot.  Without it, only the
+    rows below are, which is enough for the rank.
     """
     nrows = len(rows)
     pivots = []
@@ -161,16 +160,17 @@ def _echelon(rows: list, p: int, width: int) -> tuple[list, int]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r][c]
+        others = range(nrows) if reduce else range(r + 1, nrows)
         if p:
             inv = pow(piv, -1, p)
             top = rows[r] = [x * inv % p for x in rows[r]]
-            for i in range(nrows):
+            for i in others:
                 f = rows[i][c]
                 if f and i != r:
                     rows[i] = [(x - f * y) % p for x, y in zip(rows[i], top)]
         else:
             top = rows[r]
-            for i in range(nrows):
+            for i in others:
                 f = rows[i][c]
                 if i != r and (f or piv != den):
                     rows[i] = [(piv * x - f * y) // den for x, y in zip(rows[i], top)]
@@ -180,17 +180,9 @@ def _echelon(rows: list, p: int, width: int) -> tuple[list, int]:
     return pivots, den
 
 
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
-    field = a.field
-    rows = _integer_rows(field, a.rows)
-    pivots, den = _echelon(rows, field.characteristic, a.ncols)
-    return Matrix(field, tuple(from_integers(field, row, den) for row in rows)), tuple(pivots)
-
-
 def mat_rank(a: Matrix) -> int:
     rows = _integer_rows(a.field, a.rows)
-    return len(_echelon(rows, a.field.characteristic, a.ncols)[0])
+    return len(_echelon(rows, a.field.characteristic, a.ncols, False)[0])
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -201,7 +193,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
     aug = _integer_rows(field, ((*r, *e) for r, e in zip(a.rows, ident)))
     # Pivots are sought in the left block only, so they count the rank of A.
-    pivots, den = _echelon(aug, field.characteristic, n)
+    pivots, den = _echelon(aug, field.characteristic, n, True)
     if len(pivots) != n:
         raise NotInvertibleError(rank=len(pivots), size=n)
     return Matrix(field, tuple(from_integers(field, row[n:], den) for row in aug))
@@ -216,7 +208,7 @@ def mat_kernel(a: Matrix) -> list[tuple]:
     """
     field = a.field
     rows = _integer_rows(field, a.rows)
-    pivots, den = _echelon(rows, field.characteristic, a.ncols)
+    pivots, den = _echelon(rows, field.characteristic, a.ncols, True)
     n = a.ncols
     free = [c for c in range(n) if c not in pivots]
     basis = []
@@ -240,7 +232,7 @@ def solve(a: Matrix, b: Sequence[Scalar]) -> Optional[tuple]:
     field = a.field
     n = a.ncols
     aug = _integer_rows(field, ((*r, coerce(field, x)) for r, x in zip(a.rows, b)))
-    pivots, den = _echelon(aug, field.characteristic, n + 1)
+    pivots, den = _echelon(aug, field.characteristic, n + 1, True)
     if n in pivots:
         return None
     x = [0] * n

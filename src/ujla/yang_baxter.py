@@ -32,29 +32,30 @@ the rank, which `linalg` takes on integers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import Algebra, Vector, format_vector
 from .axioms import ASSOC, LIE_ALT, LIE_JACOBI
-from .fields import FieldSpec, Scalar, coerce, from_integers, integral
+from .fields import FieldSpec, Record, Scalar, coerce, from_integers, integral
 from .identities import holds
 from .linalg import Matrix, accumulate, integer_grid, mat_kernel, mat_mul, mat_rank, sparse_row
 
 
-@dataclass(frozen=True)
-class TensorSquareOperator:
+class TensorSquareOperator(Record):
     field: FieldSpec
     dim: int
     matrix: Matrix
 
-    def __post_init__(self):
+    def __init__(self, field: FieldSpec, dim: int, matrix: Matrix):
         # The entries were gated when the Matrix was built.
-        if self.matrix.field != self.field:
-            raise ValueError(f"operator over {self.field} given a matrix over {self.matrix.field}")
-        side = self.dim * self.dim
-        if self.matrix.nrows != side or self.matrix.ncols != side:
+        if matrix.field != field:
+            raise ValueError(f"operator over {field} given a matrix over {matrix.field}")
+        side = dim * dim
+        if matrix.nrows != side or matrix.ncols != side:
             raise ValueError(f"operator matrix must be {side}x{side}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def from_columns(cls, field: FieldSpec, dim: int, columns: Sequence[Sequence[Scalar]]):
@@ -189,13 +190,20 @@ def _first_mismatch(r: TensorSquareOperator, lhs_word: tuple, rhs_word: tuple) -
     return None
 
 
-@dataclass(frozen=True)
-class BraidReport:
+class BraidReport(Record):
     dim: int
     braid_ok: bool
     invertible: bool
     rank: int
-    first_mismatch: Optional[tuple] = None
+    first_mismatch: Optional[tuple]
+
+    def __init__(self, dim: int, braid_ok: bool, invertible: bool, rank: int,
+                 first_mismatch: Optional[tuple] = None):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "braid_ok", braid_ok)
+        object.__setattr__(self, "invertible", invertible)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
 
     @property
     def is_yang_baxter(self) -> bool:
@@ -203,11 +211,15 @@ class BraidReport:
         return self.braid_ok and self.invertible
 
 
-@dataclass(frozen=True)
-class QybeReport:
+class QybeReport(Record):
     dim: int
     qybe_ok: bool
-    first_mismatch: Optional[tuple] = None
+    first_mismatch: Optional[tuple]
+
+    def __init__(self, dim: int, qybe_ok: bool, first_mismatch: Optional[tuple] = None):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "qybe_ok", qybe_ok)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
 
 
 def check_braid(r: TensorSquareOperator) -> BraidReport:

@@ -105,3 +105,15 @@ def mat_vec(a: Matrix, v) -> tuple:
         raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times vector of length {len(v)}")
     norm = a.field.normalize
     return tuple(norm(sum(x * y for x, y in zip(row, v))) for row in a.rows)
+
+
+def vec_add(field, u, v) -> tuple:
+    return tuple(field.normalize(x + y) for x, y in zip(u, v))
+
+
+def vec_sub(field, u, v) -> tuple:
+    return tuple(field.normalize(x - y) for x, y in zip(u, v))
+
+
+def vec_scale(field, c, u) -> tuple:
+    return tuple(field.normalize(c * x) for x in u)

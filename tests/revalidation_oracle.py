@@ -1,8 +1,8 @@
 """Field-scalar oracle for witness revalidation.
 
 The identity's words and the two sides of the Leibniz rule, evaluated
-through a product of its own on field scalars, the field-scalar mat_vec
-of linalg_oracle and the vector helpers: the route revalidation took
+through a product of its own on field scalars and the field-scalar
+mat_vec and vector helpers of linalg_oracle: the route revalidation took
 before it ran on integers.  The product is the field-scalar loop
 Algebra.multiply ran before it went through the integer view, so the
 oracle never reads that view.  The words are read off the spec itself,
@@ -12,8 +12,7 @@ occurs.
 
 import itertools
 
-from linalg_oracle import mat_vec
-from ujla.algebra import vec_add, vec_scale
+from linalg_oracle import mat_vec, vec_add, vec_scale
 
 
 def _leaves(word) -> list:

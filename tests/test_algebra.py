@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from linalg_oracle import vec_add, vec_scale
 from strategies import algebras, prime_fields, scalars, vectors
 from ujla import corpus
-from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products, vec_add, vec_scale
+from ujla.algebra import Algebra, algebra_from_matrix_basis, algebra_from_products
 from ujla.fields import QQ, PrimeField
 
 

@@ -19,7 +19,7 @@ from ujla.fileformat import dumps_algebra, dumps_operator, loads_algebra, loads_
 from ujla.transforms import commutator
 from ujla.fields import QQ, PrimeField
 from ujla.linalg import Matrix
-from ujla.yang_baxter import TensorSquareOperator
+from ujla.yang_baxter import TensorSquareOperator, twist
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -178,6 +178,27 @@ def test_a_deeply_nested_file_is_status_2(command, tmp_path, capsys):
                   else ("operator", ["yb", "verify", str(path)]))
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: not a valid {kind} file: nested too deeply\n")
+
+
+@pytest.mark.parametrize("command", ["check", "yb verify"])
+def test_decoder_errors_carry_the_file_prefix_once(command, tmp_path, capsys):
+    """An integer past int()'s 4,300-digit limit and a repeated key both
+    exit 2 with one "not a valid ... file:" prefix."""
+    path = tmp_path / "damaged.json"
+    if command == "check":
+        kind, text = "algebra", dumps_algebra(corpus.dual_numbers())
+        argv = ["check", str(path), "--axioms", "assoc"]
+    else:
+        kind, text = "operator", dumps_operator(twist(QQ, 2))
+        argv = ["yb", "verify", str(path)]
+    path.write_text(text.rstrip()[:-1] + ', "extra": ' + "9" * 5000 + "}")
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(f"error: not a valid {kind} file: Exceeds the limit")
+    assert err.count("not a valid") == 1 and err.count("\n") == 1
+    path.write_text(text.rstrip()[:-1] + ', "field": "F2"}')
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: not a valid {kind} file: duplicate key 'field'\n")
 
 
 def test_pointwise_checks_over_the_largest_prime_print_as_over_f7(tmp_path, capsys):

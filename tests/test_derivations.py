@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from linalg_oracle import mat_vec
+from linalg_oracle import mat_vec, vec_add, vec_sub
 from reference import ref_leibniz_witness
 from ujla import corpus, derivations
-from ujla.algebra import Algebra, vec_add, vec_sub
+from ujla.algebra import Algebra
 from ujla.axioms import check_ujla
 from ujla.classify import SearchSpec, enumerate_ujla
 from ujla.derivations import (

@@ -3,7 +3,6 @@ import itertools
 import random
 import sys
 import threading
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -129,19 +128,15 @@ def test_product_specs_pass_on_zero_algebra():
 
 
 def test_witness_revalidation_detects_tampering(upper2):
-    from dataclasses import replace
-
     v = verify_identity(upper2, JORDAN_COMM).verdicts[0]
-    tampered = replace(v, concrete_witness=replace(v.concrete_witness, lhs=v.concrete_witness.rhs))
+    tampered = v.replace(concrete_witness=v.concrete_witness.replace(lhs=v.concrete_witness.rhs))
     assert not revalidate_verdict(upper2, tampered)
 
 
 def test_verdict_without_identity_cannot_revalidate(upper2):
-    from dataclasses import replace
-
     v = verify_identity(upper2, JORDAN_COMM).verdicts[0]
     with pytest.raises(ValueError, match="originating checker"):
-        revalidate_verdict(upper2, replace(v, identity=None))
+        revalidate_verdict(upper2, v.replace(identity=None))
 
 
 # --- pointwise semantics ---------------------------------------------------
@@ -370,18 +365,18 @@ def test_coefficient_witness_tampering_is_detected(p, d, count):
     rejected = {"monomial": 0, "coordinate": 0}
     for alg, verdict, lhs, rhs in _failing_verdicts(_seeded_algebras(p, d, count)):
         field, cw = alg.field, verdict.coefficient_witness
-        bare = replace(verdict, concrete_witness=None)
+        bare = verdict.replace(concrete_witness=None)
         assert revalidate_verdict(alg, bare)
-        wrong = replace(cw, lhs_coefficient=field.normalize(cw.lhs_coefficient + 1))
-        assert not revalidate_verdict(alg, replace(bare, coefficient_witness=wrong))
+        wrong = cw.replace(lhs_coefficient=field.normalize(cw.lhs_coefficient + 1))
+        assert not revalidate_verdict(alg, bare.replace(coefficient_witness=wrong))
         tampers = {
-            "monomial": replace(cw, monomial=cw.monomial[1:] + cw.monomial[:1]),
-            "coordinate": replace(cw, coordinate=(cw.coordinate + 1) % alg.dim),
+            "monomial": cw.replace(monomial=cw.monomial[1:] + cw.monomial[:1]),
+            "coordinate": cw.replace(coordinate=(cw.coordinate + 1) % alg.dim),
         }
         for what, t in tampers.items():
             lc, rc = lhs[t.coordinate].coefficient(t.monomial), rhs[t.coordinate].coefficient(t.monomial)
             valid = (lc, rc) == (t.lhs_coefficient, t.rhs_coefficient) and lc != rc
-            assert revalidate_verdict(alg, replace(bare, coefficient_witness=t)) == valid, what
+            assert revalidate_verdict(alg, bare.replace(coefficient_witness=t)) == valid, what
             rejected[what] += not valid
     assert all(rejected.values()), rejected
 
@@ -561,7 +556,7 @@ def test_witness_search_builds_no_slot_table_row():
         for alg in _witness_algebras(p, d, 2):
             basis = set(alg.basis_vectors())
             for spec in ALL_NAMED_IDENTITIES.values():
-                checked, decided = replace(alg), replace(alg)
+                checked, decided = alg.replace(), alg.replace()
                 verdict = check_identity(checked, spec)
                 if verdict.passed:
                     continue
@@ -668,7 +663,7 @@ def test_revalidation_never_reads_the_integer_rows(monkeypatch):
     monkeypatch.setattr(IntegerView, "multiply", counting("multiply", IntegerView.multiply))
     for alg, verdict in failing:
         calls.update(dict.fromkeys(calls, 0))
-        fresh = replace(alg)
+        fresh = alg.replace()
         assert revalidate_verdict(fresh, verdict), (alg.tensor, verdict.name)
         assert calls["table"] == calls["row"] == 0, calls
         assert fresh.integer_view.tables == {}, (alg.tensor, verdict.name)
@@ -737,7 +732,7 @@ def test_revalidating_a_witness_on_its_algebra_forms_no_product(monkeypatch):
         if w is None or semantics == "polynomial" and not _is_basis_tuple(alg, w):
             continue
         formed.clear()
-        assert revalidate_verdict(alg, replace(verdict, coefficient_witness=None))
+        assert revalidate_verdict(alg, verdict.replace(coefficient_witness=None))
         assert not formed, (alg.tensor, spec.name, semantics)
         seen[semantics] += 1
     assert seen["pointwise"] > 100 and seen["polynomial"] > 50, seen
@@ -753,7 +748,7 @@ def test_the_grid_walk_leaves_no_product_on_the_view(monkeypatch):
     cases = [(half, LIE_ALT), (tensor_algebra(2, 2, F2_POINTWISE_ONLY), UJLA_2A)]
     walked = []
     for alg, spec in cases:
-        alg = replace(alg)
+        alg = alg.replace()
         verdict = check_identity(alg, spec)
         assert not verdict.passed, spec.name
         w = verdict.concrete_witness
@@ -761,7 +756,7 @@ def test_the_grid_walk_leaves_no_product_on_the_view(monkeypatch):
         walked.append(alg.integer_view.products)
     monkeypatch.setattr(identities, "WITNESS_SEARCH_CAP", 0)
     for (alg, spec), products in zip(cases, walked):
-        alg = replace(alg)
+        alg = alg.replace()
         assert check_identity(alg, spec).concrete_witness is None
         assert products and products == alg.integer_view.products, spec.name
 
@@ -800,7 +795,7 @@ def test_a_callers_assignments_leave_no_product_on_the_view():
     size = len(alg.integer_view.products)
     for _ in range(20):
         point = assignment()
-        assert evaluate_sides(alg, spec, point) == evaluate_sides(replace(alg), spec, point)
+        assert evaluate_sides(alg, spec, point) == evaluate_sides(alg.replace(), spec, point)
     assert size and len(alg.integer_view.products) == size
 
 

@@ -43,3 +43,13 @@ def test_commands_do_not_import_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout
     assert out.strip() == "[]"
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """The records generate no code at import, so the start-up of every
+    command pays for neither module; -S keeps site's own imports out."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import ujla.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

@@ -8,7 +8,8 @@ import hypothesis.strategies as st
 import linalg_oracle as oracle
 from reference import ref_rational_kernel
 from strategies import matrices, prime_fields, vectors
-from ujla.fields import QQ, PrimeField
+from ujla import linalg
+from ujla.fields import QQ, PrimeField, from_integers
 from ujla.linalg import (
     Matrix,
     NotInvertibleError,
@@ -18,7 +19,6 @@ from ujla.linalg import (
     mat_kernel,
     mat_mul,
     mat_rank,
-    rref,
     solve,
     sparse_row,
 )
@@ -208,6 +208,15 @@ def _in_field(field, values) -> bool:
     if field == QQ:
         return all(type(x) is Fraction for x in values)
     return all(type(x) is int and 0 <= x < field.p for x in values)
+
+
+def rref(a: Matrix) -> tuple:
+    """The library's reduced row echelon form and pivot columns: its
+    integer elimination with reduce, brought back to field scalars."""
+    field = a.field
+    rows = linalg._integer_rows(field, a.rows)
+    pivots, den = linalg._echelon(rows, field.characteristic, a.ncols, True)
+    return Matrix(field, tuple(from_integers(field, row, den) for row in rows)), tuple(pivots)
 
 
 def _inverse_or_rank(inverse, m):

@@ -13,7 +13,6 @@ emits, so the clearing scale S of the vectors is exercised here.
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -161,7 +160,7 @@ def test_concrete_witness_tampering_is_rejected(label, d):
             for k in range(d):
                 vec = list(getattr(w, side))
                 vec[k] = _tampered(field, vec[k])
-                tampered = replace(verdict, concrete_witness=replace(w, **{side: tuple(vec)}))
+                tampered = verdict.replace(concrete_witness=w.replace(**{side: tuple(vec)}))
                 assert not revalidate_verdict(alg, tampered), (alg.tensor, verdict.name, side, k)
         for n, (name, vec) in enumerate(w.assignment):
             for k in range(d):
@@ -171,8 +170,8 @@ def test_concrete_witness_tampering_is_rejected(label, d):
                 assignment[n] = (name, tuple(moved))
                 lhs, rhs = oracle.evaluate_sides(alg, verdict.identity, dict(assignment))
                 expected = (lhs, rhs) == (w.lhs, w.rhs) and lhs != rhs
-                moved_w = replace(w, assignment=tuple(assignment))
-                accepted = revalidate_verdict(alg, replace(verdict, concrete_witness=moved_w))
+                moved_w = w.replace(assignment=tuple(assignment))
+                accepted = revalidate_verdict(alg, verdict.replace(concrete_witness=moved_w))
                 assert accepted == expected, (alg.tensor, verdict.name, n, k)
                 rejected += not expected
         checked += 1
@@ -197,9 +196,9 @@ def test_coefficient_witness_tampering_is_rejected(label, d):
                 verdict = Verdict(spec.name, False, "polynomial", identity=spec,
                                   coefficient_witness=cw)
                 assert revalidate_verdict(alg, verdict), (alg.tensor, spec.name, mono)
-                for wrong in (replace(cw, lhs_coefficient=_tampered(field, lc)),
-                              replace(cw, rhs_coefficient=_tampered(field, rc))):
-                    assert not revalidate_verdict(alg, replace(verdict, coefficient_witness=wrong))
+                for wrong in (cw.replace(lhs_coefficient=_tampered(field, lc)),
+                              cw.replace(rhs_coefficient=_tampered(field, rc))):
+                    assert not revalidate_verdict(alg, verdict.replace(coefficient_witness=wrong))
                 checked += 1
     assert checked > 10, checked
 
@@ -228,15 +227,15 @@ def test_leibniz_sides_and_tampering_match_the_oracle(label, d):
             for side, k in itertools.product(("lhs", "rhs"), range(d)):
                 vec = list(getattr(w, side))
                 vec[k] = _tampered(field, vec[k])
-                tampered = replace(verdict, concrete_witness=replace(w, **{side: tuple(vec)}))
+                tampered = verdict.replace(concrete_witness=w.replace(**{side: tuple(vec)}))
                 assert not revalidate_leibniz(alg, deriv, tampered), (side, k)
             for n, k in itertools.product(range(2), range(d)):
                 env = [list(x), list(y)]
                 env[n][k] = _tampered(field, env[n][k])
                 moved = tuple(map(tuple, env))
                 expected = oracle.leibniz_sides(alg, deriv, *moved) == (lhs, rhs)
-                tampered = replace(verdict, concrete_witness=replace(
-                    w, assignment=(("x", moved[0]), ("y", moved[1]))))
+                tampered = verdict.replace(concrete_witness=w.replace(
+                    assignment=(("x", moved[0]), ("y", moved[1]))))
                 assert revalidate_leibniz(alg, deriv, tampered) == expected, (n, k)
                 rejected += not expected
             checked += 1
@@ -263,7 +262,7 @@ def test_witness_names_must_be_the_declared_variables_in_order(label, d):
         w = verdict.concrete_witness
         assert revalidate_verdict(alg, verdict)
         for case, assignment in _misnamed(w.assignment).items():
-            moved = replace(verdict, concrete_witness=replace(w, assignment=assignment))
+            moved = verdict.replace(concrete_witness=w.replace(assignment=assignment))
             assert not revalidate_verdict(alg, moved), (verdict.name, case)
             reordered += case == "reordered"
     assert reordered
@@ -279,7 +278,7 @@ def test_witness_names_must_be_the_declared_variables_in_order(label, d):
         verdict = Verdict("leibniz", False, "polynomial", concrete_witness=w)
         assert revalidate_leibniz(alg, deriv, verdict)
         for case, assignment in _misnamed(w.assignment).items():
-            moved = replace(verdict, concrete_witness=replace(w, assignment=assignment))
+            moved = verdict.replace(concrete_witness=w.replace(assignment=assignment))
             assert not revalidate_leibniz(alg, deriv, moved), case
         checked += 1
     assert checked
