@@ -18,7 +18,7 @@ unmutated tests fail.  A change that reports a mutant adds it here.
     python3 scripts/mutants.py              # every mutant
     python3 scripts/mutants.py NAME ...     # the named ones
 
-The full table, 75 mutants, took 161 s for the mutants alone and 171 s of
+The full table, 78 mutants, took 150 s for the mutants alone and 159 s of
 wall time with the unmutated pass, on a 2-core box with Python 3.11.7;
 witness-lhs-printed-with-a-colon runs the 2-3 s sweep test.
 """
@@ -165,6 +165,10 @@ MUTANTS = (
            "((basis, view.products), (grid, {}))",
            "((grid, {}), (basis, view.products))",
            (T_ID + "test_polynomial_concrete_witness_matches_evaluate_sides_oracle",)),
+    Mutant("plan-keyed-by-the-field-object", IDS,
+           "_compile(spec, alg.dim, alg.field.characteristic, reduce)",
+           "_compile(spec, alg.dim, alg.field, reduce)",
+           (T_ID + "test_a_warm_plan_is_found_without_hashing_or_comparing_the_field",)),
     Mutant("pointwise-residual-from-first-group", IDS,
            "for mono, lhs, rhs in _differences(plan, view)}",
            "for mono, lhs, rhs in itertools.islice(_differences(plan, view), 1)}",
@@ -284,6 +288,12 @@ MUTANTS = (
            ", object_pairs_hook=unique_keys",
            "",
            ("tests/test_fileformat.py::test_deep_nesting_and_repeated_keys_are_value_errors[operator]",)),
+    Mutant("json-bytes-decoded-outside-the-try", FF,
+           "    try:\n"
+           '        text = data.decode("utf-8") if isinstance(data, bytes) else data\n',
+           '    text = data.decode("utf-8") if isinstance(data, bytes) else data\n'
+           "    try:\n",
+           ("tests/test_cli.py::test_decoder_errors_carry_the_file_prefix_once[check]",)),
     Mutant("json-value-errors-left-unprefixed", FF,
            "    except ValueError as exc:",
            "    except json.JSONDecodeError as exc:",
@@ -373,6 +383,10 @@ MUTANTS = (
            "                    failed = pos\n",
            "",
            (T_CL + "test_scan_builds_no_algebra_and_runs_no_identity_check[polynomial]",)),
+    Mutant("scan-buckets-rebuilt-per-scan", CL,
+           "@functools.cache\ndef _suite_buckets(",
+           "def _suite_buckets(",
+           (T_CL + "test_a_second_scan_expands_no_constant_equations",)),
     Mutant("constant-equations-lead-not-normalised", IDS,
            "equations.setdefault(tuple((mono, x * lead % p) for mono, x in eq))",
            "equations.setdefault(tuple(eq))",

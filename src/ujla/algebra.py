@@ -189,10 +189,6 @@ class Algebra(Record):
                 acc = [acc[k] + uv.scale(c[i][j][k]) for k in range(d)]
         return tuple(acc)
 
-    def with_tensor(self, name: str, tensor, unit=None) -> "Algebra":
-        """New algebra over the same field and basis with a different tensor."""
-        return self.replace(name=name, tensor=tensor, unit=unit)
-
     def tensor_flat(self) -> tuple:
         return tuple([c for plane in self.tensor for row in plane for c in row])
 

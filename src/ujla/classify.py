@@ -31,6 +31,7 @@ range order, so the outcome is identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -128,16 +129,19 @@ def tensor_algebra(dim: int, p: int, flat: tuple, name: str = "") -> Algebra:
     )
 
 
-def _suite_buckets(dim: int, p: int, semantics: str) -> list:
+@functools.cache
+def _suite_buckets(dim: int, p: int, semantics: str) -> tuple:
     """Every UJLA identity's constant equations under the semantics, as
     (suite position, equation) pairs bucketed by their largest flat index:
     bucket t is decided once the walk has fixed constants 0..t.  Within a
-    bucket the pairs run in suite order."""
+    bucket the pairs run in suite order.  The buckets are kept per search
+    key, which SearchSpec bounds, and expand the plans that the identity
+    engine keeps per characteristic, so a process builds each set once."""
     buckets = [[] for _ in range(dim ** 3)]
     for pos, spec in enumerate(UJLA_SPECS):
         for eq in constant_equations(spec, dim, p, semantics):
             buckets[max(idx[-1] for idx, _ in eq)].append((pos, eq))
-    return buckets
+    return tuple(map(tuple, buckets))
 
 
 def _vanishes(eq: tuple, flat: list, p: int) -> bool:

@@ -7,9 +7,8 @@ mode; a field object is only the boundary.  Values enter through
 ``coerce``, ``parse`` and ``from_fraction``; each computed result is
 brought back with ``normalize``, which takes only an int, or over Q an
 int or a Fraction, and raises ValueError for anything else, and printed
-with ``format``; ``inv`` is the one operation a field does itself.
-``inv`` and ``format`` take what ``normalize`` takes, and
-``from_fraction`` an int or a Fraction (never a bool), in both fields.
+with ``format``, which takes what ``normalize`` takes; ``from_fraction``
+takes an int or a Fraction (never a bool), in both fields.
 ``coerce`` gates each value once, where it is built: Algebra and Matrix
 entries in their constructors, a caller's vectors at IntegerView.clear,
 loose scalar arguments where they are passed; the library never gates a
@@ -99,9 +98,7 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
 
-    # Loops, not comprehensions, which are calls of their own on Python
-    # 3.11: the identity engine's plan cache hashes and compares a field
-    # object on every check.
+    # Loops, not comprehensions, which are calls of their own on Python 3.11.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -158,12 +155,6 @@ class Rationals(Record):
             raise ValueError(f"not a Q scalar (only ints and Fractions): {x!r}")
         return Fraction(x)
 
-    def inv(self, x) -> Fraction:
-        x = self.normalize(x)
-        if x == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse in Q")
-        return 1 / x
-
     def from_fraction(self, q: Fraction) -> Fraction:
         if type(q) is Fraction:  # from_integers' hot path over Q
             return q
@@ -217,12 +208,6 @@ class PrimeField(Record):
         if type(x) is not int:
             raise ValueError(f"not an F_{self.p} scalar (only ints): {x!r}")
         return x % self.p
-
-    def inv(self, x: int) -> int:
-        x = self.normalize(x)
-        if x == 0:
-            raise ZeroDivisionError(f"0 has no multiplicative inverse in F_{self.p}")
-        return pow(x, self.p - 2, self.p)
 
     def from_fraction(self, q: Fraction) -> int:
         num, den = _rational(q).numerator, q.denominator

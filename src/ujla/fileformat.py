@@ -29,16 +29,10 @@ from .yang_baxter import TensorSquareOperator
 OPERATOR_CONVENTION = "column-major-basis-image"
 
 
-def _as_text(data: Union[str, bytes]) -> str:
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
-
-
 def _load_json(data: Union[str, bytes], what: str) -> dict:
-    """The file's JSON object; ValueError for text that is no JSON, nests
-    past the decoder's recursion limit, repeats a key in one object or
-    holds an integer past int()'s digit limit."""
+    """The file's JSON object; ValueError for bytes that are not UTF-8,
+    text that is no JSON, nests past the decoder's recursion limit, repeats
+    a key in one object or holds an integer past int()'s digit limit."""
     def unique_keys(pairs: list) -> dict:
         obj = {}
         for key, value in pairs:
@@ -47,10 +41,10 @@ def _load_json(data: Union[str, bytes], what: str) -> dict:
             obj[key] = value
         return obj
 
-    text = _as_text(data)
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         obj = json.loads(text, object_pairs_hook=unique_keys)
-    except ValueError as exc:  # a decode error, a repeated key or a too long integer
+    except ValueError as exc:  # not UTF-8 or JSON, a repeated key or a too long integer
         raise ValueError(f"not a valid {what} file: {exc}") from None
     except RecursionError:
         raise ValueError(f"not a valid {what} file: nested too deeply") from None

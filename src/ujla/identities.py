@@ -21,21 +21,21 @@ Two semantics are implemented:
   A failure names the lexicographically least failing assignment,
   found by fixing one coordinate at a time in the reduced difference.
 
-Both are decided by a plan compiled once per identity, dimension, field
-and semantics: the coefficients are sums of integer slot-table rows
-built from the structure constants, with no formal polynomials.  One
-walk over the plan's groups yields, in order, each group whose sides
-differ, building a row the first time a group reads it: holds and a
-polynomial failure stop at the first, a pointwise failure takes them
-all.  The tables live on the algebra's integer view, its one integer
-form of the tensor, so every identity checked on it reads and fills the
-same tables.  They decide verdicts and coefficient witnesses; no
-concrete side is read off them.  A polynomial failure's concrete witness
-is the first basis tuple whose sides differ, else the first such
-{0, 1, -1} grid point; a pointwise failure's is the point its residual
-names.  For the classification scan, constant_equations expands the same
-plan with the structure constants left symbolic, into polynomial
-equations in them.
+Both are decided by a plan compiled once per identity, dimension,
+characteristic and semantics: the coefficients are sums of integer
+slot-table rows built from the structure constants, with no formal
+polynomials.  One walk over the plan's groups yields, in order, each
+group whose sides differ, building a row the first time a group reads
+it: holds and a polynomial failure stop at the first, a pointwise
+failure takes them all.  The tables live on the algebra's integer view,
+its one integer form of the tensor, so every identity checked on it
+reads and fills the same tables.  They decide verdicts and coefficient
+witnesses; no concrete side is read off them.  A polynomial failure's
+concrete witness is the first basis tuple whose sides differ, else the
+first such {0, 1, -1} grid point; a pointwise failure's is the point its
+residual names.  For the classification scan, constant_equations expands
+the same plan with the structure constants left symbolic, into
+polynomial equations in them.
 
 One word evaluator, _word_sides, computes every concrete side: it sums
 the plan's words in integers through the integer view's product, on
@@ -414,7 +414,10 @@ class _Plan(Record):
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(spec: IdentitySpec, d: int, field, reduce: bool) -> _Plan:
+def _compile(spec: IdentitySpec, d: int, p: int, reduce: bool) -> _Plan:
+    """The plan of the identity at dimension d in characteristic p (0 over
+    Q), its monomials reduced by x^p = x when reduce is set."""
+    field = PrimeField(p) if p else QQ
     var = {v: n for n, v in enumerate(spec.variables)}
     size = len(spec.variables) * d
     terms = [(side, fc, word) for side, comb in enumerate((spec.lhs, spec.rhs))
@@ -430,7 +433,7 @@ def _compile(spec: IdentitySpec, d: int, field, reduce: bool) -> _Plan:
         for n, sigma in enumerate(itertools.product(range(d), repeat=len(leaves))):
             mono = _monomial(leaves, sigma, size, d)
             if reduce:
-                mono = tuple(1 + (e - 1) % (field.p - 1) if e else 0 for e in mono)
+                mono = tuple(1 + (e - 1) % (p - 1) if e else 0 for e in mono)
             groups.setdefault(mono, ({}, {}))[side].setdefault((c, t), []).append(n)
     top = max((len(leaves) for *_, leaves in words), default=1)
     return _Plan(scale, top, tuple(words), tuple(tables), tuple(
@@ -452,7 +455,7 @@ def _plan(alg: Algebra, spec: IdentitySpec, semantics: str) -> _Plan:
     reduce = _reduces(spec, semantics)
     if semantics == "pointwise" and not alg.field.is_finite:
         raise ValueError("pointwise semantics requires a finite field")
-    return _compile(spec, alg.dim, alg.field, reduce)
+    return _compile(spec, alg.dim, alg.field.characteristic, reduce)
 
 
 class _Table(dict):
@@ -520,9 +523,6 @@ def _symbolic_table(shape, memo: dict, d: int) -> list:
     return table
 
 
-# Large enough for every key of the classification scan at d <= 2: 5 identities,
-# 3 primes, 2 dimensions and 2 semantics.
-@functools.lru_cache(maxsize=64)
 def constant_equations(spec: IdentitySpec, dim: int, p: int,
                        semantics: str = "polynomial") -> tuple:
     """The identity over F_p as polynomial equations in the structure constants.
@@ -539,7 +539,7 @@ def constant_equations(spec: IdentitySpec, dim: int, p: int,
     are dropped, and so are repeats up to a nonzero scalar, which vanish
     together.
     """
-    plan = _compile(spec, dim, PrimeField(p), _reduces(spec, semantics))
+    plan = _compile(spec, dim, p, _reduces(spec, semantics))
     memo = {None: [[{(): 1} if i == j else {} for j in range(dim)] for i in range(dim)]}
     tables = [_symbolic_table(shape, memo, dim) for shape in plan.shapes]
     equations = {}

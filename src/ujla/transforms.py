@@ -25,7 +25,7 @@ def _recombined_tensor(alg: Algebra, alpha: Scalar, beta: Scalar) -> list:
 def commutator(alg: Algebra) -> Algebra:
     """Bracket product [u, v] = uv - vu; the unit annotation is dropped
     (1 is never a unit for an alternating product)."""
-    return alg.with_tensor(alg.name + "/lie", _recombined_tensor(alg, 1, -1), unit=None)
+    return alg.replace(name=alg.name + "/lie", tensor=_recombined_tensor(alg, 1, -1), unit=None)
 
 
 def symmetrize(alg: Algebra) -> Algebra:
@@ -36,7 +36,7 @@ def symmetrize(alg: Algebra) -> Algebra:
         )
     # The Algebra constructor brings the halves into F_p.
     tensor = _recombined_tensor(alg, Fraction(1, 2), Fraction(1, 2))
-    return alg.with_tensor(alg.name + "/jordan", tensor, unit=alg.unit)
+    return alg.replace(name=alg.name + "/jordan", tensor=tensor)
 
 
 def deform(alg: Algebra, alpha: Scalar, beta: Scalar) -> Algebra:
@@ -50,7 +50,7 @@ def deform(alg: Algebra, alpha: Scalar, beta: Scalar) -> Algebra:
     tensor = _recombined_tensor(alg, alpha, beta)
     unit = alg.unit if field.normalize(alpha + beta) == field.one else None
     name = f"{alg.name}/deform({field.format(alpha)},{field.format(beta)})"
-    return alg.with_tensor(name, tensor, unit=unit)
+    return alg.replace(name=name, tensor=tensor, unit=unit)
 
 
 # [x, y] = xy - yx and x o y = (xy + yx)/2, both built from the same

@@ -12,6 +12,11 @@ from ujla.fields import coerce
 from ujla.linalg import Matrix, NotInvertibleError
 
 
+def _inverse(field, x):
+    """x^-1 for a nonzero scalar, computed here rather than by the library."""
+    return pow(x, -1, field.p) if field.is_finite else 1 / x
+
+
 def echelon(field, rows: list) -> tuple[list, list]:
     """In-place reduction of field-scalar rows to reduced row echelon
     form; returns (rows, pivot columns).  The first nonzero entry of the
@@ -28,7 +33,7 @@ def echelon(field, rows: list) -> tuple[list, list]:
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv_p = field.inv(rows[r][c])
+        inv_p = _inverse(field, rows[r][c])
         rows[r] = [norm(inv_p * x) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != zero:
@@ -72,7 +77,7 @@ def mat_kernel(a: Matrix) -> list:
         v[f] = one
         for r, pc in enumerate(pivots):
             v[pc] = field.normalize(-reduced.rows[r][f])
-        inv_lead = field.inv(next(x for x in v if x != zero))
+        inv_lead = _inverse(field, next(x for x in v if x != zero))
         basis.append(tuple(field.normalize(inv_lead * x) for x in v))
     return basis
 

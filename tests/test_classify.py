@@ -197,6 +197,21 @@ def test_split_scan_ranges_concatenate_to_the_serial_scan(semantics):
     assert len(survivors) + sum(serial_counts.values()) == 256
 
 
+def test_a_second_scan_expands_no_constant_equations(monkeypatch):
+    """The scan's equation buckets are kept per search key: a second scan
+    of one SearchSpec in a process expands no constant equations and gives
+    the first scan's result."""
+    from ujla import classify
+
+    first = enumerate_ujla(SearchSpec(2, 3))
+    calls = []
+    expand = classify.constant_equations
+    monkeypatch.setattr(classify, "constant_equations",
+                        lambda *args: calls.append(args) or expand(*args))
+    assert enumerate_ujla(SearchSpec(2, 3)) == first
+    assert calls == []
+
+
 @pytest.mark.parametrize("dim,p,expect_count,expect_classes", [
     (1, 2, 2, 2),
     (1, 3, 3, 2),

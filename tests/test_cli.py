@@ -182,8 +182,8 @@ def test_a_deeply_nested_file_is_status_2(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["check", "yb verify"])
 def test_decoder_errors_carry_the_file_prefix_once(command, tmp_path, capsys):
-    """An integer past int()'s 4,300-digit limit and a repeated key both
-    exit 2 with one "not a valid ... file:" prefix."""
+    """An integer past int()'s 4,300-digit limit, a repeated key and bytes
+    that are not UTF-8 each exit 2 with one "not a valid ... file:" prefix."""
     path = tmp_path / "damaged.json"
     if command == "check":
         kind, text = "algebra", dumps_algebra(corpus.dual_numbers())
@@ -199,6 +199,10 @@ def test_decoder_errors_carry_the_file_prefix_once(command, tmp_path, capsys):
     path.write_text(text.rstrip()[:-1] + ', "field": "F2"}')
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: not a valid {kind} file: duplicate key 'field'\n")
+    path.write_bytes(b'{"name": "x\xff"}')
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: not a valid {kind} file: 'utf-8' codec can't "
+                                       "decode byte 0xff in position 11: invalid start byte\n")
 
 
 def test_pointwise_checks_over_the_largest_prime_print_as_over_f7(tmp_path, capsys):

@@ -19,6 +19,7 @@ from ujla.axioms import (ALL_NAMED_IDENTITIES, ASSOC, JORDAN_COMM, LIE_ALT, SUIT
                          check_ujla)
 from ujla.classify import flat_to_tensor, tensor_algebra
 from ujla.fields import QQ, PrimeField
+from ujla.fileformat import dumps_algebra, load_algebra_file
 from ujla.identities import (
     WITNESS_SEARCH_CAP,
     CoefficientWitness,
@@ -601,6 +602,28 @@ def test_each_slot_table_row_is_built_once(monkeypatch):
         held = sum(len(table) for shape, table in alg.integer_view.tables.items()
                    if shape is not None)
         assert held and calls["row"] == held, (alg.name, calls, held)
+
+
+def test_a_warm_plan_is_found_without_hashing_or_comparing_the_field(tmp_path, monkeypatch):
+    """Plans are kept by characteristic, not by field object: once the
+    suite's plans are compiled, checking an algebra read from a fresh F_5
+    file, whose PrimeField is a new object, neither hashes nor compares
+    it, on passing and failing verdicts alike."""
+    path = tmp_path / "upper2-f5.alg"
+    path.write_text(dumps_algebra(corpus.upper_triangular_2x2(PrimeField(5))))
+    specs = list(ALL_NAMED_IDENTITIES.values())
+    expected = [check_identity(load_algebra_file(path), spec) for spec in specs]
+    alg = load_algebra_file(path)
+    calls = collections.Counter()
+    for name in ("__eq__", "__hash__"):
+        def counted(self, *args, _name=name, _method=getattr(PrimeField, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(PrimeField, name, counted)
+    verdicts = [check_identity(alg, spec) for spec in specs]
+    assert not calls, calls
+    monkeypatch.undo()
+    assert verdicts == expected and not all(v.passed for v in verdicts)
 
 
 def test_threads_sharing_one_algebra_get_the_serial_verdicts():

@@ -62,7 +62,7 @@ RECORDS = {
                "concrete_witness", "notes"), _failure, {"notes": ("a note",)}),
     AxiomReport: (("algebra", "semantics", "verdicts", "notes"),
                   AxiomReport("upper2", "polynomial", (_verdict,)), {"notes": ("a note",)}),
-    _Plan: (("scale", "top", "words", "shapes", "groups"), _compile(ASSOC, 2, QQ, False),
+    _Plan: (("scale", "top", "words", "shapes", "groups"), _compile(ASSOC, 2, 0, False),
             {"scale": 2}),
     SearchSpec: (("dim", "p", "semantics"), SearchSpec(1, 2), {"semantics": "pointwise"}),
     OrbitClass: (("representative", "orbit_size"), OrbitClass((1,), 1), {"orbit_size": 2}),
